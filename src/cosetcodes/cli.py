@@ -30,14 +30,21 @@ from .quantum import NotSelfOrthogonalError, derive_quantum, search
 BUDGET_ENV = "COSETCODES_BUDGET"
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _budget(text: str) -> int:
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (from --budget, or {BUDGET_ENV} when set)")
 
 
 def _parse_reps(text: str) -> list[int]:
@@ -57,10 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, fmt=True):
         if fmt:
             p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--budget", type=int, default=_default_budget(),
+        # argparse converts a string default with type, so a bad env value is a usage error
+        p.add_argument("--budget", type=_budget,
+                       default=os.environ.get(BUDGET_ENV) or str(DEFAULT_BUDGET),
                        help="enumeration budget for exhaustive certification "
                             f"(default {DEFAULT_BUDGET}, env {BUDGET_ENV})")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="parallel workers for exhaustive enumeration")
 
     p = sub.add_parser("cosets", help="print the q-cyclotomic coset table mod n")

@@ -8,16 +8,18 @@ touches (at most a few hundred rows and columns).
 The module also houses the exhaustive minimum-distance certifier, the
 performance-critical piece of the package.  Messages are traversed in
 q-ary modular Gray order, so consecutive messages differ in exactly one
-symbol.  Two backends implement the same traversal:
+symbol.  One split-table kernel serves every characteristic: it holds
+the span of the low generator rows (at most ``TABLE_ROWS`` codewords)
+and, for each Gray step of the remaining high message digits, adds one
+high-part vector onto the whole table and counts nonzero symbols per
+row.  Characteristic 2 works on bit-packed uint64 words, odd
+characteristic on one byte per symbol.  The same block loop yields the
+full weight distribution.
 
-* a packed backend for characteristic 2 that evaluates whole blocks of
-  Gray codewords with vectorized table gathers over bit-packed words,
-* a plain incremental backend (one scaled-row addition per step) that
-  works for any characteristic and doubles as a cross-check oracle.
-
-Certification can be partitioned over the first message symbol and run
-on a process pool; results, including the reported witness, are
-identical to the sequential traversal.
+Certification can split the high steps into contiguous chunks on a
+process pool; results, including the reported witness (the first
+minimum-weight codeword in Gray order), are identical to the sequential
+traversal.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .galois import Field
 
 DEFAULT_BUDGET = 1 << 26
+TABLE_ROWS = 1 << 16  # span-table row cap of the enumeration kernel
 
 
 class BudgetExceededError(RuntimeError):
@@ -268,7 +271,7 @@ def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray
     return out
 
 
-def _pack_rows(rows: np.ndarray, f: int) -> tuple[np.ndarray, int, int]:
+def _pack_rows(rows: np.ndarray, f: int) -> np.ndarray:
     """Pack symbol rows into uint64 words, 64//f symbols per word.
 
     Symbols never straddle word boundaries, so per-word bit tricks can
@@ -281,108 +284,147 @@ def _pack_rows(rows: np.ndarray, f: int) -> tuple[np.ndarray, int, int]:
     for j in range(n):
         word, slot = divmod(j, sw)
         packed[:, word] |= rows[:, j].astype(np.uint64) << np.uint64(slot * f)
-    return packed, sw, nwords
+    return packed
 
 
-def _packed_weights(cw: np.ndarray, f: int, lowbit_mask: np.uint64) -> np.ndarray:
-    """Number of nonzero symbols per row of a packed (B, W) block."""
-    y = cw.copy()
-    for shift in range(1, f):
-        y |= cw >> np.uint64(shift)
-    y &= lowbit_mask
-    return np.bitwise_count(y).sum(axis=1, dtype=np.int64)
+class _SpanKernel:
+    """Split-table enumeration of every codeword of a full-rank k x n matrix.
+
+    Gray index t splits as t = t_low + q^b * T.  The high Gray digits
+    (rows b..k-1) are the Gray digits of T; the low ones are the Gray
+    digits of t_low, except that digit b-1 is shifted by -(T mod q).  So
+    for each high step T the q^b codewords t_low + q^b * T are exactly the
+    span table of the low b rows plus one high-part vector, in an order
+    fixed by T mod q.  ``b`` is the largest value with q^b <= TABLE_ROWS,
+    but at least 1.
+
+    Characteristic 2 keeps table rows as packed uint64 words (word-major,
+    shape (words, q^b)) and adds by XOR.  Odd characteristic keeps one
+    symbol per entry (shape (q^b, n), uint8 up to q = 256): a symbol of
+    row + h is zero exactly where the row equals -h, so no addition is
+    needed per step.
+    """
+
+    def __init__(self, g: GFMatrix):
+        field = g.field
+        q, k, n = g.q, g.rows, g.cols
+        b = 1
+        while b < k and q ** (b + 1) <= TABLE_ROWS:
+            b += 1
+        self.q, self.n, self.b, self.high = q, n, b, k - b
+        self.blocks = q ** (k - b)
+        # scaled[i, v] = v * row_i
+        scaled = field.mul_table[np.arange(q)[None, :, None], g.entries[:, None, :]]
+        if field.p == 2:
+            f = field.e
+            scaled = np.stack([_pack_rows(s, f) for s in scaled])
+            table = np.zeros((1, scaled.shape[2]), dtype=np.uint64)
+            for i in range(b):
+                table = (scaled[i][:, None, :] ^ table[None, :, :]).reshape(-1, table.shape[1])
+            self.table = np.ascontiguousarray(table.T)
+            slot_lo = (1 << (f - 1)) - 1
+            self.lo = np.uint64(sum(slot_lo << (f * s) for s in range(64 // f)))
+            self.hi = np.uint64(sum((slot_lo + 1) << (f * s) for s in range(64 // f)))
+            self.f = f
+        else:
+            add = field.add_table.astype(np.min_scalar_type(q - 1))
+            scaled = scaled.astype(add.dtype)
+            table = np.zeros((1, n), dtype=add.dtype)
+            for i in range(b):
+                table = add[scaled[i][:, None, :], table[None, :, :]].reshape(-1, n)
+            self.table = table
+            self.add, self.neg = add, field.neg_table.astype(add.dtype)
+        self.scaled_high = scaled[b:]
+        self.char2 = field.p == 2
+
+    def _minus_high_part(self, t_high: int) -> np.ndarray:
+        """-(sum of the high rows scaled by the Gray digits of t_high)."""
+        digits = _gray_digits(t_high, self.high, self.q)
+        parts = self.scaled_high[np.arange(self.high), digits]
+        if self.char2:
+            return np.bitwise_xor.reduce(parts, axis=0)
+        h = np.zeros(self.n, dtype=self.add.dtype)
+        for part in parts:
+            h = self.add[h, part]
+        return self.neg[h]
+
+    def weights(self, start: int, stop: int):
+        """Yield (T, weights) for the high steps T in [start, stop).
+
+        ``weights[m]`` is the weight of span-table row m plus the high
+        part of T; row 0 of step 0 is the zero codeword.  The array may
+        be reused between steps.
+        """
+        if self.char2:
+            x, y = np.empty_like(self.table), np.empty_like(self.table)
+        else:
+            ne = np.empty(self.table.shape, dtype=bool)
+        for t_high in range(start, stop):
+            h = self._minus_high_part(t_high)
+            if self.char2:
+                yield t_high, self._packed_weights(h, x, y)
+            else:
+                yield t_high, np.count_nonzero(np.not_equal(self.table, h, out=ne), axis=1)
+
+    def _packed_weights(self, h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Nonzero symbols per row of table + h, using x and y as scratch."""
+        np.bitwise_xor(self.table, h[:, None], out=x)
+        # ((x & lo) + lo | x) & hi sets bit f-1 of a slot iff its symbol is nonzero
+        np.bitwise_and(x, self.lo, out=y)
+        np.add(y, self.lo, out=y)
+        np.bitwise_or(y, x, out=y)
+        np.bitwise_and(y, self.hi, out=y)
+        # after shifts 0..f-1 the flags of f words occupy disjoint bits
+        counts = None
+        for g0 in range(0, len(y), self.f):
+            acc = y[g0]
+            for j in range(1, min(self.f, len(y) - g0)):
+                acc |= y[g0 + j] >> np.uint64(j)
+            c = np.bitwise_count(acc)
+            counts = c if counts is None else counts + c.astype(np.int64)
+        return counts
+
+    def _first_low_index(self, rows: np.ndarray, t_b: int) -> int:
+        """Smallest t_low whose low Gray digits, shifted by t_b, index one of ``rows``."""
+        q = self.q
+        t_low = np.zeros_like(rows)
+        digit = np.full_like(rows, t_b)
+        for i in reversed(range(self.b)):
+            digit = (rows // q**i % q + digit) % q
+            t_low += digit * q**i
+        return int(t_low.min())
+
+    def first_minimum(self, start: int, stop: int) -> tuple[int, int]:
+        """(weight, t) of the first nonzero minimum-weight codeword for T in [start, stop)."""
+        best_w, best_t = self.n + 1, -1
+        for t_high, wts in self.weights(start, stop):
+            skip = 1 if t_high == 0 else 0  # the zero codeword
+            w = int(wts[skip:].min())
+            if w < best_w:
+                rows = np.flatnonzero(wts[skip:] == w) + skip
+                best_w = w
+                best_t = (t_high * self.q**self.b
+                          + self._first_low_index(rows, t_high % self.q))
+        return best_w, best_t
 
 
-def _enumerate_packed_range(scaled_packed: np.ndarray, k: int, q: int, f: int,
-                            lowbit_mask: np.uint64, t_start: int, t_end: int,
-                            block: int = 1 << 16) -> tuple[int, int]:
-    """Scan Gray codewords for t in [t_start, t_end); returns (weight, t)."""
-    best_w = np.iinfo(np.int64).max
-    best_t = -1
-    lo = max(t_start, 1)  # t = 0 is the zero codeword
-    while lo < t_end:
-        hi = min(lo + block, t_end)
-        ts = np.arange(lo, hi, dtype=np.int64)
-        digits = [(ts >> np.int64(f * i)) & np.int64(q - 1) for i in range(k + 1)]
-        cw = None
-        for i in range(k):
-            g = (digits[i] - digits[i + 1]) & np.int64(q - 1)
-            contrib = scaled_packed[i][g]
-            cw = contrib.copy() if cw is None else cw ^ contrib
-        weights = _packed_weights(cw, f, lowbit_mask)
-        idx = int(np.argmin(weights))
-        w = int(weights[idx])
-        if w < best_w:
-            best_w = w
-            best_t = lo + idx
-        lo = hi
-    return best_w, best_t
+def _first_minimum_chunk(args) -> tuple[int, int]:
+    kernel, start, stop = args
+    return kernel.first_minimum(start, stop)
 
 
-def _packed_branch_worker(args) -> tuple[int, int]:
-    scaled_packed, k, q, f, lowbit_mask, t_start, t_end = args
-    return _enumerate_packed_range(scaled_packed, k, q, f,
-                                   np.uint64(lowbit_mask), t_start, t_end)
-
-
-def _min_distance_packed(g: GFMatrix, jobs: int) -> tuple[int, int]:
-    field = g.field
-    k, q, f = g.rows, g.q, field.e
-    rows = g.entries
-    mul = field.mul_table
-    scaled = np.zeros((k, q, g.cols), dtype=np.uint16)
-    for i in range(k):
-        scaled[i] = mul[np.arange(q)[:, None], rows[i][None, :]]
-    sw = 64 // f
-    lowbit = np.uint64(0)
-    for j in range(sw):
-        lowbit |= np.uint64(1) << np.uint64(j * f)
-    scaled_packed = np.zeros((k, q, -(-g.cols // sw)), dtype=np.uint64)
-    for i in range(k):
-        scaled_packed[i], _, _ = _pack_rows(scaled[i], f)
-    total = q**k
-    if jobs <= 1 or k == 1:
-        return _enumerate_packed_range(scaled_packed, k, q, f, lowbit, 0, total)
-    # partition on the first message symbol (the top Gray digit)
-    stride = q ** (k - 1)
-    tasks = [(scaled_packed, k, q, f, int(lowbit), c * stride, (c + 1) * stride)
-             for c in range(q)]
-    with get_context("fork").Pool(min(jobs, q)) as pool:
-        results = pool.map(_packed_branch_worker, tasks)
-    best = min(zip((w for w, _ in results), (t for _, t in results)))
-    return best
-
-
-def _min_distance_rowadd(g: GFMatrix) -> tuple[int, int]:
-    """Reference backend: one scaled-row addition per Gray step (any p)."""
-    field = g.field
-    k, q, n = g.rows, g.q, g.cols
-    add, mul = field.add, field.mul
-    rows = [list(map(int, r)) for r in g.entries]
-    # delta[i][v] = (sym(v+1 mod q) - sym(v)) * row_i
-    delta = [[None] * q for _ in range(k)]
-    for i in range(k):
-        for v in range(q):
-            c = field.sub((v + 1) % q, v)
-            delta[i][v] = [mul(c, x) for x in rows[i]]
-    digits = [0] * (k + 1)
-    cw = [0] * n
-    best_w, best_t = n + 1, -1
-    for t in range(q**k - 1):
-        # step t -> t+1 bumps Gray digit j, j = trailing (q-1)-digit count of t
-        j = 0
-        tt = t
-        while tt % q == q - 1:
-            j += 1
-            tt //= q
-        v = digits[j]
-        d = delta[j][v]
-        cw = [add(a, b) for a, b in zip(cw, d)]
-        digits[j] = (v + 1) % q
-        w = sum(1 for x in cw if x)
-        if w < best_w:
-            best_w, best_t = w, t + 1
-    return best_w, best_t
+def _enumerable_kernel(g: GFMatrix, budget: int) -> _SpanKernel:
+    """The kernel for g after the budget and rank checks."""
+    k = g.rows
+    if k == 0:
+        raise ValueError("cannot certify an empty code")
+    total = g.q**k - 1
+    if total > budget or total >= 1 << 62:  # counts and row indices are int64
+        raise BudgetExceededError(
+            f"enumeration of {total} codewords exceeds budget {budget}")
+    if rank(g) != k:
+        raise ValueError("generator matrix is rank-deficient")
+    return _SpanKernel(g)
 
 
 def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
@@ -390,30 +432,40 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
     Messages are traversed in q-ary modular Gray order; the witness is
-    the first codeword attaining the minimum in that order.  Raises
-    :class:`BudgetExceededError` when q^k - 1 exceeds ``budget`` and
-    ValueError for rank-deficient input.
+    the first codeword attaining the minimum in that order, at every
+    worker count.  Raises :class:`BudgetExceededError` when q^k - 1
+    exceeds ``budget`` and ValueError for rank-deficient input.
     """
-    k = g.rows
-    if k == 0:
-        raise ValueError("cannot certify an empty code")
-    total = g.q**k - 1
-    if total > budget or total >= 1 << 62:  # message counters are int64
-        raise BudgetExceededError(
-            f"enumeration of {total} codewords exceeds budget {budget}")
-    if rank(g) != k:
-        raise ValueError("generator matrix is rank-deficient")
-    if g.field.p == 2:
-        best_w, best_t = _min_distance_packed(g, jobs)
+    kernel = _enumerable_kernel(g, budget)
+    workers = min(jobs, kernel.blocks)
+    if workers <= 1:
+        best_w, best_t = kernel.first_minimum(0, kernel.blocks)
     else:
-        best_w, best_t = _min_distance_rowadd(g)
+        cuts = [kernel.blocks * i // workers for i in range(workers + 1)]
+        tasks = [(kernel, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        with get_context("fork").Pool(workers) as pool:
+            best_w, best_t = min(pool.map(_first_minimum_chunk, tasks))
+    k = g.rows
     message = _gray_digits(best_t, k, g.q)
     witness = _codeword_for_message(g.field, g.entries, message)
     w = int(np.count_nonzero(witness))
     if w != best_w:
         raise AssertionError("witness weight disagrees with enumerated minimum")
     return DistanceCertificate(method="exhaustive", value=best_w,
-                               enumerated=total, witness=tuple(map(int, witness)))
+                               enumerated=g.q**k - 1, witness=tuple(map(int, witness)))
+
+
+def weight_distribution(g: GFMatrix, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """Exact weight enumerator [A_0, ..., A_n] of the code spanned by g.
+
+    Same enumeration, budget and rank checks as
+    :func:`min_distance_exhaustive`.
+    """
+    kernel = _enumerable_kernel(g, budget)
+    counts = np.zeros(g.cols + 1, dtype=np.int64)
+    for _, wts in kernel.weights(0, kernel.blocks):
+        counts += np.bincount(wts, minlength=g.cols + 1)
+    return counts.tolist()
 
 
 def min_distance_sampled(g: GFMatrix, samples: int = 20000,

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from cosetcodes.cli import main
 
@@ -55,6 +61,36 @@ def test_classical_budget_fallback(capsys, monkeypatch):
     assert code == 0
     assert "bound only" in out
     assert "exact d" not in out
+
+
+@pytest.mark.parametrize("env,argv", [
+    ("abc", []), ("0", []), ("-5", []),
+    (None, ["--budget", "0"]), (None, ["--jobs", "0"]), (None, ["--jobs", "-2"]),
+])
+def test_bad_budget_or_jobs_is_usage_error(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("COSETCODES_BUDGET", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "--q", "4", "--n", "51", "--r", "16", "--certify", *argv])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_budget_flag_overrides_env(capsys, monkeypatch):
+    monkeypatch.setenv("COSETCODES_BUDGET", "abc")
+    code, out, _ = run(capsys, "classical", "--q", "4", "--n", "51", "--r", "16",
+                       "--certify", "--budget", "10")
+    assert code == 0
+    assert "bound only" in out
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "cosetcodes", "cosets", "--q", "4", "--n", "3"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["{0}  {1}  {2}"]
 
 
 def test_quantum_fixture(capsys):

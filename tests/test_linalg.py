@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,42 @@ from cosetcodes import (BudgetExceededError, GFMatrix, field_matmul, gf_matrix,
                         gram_is_zero, make_field, min_distance_exhaustive,
                         min_distance_sampled, nullspace, pow_entrywise, rank,
                         rank_and_rref, row_space_equal)
-from cosetcodes.linalg import (_codeword_for_message, _gray_digits,
-                               _min_distance_rowadd, identity)
+from cosetcodes.linalg import (TABLE_ROWS, _codeword_for_message, _gray_digits,
+                               identity, weight_distribution)
+
+
+def random_full_rank(field, k, n, rng):
+    while True:
+        g = GFMatrix(field, rng.integers(0, field.order, size=(k, n)).astype(np.uint16))
+        if rank(g) == k:
+            return g
+
+
+def naive_gray_scan(g):
+    """(first minimum-weight Gray index, weight histogram), one codeword at a time."""
+    q, k = g.q, g.rows
+    counts = [0] * (g.cols + 1)
+    best_w, best_t = g.cols + 1, -1
+    for t in range(q**k):
+        cw = _codeword_for_message(g.field, g.entries, _gray_digits(t, k, q))
+        w = int(np.count_nonzero(cw))
+        counts[w] += 1
+        if t and w < best_w:
+            best_w, best_t = w, t
+    return best_t, counts
+
+
+def vectorized_gray_codewords(g):
+    """All q^k codewords, row t the Gray-order message t, built column-wise."""
+    field, q, k = g.field, g.q, g.rows
+    t = np.arange(q**k, dtype=np.int64)
+    base = [t // q**i % q for i in range(k + 1)]
+    cw = np.zeros((q**k, g.cols), dtype=np.uint16)
+    for i in range(k):
+        scaled = field.mul_table[np.arange(q)[:, None], g.entries[i][None, :]]
+        part = scaled[(base[i] - base[i + 1]) % q]
+        cw = cw ^ part if field.p == 2 else field.add_table[cw, part]
+    return cw
 
 
 def test_rank_identity_and_all_ones(f4):
@@ -88,7 +120,7 @@ def test_gray_sequence_changes_one_symbol_per_step():
         assert len(seen) == q**k  # bijective traversal
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)])
 def test_enumerator_matches_naive_recomputation(p, e):
     field = make_field(p, e)
     q = field.order
@@ -96,25 +128,44 @@ def test_enumerator_matches_naive_recomputation(p, e):
     for k in (1, 2, 3, 4):
         if q**k > 1 << 14:
             continue
-        n = int(rng.integers(4, 12))
-        while True:
-            g = GFMatrix(field, rng.integers(0, q, size=(k, n)).astype(np.uint16))
-            if rank(g) == k:
-                break
-        best = min(
-            int(np.count_nonzero(_codeword_for_message(field, g.entries, list(msg))))
-            for msg in itertools.product(range(q), repeat=k) if any(msg))
+        g = random_full_rank(field, k, int(rng.integers(4, 12)), rng)
+        best_t, counts = naive_gray_scan(g)
+        first = _codeword_for_message(field, g.entries, _gray_digits(best_t, k, q))
         cert = min_distance_exhaustive(g)
-        assert cert.value == best
+        assert cert.value == int(np.count_nonzero(first))
+        assert cert.witness == tuple(map(int, first))  # the first minimum in Gray order
         assert cert.enumerated == q**k - 1
-        assert sum(1 for x in cert.witness if x) == cert.value
-        # the incremental row-add backend agrees on the value and, for
-        # characteristic 2, on the first-attaining traversal index too
-        w, t = _min_distance_rowadd(g)
-        assert w == best
-        if p == 2:
-            from cosetcodes.linalg import _min_distance_packed
-            assert (w, t) == _min_distance_packed(g, jobs=1)
+        assert weight_distribution(g) == counts
+
+
+@pytest.mark.parametrize("p,e,k,n", [(2, 1, 18, 24), (2, 1, 18, 66), (3, 1, 11, 20),
+                                     (2, 2, 9, 30), (2, 2, 9, 70), (2, 3, 6, 30)])
+def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
+    field = make_field(p, e)
+    g = random_full_rank(field, k, n, np.random.default_rng(k * n))
+    assert g.q**k > TABLE_ROWS  # more than one span table's worth of codewords
+    cw = vectorized_gray_codewords(g)
+    weights = np.count_nonzero(cw, axis=1)
+    first = 1 + int(np.argmin(weights[1:]))
+    cert = min_distance_exhaustive(g)
+    assert cert.value == weights[first]
+    assert cert.witness == tuple(map(int, cw[first]))
+    assert weight_distribution(g) == np.bincount(weights, minlength=n + 1).tolist()
+
+
+def test_weight_distribution_invariants(f4, f16):
+    rng = np.random.default_rng(29)
+    for field, k, n in ((f4, 5, 14), (f16, 3, 20), (make_field(3, 1), 6, 12)):
+        g = random_full_rank(field, k, n, rng)
+        dist = weight_distribution(g)
+        assert len(dist) == n + 1
+        assert sum(dist) == g.q**k
+        assert dist[0] == 1
+        assert next(i for i in range(1, n + 1) if dist[i]) == min_distance_exhaustive(g).value
+    with pytest.raises(BudgetExceededError):
+        weight_distribution(identity(f16, 10), budget=100)
+    with pytest.raises(ValueError):
+        weight_distribution(gf_matrix(f4, [[1, 2, 3], [1, 2, 3]]))
 
 
 def test_distance_invariant_under_column_permutation_and_rref(f4):
@@ -130,15 +181,14 @@ def test_distance_invariant_under_column_permutation_and_rref(f4):
 
 
 def test_parallel_enumeration_matches_sequential(f4):
-    rng = np.random.default_rng(11)
-    g = GFMatrix(f4, rng.integers(0, 4, size=(7, 20)).astype(np.uint16))
-    while rank(g) != 7:
-        g = GFMatrix(f4, rng.integers(0, 4, size=(7, 20)).astype(np.uint16))
+    g = random_full_rank(f4, 9, 20, np.random.default_rng(11))
+    assert g.q**g.rows > TABLE_ROWS  # several high steps to split between workers
     seq = min_distance_exhaustive(g, jobs=1)
-    par = min_distance_exhaustive(g, jobs=4)
-    assert seq.value == par.value
-    assert seq.witness == par.witness
-    assert seq.enumerated == par.enumerated
+    for jobs in (2, 3):  # 3 workers split the high steps unevenly
+        par = min_distance_exhaustive(g, jobs=jobs)
+        assert seq.value == par.value
+        assert seq.witness == par.witness
+        assert seq.enumerated == par.enumerated
 
 
 def test_budget_and_rank_errors(f16, f4):
