@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, help="target for the conditional objectives")
     p.add_argument("--min-quantum-k", type=int, default=0,
                    help="do not explore families below this quantum dimension")
-    p.add_argument("--node-budget", type=int, default=1_000_000)
+    p.add_argument("--node-budget", type=_positive_int, default=1_000_000)
     add_common(p)
 
     p = sub.add_parser("verify", help="run the bundled known-answer suite")

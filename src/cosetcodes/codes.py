@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cosets import Coset, CosetFamily, CosetTable, order_mod
-from .galois import (Field, SubfieldBasis, make_field, nth_root_of_unity,
-                     prime_factors, subfield_power_basis)
+from .galois import (Field, SubfieldBasis, degree_over_prime, make_field,
+                     nth_root_of_unity, prime_factors, subfield_power_basis)
 from .linalg import GFMatrix, rank
 
 
@@ -61,9 +61,9 @@ def trace_polynomials(ctx: Field, table: CosetTable, coset: Coset,
         raise ValueError("basis bound to a different field context")
     a = coset.min_rep
     out = []
-    for j, el in enumerate(basis.elements):
+    for j, value in enumerate(basis.values):
         terms = []
-        exp_a, coef = a, el.value
+        exp_a, coef = a, value
         for _ in range(s):
             terms.append((exp_a, coef))
             exp_a = (exp_a * q) % n
@@ -91,7 +91,7 @@ class EvaluationDomain:
 def evaluation_domain(ctx: Field, n: int) -> EvaluationDomain:
     if n <= 1:
         raise ValueError("n must be greater than 1")
-    alpha = nth_root_of_unity(ctx, n).value  # validates divisibility
+    alpha = nth_root_of_unity(ctx, n)  # validates divisibility
     points = [0] + [ctx.pow(alpha, i) for i in range(n)]
     if len(set(points)) != n + 1:
         raise AssertionError("evaluation points are not distinct")
@@ -104,13 +104,8 @@ def _field_for(q: int, n: int) -> Field:
     if len(factors) != 1:
         raise ValueError(f"q={q} is not a prime power")
     p = factors[0]
-    f = 0
-    v = q
-    while v > 1:
-        v //= p
-        f += 1
     m = order_mod(q, n)
-    return make_field(p, f * m)
+    return make_field(p, degree_over_prime(q, p) * m)
 
 
 def field_for_table(table: CosetTable) -> Field:
@@ -128,25 +123,11 @@ class GeneratorMatrix:
 
     mat: GFMatrix
     family: CosetFamily
-    domain: EvaluationDomain
     parent: Field
-    bases: tuple[SubfieldBasis, ...]
-    row_labels: tuple[tuple[int, int], ...]
 
     @property
     def symbol_field(self) -> Field:
         return self.mat.field
-
-    @property
-    def k(self) -> int:
-        return self.mat.rows
-
-    @property
-    def length(self) -> int:
-        return self.mat.cols
-
-    def params(self) -> tuple[int, int, int]:
-        return classical_params(self.family)
 
     def to_json_obj(self, include_entries: bool = True) -> dict:
         obj = {
@@ -203,8 +184,7 @@ def _table_from_json(obj: dict) -> CosetTable:
 
 
 def generator_matrix(family: CosetFamily, ctx: Field | None = None,
-                     bases: dict[int, SubfieldBasis] | None = None,
-                     check_rank: bool = True) -> GeneratorMatrix:
+                     bases: dict[int, SubfieldBasis] | None = None) -> GeneratorMatrix:
     """Build the generator matrix of the code attached to ``family``.
 
     ``bases`` may override the default power basis per coset id (used for
@@ -219,13 +199,10 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
         ctx = field_for_table(table)
     q, n = table.q, table.n
     view = ctx.subfield_view(q)
-    domain = evaluation_domain(ctx, n)
-    q1 = ctx.order - 1
-    log_alpha = q1 // n
+    nth_root_of_unity(ctx, n)  # raises unless n divides |ctx*|
+    log_alpha = (ctx.order - 1) // n
 
     rows: list[np.ndarray] = []
-    row_labels: list[tuple[int, int]] = []
-    used_bases: list[SubfieldBasis] = []
     basis_cache: dict[int, SubfieldBasis] = {}
 
     for cid in family.members:
@@ -236,10 +213,8 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
             if basis is None:
                 basis = subfield_power_basis(ctx, q, coset.size)
                 basis_cache[coset.size] = basis
-        used_bases.append(basis)
         for poly in trace_polynomials(ctx, table, coset, basis):
             rows.append(_evaluate_on_domain(ctx, poly, n, log_alpha))
-            row_labels.append((coset.min_rep, poly.basis_index))
 
     values = np.vstack(rows)
     symbols = view.project[values]
@@ -248,13 +223,11 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
             "evaluation produced a value outside the F_q subfield "
             "(arithmetic bug: orbit sums must be Frobenius-fixed)")
     mat = GFMatrix(view.field, symbols.astype(np.uint16))
-    if check_rank:
-        expected = family.dim()
-        got = rank(mat)
-        if got != expected:
-            raise ArithmeticError(f"rank {got} != expected dimension {expected}")
-    return GeneratorMatrix(mat=mat, family=family, domain=domain, parent=ctx,
-                           bases=tuple(used_bases), row_labels=tuple(row_labels))
+    expected = family.dim()
+    got = rank(mat)
+    if got != expected:
+        raise ArithmeticError(f"rank {got} != expected dimension {expected}")
+    return GeneratorMatrix(mat=mat, family=family, parent=ctx)
 
 
 def _evaluate_on_domain(ctx: Field, poly: TracePolynomial, n: int,

@@ -15,7 +15,6 @@ dual codes of the evaluation code attached to a family (see the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -105,9 +104,6 @@ class CosetTable:
             "m": self.m,
             "cosets": [list(c.elements) for c in self.cosets],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
     def to_text(self, columns: int = 3) -> str:
         """Plain-text table, three cosets per row."""
@@ -203,22 +199,11 @@ class CosetFamily:
         return CosetFamily(self.table, tuple(sorted(
             {self.table.dual_coset(i) for i in self.members})))
 
-    def union(self, other: CosetFamily) -> CosetFamily:
-        return CosetFamily(self.table, tuple(sorted(set(self.members) | set(other.members))))
-
     def to_json_obj(self) -> list[list[int]]:
         return [list(c.elements) for c in self.cosets()]
 
     def __repr__(self) -> str:
         return "CosetFamily[" + ", ".join(repr(c) for c in self.cosets()) + "]"
-
-
-def dual_family(family: CosetFamily) -> CosetFamily:
-    return family.dual()
-
-
-def scale_family(family: CosetFamily, ell: int) -> CosetFamily:
-    return family.scale(ell)
 
 
 def _complement_with_zero(family: CosetFamily, removed: CosetFamily) -> CosetFamily:
@@ -243,7 +228,3 @@ def hermitian_dual_family(family: CosetFamily, ell: int) -> CosetFamily:
     if not family.contains_zero:
         raise ValueError("family must contain the coset {0}")
     return _complement_with_zero(family, family.scale(ell).dual())
-
-
-def max_degree(family: CosetFamily) -> int:
-    return family.max_degree()

@@ -15,7 +15,6 @@ n+1 even.  Odd characteristic is rejected rather than extrapolated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .cosets import CosetFamily, euclidean_dual_family, hermitian_dual_family
@@ -43,10 +42,6 @@ class DualityReport:
     matrix_s: GeneratorMatrix | None = None
     matrix_dual: GeneratorMatrix | None = None
 
-    @property
-    def block_length(self) -> int:
-        return self.family_s.table.n + 1
-
     def to_json_obj(self) -> dict:
         obj = {
             "dual_kind": self.dual_kind,
@@ -63,9 +58,6 @@ class DualityReport:
         if self.matrix_s is not None:
             obj["field"] = self.matrix_s.parent.describe()
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def _check_even_q(family: CosetFamily) -> None:

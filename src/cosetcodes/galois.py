@@ -10,8 +10,9 @@ construction.
 
 Supported sizes are capped at 2^20 elements.  The table representation
 makes repeated arithmetic (code construction, exhaustive codeword
-enumeration) cheap, and every construction shipped here needs at most
-GF(4096).
+enumeration) cheap; building the tables is the cost, which grows
+steeply with the field (GF(2^16) for n = 255 or 257 over F_4, GF(2^20)
+for n = 1025).
 
 Subfields GF(q^s) of GF(q^m) are never separate contexts: they live
 inside the big field as the fixed points of x -> x^(q^s), with a
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .linalg import gf_matrix, rank
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -60,6 +63,17 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def degree_over_prime(q: int, p: int) -> int:
+    """f with q = p^f; raises ValueError unless q is a positive power of p."""
+    f, v = 0, q
+    while v > 1 and v % p == 0:
+        v //= p
+        f += 1
+    if v != 1 or f == 0:
+        raise ValueError(f"{q} is not a positive power of the characteristic {p}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -165,38 +179,31 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
     return True
 
 
-def _x_has_full_order(mod: list[int], p: int, factors: list[int]) -> bool:
-    """True when x generates the full multiplicative group mod f.
+def _has_full_order(element: list[int], modulus: list[int], p: int) -> bool:
+    """True when ``element`` generates the full multiplicative group mod f.
 
-    Only a field of order p^e has p^e - 1 units, so a positive answer
-    simultaneously certifies irreducibility and primitivity of f.
+    Only a field of order p^e has p^e - 1 units, so a positive answer for
+    x simultaneously certifies irreducibility and primitivity of f.
     """
-    e = len(mod) - 1
-    order = p**e - 1
-    x = [0, 1] + [0] * (e - 2) if e >= 2 else [0]
-    if e == 1:
-        x = [(-mod[0]) % p]
-    if not _is_one(_poly_powmod(x, order, mod, p)):
+    order = p ** (len(modulus) - 1) - 1
+    if not _is_one(_poly_powmod(element, order, modulus, p)):
         return False
-    for r in factors:
-        if _is_one(_poly_powmod(x, order // r, mod, p)):
-            return False
-    return True
+    return not any(_is_one(_poly_powmod(element, order // r, modulus, p))
+                   for r in prime_factors(order))
 
 
 @lru_cache(maxsize=None)
 def _smallest_primitive_modulus(p: int, e: int) -> tuple[int, ...]:
     """Monic primitive polynomial of degree e with the smallest integer code."""
-    order_factors = prime_factors(p**e - 1) if p**e > 2 else []
     if p**e == 2:
         return (1, 1)  # x + 1; GF(2) itself
-    base = p**e
-    for tail in range(1, base):
+    for tail in range(1, p**e):
         digits = _int_to_digits(tail, p, e)
         if digits[0] == 0:
             continue  # x divides f
         mod = digits + [1]
-        if _x_has_full_order(mod, p, order_factors):
+        x = [0, 1] + [0] * (e - 2) if e > 1 else [(-digits[0]) % p]  # x mod f
+        if _has_full_order(x, mod, p):
             return tuple(mod)
     raise AssertionError(f"no primitive polynomial of degree {e} over F_{p}")
 
@@ -275,9 +282,6 @@ class Field:
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b)) if self.p != 2 else a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -288,9 +292,6 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         q1 = self.order - 1
         return self._exp[(q1 - self._log[a]) % q1]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
@@ -306,45 +307,8 @@ class Field:
 
     def frobenius(self, a: int, q: int) -> int:
         """x -> x^q for a subfield size q = p^j."""
-        self._check_power_of_p(q)
+        degree_over_prime(q, self.p)
         return self.pow(a, q)
-
-    def _check_power_of_p(self, q: int) -> None:
-        v = q
-        while v % self.p == 0 and v > 1:
-            v //= self.p
-        if v != 1 or q < 2:
-            raise ValueError(f"{q} is not a positive power of the characteristic {self.p}")
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero is not in the multiplicative group")
-        q1 = self.order - 1
-        order = q1
-        for r in prime_factors(q1):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def element(self, value: int) -> FieldElement:
-        if not 0 <= value < self.order:
-            raise ValueError(f"value {value} outside 0..{self.order - 1}")
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    @property
-    def gamma(self) -> FieldElement:
-        return FieldElement(self, self.generator)
 
     # -- dense operation tables (small fields only) ---------------------
 
@@ -373,10 +337,6 @@ class Field:
                 tab[1:, 1:] = self.exp_np[(logs[:, None] + logs[None, :])].astype(np.uint16)
             elif name == "neg":
                 tab = np.asarray([self.neg(a) for a in range(q)], dtype=np.uint16)
-            elif name == "inv":
-                tab = np.zeros(q, dtype=np.uint16)
-                for a in range(1, q):
-                    tab[a] = self.inv(a)
             else:
                 raise KeyError(name)
             self._np_tables[name] = tab
@@ -394,10 +354,6 @@ class Field:
     def neg_table(self) -> np.ndarray:
         return self._table("neg")
 
-    @property
-    def inv_table(self) -> np.ndarray:
-        return self._table("inv")
-
     def pow_table(self, k: int) -> np.ndarray:
         """Entry-wise x -> x^k lookup vector."""
         name = f"pow{k}"
@@ -411,6 +367,17 @@ class Field:
 
     # -- subfields -------------------------------------------------------
 
+    def _subfield_degree(self, q: int) -> int:
+        """f with q = p^f, after checking that F_q is a subfield of this field."""
+        f = degree_over_prime(q, self.p)
+        if self.e % f != 0:
+            raise ValueError(f"F_{q} is not a subfield of F_{self.order}")
+        return f
+
+    def _subfield_generator(self, q: int) -> int:
+        """gamma^((p^e-1)/(q-1)), a generator of the multiplicative group of F_q."""
+        return self.pow(self.generator, (self.order - 1) // (q - 1))
+
     def subfield_view(self, q: int) -> SubfieldView:
         """Relabel the embedded subfield F_q of this field as 0..q-1 symbols.
 
@@ -423,18 +390,8 @@ class Field:
         view = self._views.get(q)
         if view is not None:
             return view
-        self._check_power_of_p(q)
-        f = 0
-        v = q
-        while v > 1:
-            v //= self.p
-            f += 1
-        if self.e % f != 0:
-            raise ValueError(f"F_{q} is not a subfield of F_{self.order}")
-        if q == self.order:
-            w = self.generator
-        else:
-            w = self.pow(self.generator, (self.order - 1) // (q - 1))
+        f = self._subfield_degree(q)
+        w = self._subfield_generator(q)
         minpoly = self._minimal_polynomial_over_prime(w, f)
         symbol_field = make_field(self.p, f, minpoly)
         embed = np.zeros(q, dtype=np.int64)
@@ -506,131 +463,41 @@ class SubfieldView:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """A field element bound to its context; arithmetic checks the context."""
-
-    field: Field
-    value: int
-
-    def _coerce(self, other: FieldElement | int) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements belong to different field contexts")
-            return other.value
-        if isinstance(other, int):
-            if not 0 <= other < self.field.order:
-                raise ValueError("integer operand outside field range")
-            return other
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __pow__(self, k: int) -> FieldElement:
-        return FieldElement(self.field, self.field.pow(self.value, k))
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def frobenius(self, q: int) -> FieldElement:
-        return FieldElement(self.field, self.field.frobenius(self.value, q))
-
-    def multiplicative_order(self) -> int:
-        return self.field.multiplicative_order(self.value)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"GF{self.field.order}({self.value})"
-
-
-@dataclass(frozen=True)
 class SubfieldBasis:
     """An F_q-basis of the subfield F_(q^s) inside a larger field.
 
-    Validated at construction: every element must be fixed by x -> x^(q^s)
-    and the elements must be linearly independent over F_q.
+    Validated at construction: every value must be an element of the
+    field fixed by x -> x^(q^s), and the values must be linearly
+    independent over F_q.
     """
 
     ctx: Field
     q: int
     s: int
-    elements: tuple[FieldElement, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.elements) != self.s:
-            raise ValueError(f"expected {self.s} basis elements, got {len(self.elements)}")
+        if len(self.values) != self.s:
+            raise ValueError(f"expected {self.s} basis elements, got {len(self.values)}")
         qs = self.q**self.s
-        for el in self.elements:
-            if el.field is not self.ctx:
-                raise ValueError("basis element bound to a different field context")
-            if self.ctx.frobenius(el.value, qs) != el.value:
-                raise ValueError(f"element {el.value} is not in F_{qs}")
-        if not _independent_over_subfield(self.ctx, self.q,
-                                          [el.value for el in self.elements]):
+        for v in self.values:
+            if not 0 <= v < self.ctx.order:
+                raise ValueError(f"value {v} outside 0..{self.ctx.order - 1}")
+            if self.ctx.frobenius(v, qs) != v:
+                raise ValueError(f"element {v} is not in F_{qs}")
+        if not _independent_over_subfield(self.ctx, self.q, self.values):
             raise ValueError("basis elements are linearly dependent over the subfield")
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(el.value for el in self.elements)
 
-
-def _independent_over_subfield(ctx: Field, q: int, values: list[int]) -> bool:
+def _independent_over_subfield(ctx: Field, q: int, values) -> bool:
     """F_q-linear independence via F_p-rank of {v * u : u in basis of F_q}."""
-    p = ctx.p
-    f = 0
-    v = q
-    while v > 1:
-        v //= p
-        f += 1
-    wq = ctx.generator if q == ctx.order else ctx.pow(ctx.generator, (ctx.order - 1) // (q - 1))
-    units = [ctx.pow(wq, j) for j in range(f)]
+    wq = ctx._subfield_generator(q)
+    units = [ctx.pow(wq, j) for j in range(ctx._subfield_degree(q))]
     rows = []
     for val in values:
         for u in units:
-            rows.append(_int_to_digits(ctx.mul(val, u), p, ctx.e))
-    return _fp_rank(rows, p) == len(rows)
-
-
-def _fp_rank(rows: list[list[int]], p: int) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        pivot = next((i for i, r in enumerate(rows) if r[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        prow = rows[0]
-        pinv = pow(prow[col], p - 2, p) if p > 2 else 1
-        for r in rows[1:]:
-            if r[col]:
-                c = (r[col] * pinv) % p
-                for j in range(col, ncols):
-                    r[j] = (r[j] - c * prow[j]) % p
-        rows = [r for r in rows[1:] if any(r)]
-        rank += 1
-        col += 1
-    return rank
+            rows.append(_int_to_digits(ctx.mul(val, u), ctx.p, ctx.e))
+    return rank(gf_matrix(make_field(ctx.p, 1), rows, cols=ctx.e)) == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +509,10 @@ def _cached_field(p: int, e: int, modulus: tuple[int, ...]) -> Field:
     if not _is_irreducible(list(modulus), p):
         raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
     # smallest integer-coded element of full multiplicative order
-    factors = prime_factors(p**e - 1) if p**e > 2 else []
-    generator = None
     for cand in range(1, p**e):
-        digits = _int_to_digits(cand, p, e)
-        if not _is_one(_poly_powmod(digits, p**e - 1, list(modulus), p)):
-            continue
-        if all(not _is_one(_poly_powmod(digits, (p**e - 1) // r, list(modulus), p))
-               for r in factors):
-            generator = cand
-            break
-    if generator is None:
-        raise ValueError("no multiplicative generator found (modulus not irreducible?)")
-    return Field(p, e, modulus, generator)
+        if _has_full_order(_int_to_digits(cand, p, e), list(modulus), p):
+            return Field(p, e, modulus, cand)
+    raise ValueError("no multiplicative generator found (modulus not irreducible?)")
 
 
 def make_field(p: int, e: int, modulus: tuple[int, ...] | list[int] | None = None) -> Field:
@@ -683,12 +541,12 @@ def make_field(p: int, e: int, modulus: tuple[int, ...] | list[int] | None = Non
     return _cached_field(p, e, modulus)
 
 
-def nth_root_of_unity(ctx: Field, n: int) -> FieldElement:
+def nth_root_of_unity(ctx: Field, n: int) -> int:
     """The canonical primitive n-th root of unity, gamma^((p^e-1)/n)."""
     q1 = ctx.order - 1
     if n < 1 or q1 % n != 0:
         raise ValueError(f"{n} does not divide the multiplicative group order {q1}")
-    return ctx.element(ctx.pow(ctx.generator, q1 // n))
+    return ctx.pow(ctx.generator, q1 // n)
 
 
 def subfield_power_basis(ctx: Field, q: int, s: int) -> SubfieldBasis:
@@ -698,18 +556,9 @@ def subfield_power_basis(ctx: Field, q: int, s: int) -> SubfieldBasis:
     F_(q^s); the constructor re-checks Frobenius fixedness and F_q-linear
     independence.
     """
-    ctx._check_power_of_p(q)
-    f = 0
-    v = q
-    while v > 1:
-        v //= ctx.p
-        f += 1
-    if ctx.e % f != 0:
-        raise ValueError(f"F_{q} is not a subfield of F_{ctx.order}")
-    m = ctx.e // f
+    m = ctx.e // ctx._subfield_degree(q)
     if s < 1 or m % s != 0:
         raise ValueError(f"F_{q}^{s} is not a subfield of F_{q}^{m}")
-    qs = q**s
-    w = ctx.generator if qs == ctx.order else ctx.pow(ctx.generator, (ctx.order - 1) // (qs - 1))
-    elements = tuple(ctx.element(ctx.pow(w, i)) for i in range(s))
-    return SubfieldBasis(ctx=ctx, q=q, s=s, elements=elements)
+    w = ctx._subfield_generator(q**s)
+    values = tuple(ctx.pow(w, i) for i in range(s))
+    return SubfieldBasis(ctx=ctx, q=q, s=s, values=values)

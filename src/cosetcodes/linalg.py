@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .galois import Field
+if TYPE_CHECKING:
+    from .galois import Field
 
 DEFAULT_BUDGET = 1 << 26
 TABLE_ROWS = 1 << 16  # span-table row cap of the enumeration kernel
@@ -66,9 +68,6 @@ class GFMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def to_lists(self) -> list[list[int]]:
-        return self.entries.tolist()
-
     def __repr__(self) -> str:
         return f"GFMatrix(q={self.q}, {self.rows}x{self.cols})"
 
@@ -79,10 +78,6 @@ def gf_matrix(field: Field, rows, cols: int | None = None) -> GFMatrix:
     if arr.size == 0:
         arr = arr.reshape(0, cols if cols is not None else 0)
     return GFMatrix(field, arr)
-
-
-def identity(field: Field, k: int) -> GFMatrix:
-    return GFMatrix(field, np.eye(k, dtype=np.uint16))
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +175,6 @@ def _fold_add(field: Field, products: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def field_matmul(a: GFMatrix, b: GFMatrix) -> GFMatrix:
-    """Matrix product over the shared field."""
-    if a.field is not b.field:
-        raise ValueError("matrices use different field contexts")
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions do not match")
-    field = a.field
-    mul = field.mul_table
-    out = np.zeros((a.rows, b.cols), dtype=np.uint16)
-    for i in range(a.rows):
-        if a.cols == 0:
-            continue
-        products = mul[a.entries[i][:, None], b.entries]
-        out[i] = _fold_add(field, products, axis=0)
-    return GFMatrix(field, out)
-
-
 def gram_is_zero(g1: GFMatrix, g2: GFMatrix, product: str = "euclidean",
                  ell: int | None = None) -> bool:
     """True iff every row pair is orthogonal under the chosen inner product.
@@ -237,7 +215,7 @@ def gram_is_zero(g1: GFMatrix, g2: GFMatrix, product: str = "euclidean",
 class DistanceCertificate:
     """Result of a minimum-weight computation over a code's codewords."""
 
-    method: str               # "exhaustive" or "sampled"
+    method: str               # always "exhaustive"
     value: int
     enumerated: int
     witness: tuple[int, ...] | None
@@ -466,34 +444,3 @@ def weight_distribution(g: GFMatrix, budget: int = DEFAULT_BUDGET) -> list[int]:
     for _, wts in kernel.weights(0, kernel.blocks):
         counts += np.bincount(wts, minlength=g.cols + 1)
     return counts.tolist()
-
-
-def min_distance_sampled(g: GFMatrix, samples: int = 20000,
-                         seed: int = 0) -> DistanceCertificate:
-    """Random-message upper bound on the minimum distance (not exact)."""
-    k = g.rows
-    if k == 0:
-        raise ValueError("cannot sample an empty code")
-    rng = np.random.default_rng(seed)
-    best_w = g.cols + 1
-    best_cw = None
-    checked = 0
-    # all single-row multiples first, then random messages
-    for i in range(k):
-        for c in range(1, g.q):
-            cw = _codeword_for_message(g.field, g.entries, [0] * i + [c] + [0] * (k - i - 1))
-            checked += 1
-            w = int(np.count_nonzero(cw))
-            if w < best_w:
-                best_w, best_cw = w, cw
-    for _ in range(samples):
-        msg = rng.integers(0, g.q, size=k)
-        if not msg.any():
-            continue
-        cw = _codeword_for_message(g.field, g.entries, msg.tolist())
-        checked += 1
-        w = int(np.count_nonzero(cw))
-        if 0 < w < best_w:
-            best_w, best_cw = w, cw
-    return DistanceCertificate(method="sampled", value=best_w, enumerated=checked,
-                               witness=tuple(map(int, best_cw)) if best_cw is not None else None)

@@ -20,7 +20,6 @@ of the generator matrix with itself; disagreement is a hard failure.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 from .cosets import CosetFamily, CosetTable, hermitian_dual_family
@@ -29,12 +28,6 @@ from .duality import VerificationError
 from .galois import Field
 from .linalg import (DEFAULT_BUDGET, DistanceCertificate, gram_is_zero,
                      min_distance_exhaustive)
-
-# Published 8-ary quantum code parameters used as a comparison baseline.
-REFERENCE_CODES_8ARY: tuple[tuple[int, int, int], ...] = (
-    (589, 553, 4), (589, 513, 6), (627, 561, 5), (627, 531, 6),
-    (627, 501, 7), (629, 557, 6), (629, 533, 7), (629, 521, 8),
-)
 
 
 class NotSelfOrthogonalError(ValueError):
@@ -276,7 +269,6 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
                     default=0)
 
     frontier: list[tuple[int, int, tuple[int, ...]]] = []  # (qk, d, chosen ids)
-    state = {"nodes": 0, "complete": True}
 
     def dominated(qk: int, d: int) -> bool:
         return any(fq >= qk and fd >= d for fq, fd, _ in frontier)
@@ -288,35 +280,33 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
                        if not (qk >= fq and d >= fd)]
         frontier.append((qk, d, chosen))
 
-    def visit(idx: int, chosen: tuple[int, ...], blocked: frozenset[int],
-              k_now: int, skip_max: int) -> None:
-        if state["nodes"] >= node_budget:
-            state["complete"] = False
-            return
-        state["nodes"] += 1
+    # depth-first on an explicit stack: the skip branch is pushed first, so
+    # the include branch is explored first
+    nodes, complete = 0, True
+    stack = [(0, (), frozenset(), 1, base_skip)]
+    while stack:
+        if nodes >= node_budget:
+            complete = False
+            break
+        idx, chosen, blocked, k_now, skip_max = stack.pop()
+        nodes += 1
         qk_now = n + 1 - 2 * k_now
         if qk_now < floor:
-            return
+            continue
         if idx < len(order):
             d_here = n + 1 - max(skip_max, w[order[idx]])
         else:
             d_here = n + 1 - skip_max
         emit(qk_now, d_here, chosen)
         if idx == len(order):
-            return
+            continue
         if dominated(qk_now, n + 1 - skip_max):
-            return
+            continue
         v = order[idx]
+        stack.append((idx + 1, chosen, blocked, k_now, max(skip_max, w[v])))
         if v not in blocked:
-            visit(idx + 1, chosen + (v,), blocked | graph.adj.get(v, frozenset()),
-                  k_now + sizes[idx], skip_max)
-        visit(idx + 1, chosen, blocked, k_now, max(skip_max, w[v]))
-
-    # one stack frame per vertex on the deepest dive
-    min_limit = len(order) + 200
-    if sys.getrecursionlimit() < min_limit:
-        sys.setrecursionlimit(min_limit)
-    visit(0, (), frozenset(), 1, base_skip)
+            stack.append((idx + 1, chosen + (v,), blocked | graph.adj.get(v, frozenset()),
+                          k_now + sizes[idx], skip_max))
 
     frontier.sort(key=lambda t: -t[0])
     if ctx is None:
@@ -335,8 +325,8 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     elif objective == "max_k_given_d":
         eligible = [r for r in reports if r.d_lower >= target]
         reports = [max(eligible, key=lambda r: (r.quantum_k, r.d_lower))] if eligible else []
-    return SearchResult(reports=tuple(reports), complete=state["complete"],
-                        nodes=state["nodes"], objective=objective)
+    return SearchResult(reports=tuple(reports), complete=complete,
+                        nodes=nodes, objective=objective)
 
 
 @dataclass(frozen=True)
@@ -354,7 +344,7 @@ class ComparisonRecord:
 
 
 def compare_with_reference(report: QuantumCodeReport,
-                           reference: tuple[tuple[int, int, int], ...] = REFERENCE_CODES_8ARY
+                           reference: tuple[tuple[int, int, int], ...]
                            ) -> list[ComparisonRecord]:
     """Compare a report against every same-distance triple in a reference table."""
     ours = report.triple()

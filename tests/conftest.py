@@ -19,8 +19,8 @@ def random_subfield_basis(ctx, q, s, rng):
         for sym, el in zip(row, base.values):
             if sym:
                 acc = ctx.add(acc, ctx.mul(int(view.embed[sym]), el))
-        elems.append(ctx.element(acc))
-    return SubfieldBasis(ctx=ctx, q=q, s=s, elements=tuple(elems))
+        elems.append(acc)
+    return SubfieldBasis(ctx=ctx, q=q, s=s, values=tuple(elems))
 
 
 @pytest.fixture(scope="session")

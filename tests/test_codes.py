@@ -5,7 +5,7 @@ import pytest
 
 from cosetcodes import (classical_params, evaluation_domain, field_for_table,
                         generator_matrix, load_matrix_json, make_field,
-                        min_distance_exhaustive, min_distance_sampled, rank,
+                        min_distance_exhaustive, rank,
                         row_space_equal, subfield_power_basis,
                         trace_polynomials, truncated_family)
 from conftest import random_subfield_basis
@@ -150,15 +150,12 @@ def test_classical_params_trivial(t51):
 
 
 def test_min_weight_respects_the_degree_bound(t21, t51):
-    # exhaustively for small dimensions, by sampling for a larger one
-    for table, reps in ((t21, [0, 1, 5]), (t51, [0, 17, 34]), (t21, [0, 2, 8])):
+    for table, reps in ((t21, [0, 1, 5]), (t51, [0, 17, 34]), (t21, [0, 2, 8]),
+                        (t51, [0, 1, 2])):
         fam = table.family(reps)
         g = generator_matrix(fam)
         bound = classical_params(fam)[2]
         assert min_distance_exhaustive(g.mat).value >= bound
-    big = generator_matrix(t51.family([0, 1, 2, 3, 5]))
-    bound = classical_params(big.family)[2]
-    assert min_distance_sampled(big.mat, samples=2000, seed=1).value >= bound
 
 
 def test_matrix_json_round_trip(t51):

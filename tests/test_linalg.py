@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from cosetcodes import (BudgetExceededError, GFMatrix, field_matmul, gf_matrix,
-                        gram_is_zero, make_field, min_distance_exhaustive,
-                        min_distance_sampled, nullspace, pow_entrywise, rank,
-                        rank_and_rref, row_space_equal)
+from cosetcodes import (BudgetExceededError, GFMatrix, gf_matrix, gram_is_zero,
+                        make_field, min_distance_exhaustive, nullspace,
+                        pow_entrywise, rank, rank_and_rref, row_space_equal)
 from cosetcodes.linalg import (TABLE_ROWS, _codeword_for_message, _gray_digits,
-                               identity, weight_distribution)
+                               weight_distribution)
 
 
 def random_full_rank(field, k, n, rng):
@@ -44,7 +43,7 @@ def vectorized_gray_codewords(g):
 
 
 def test_rank_identity_and_all_ones(f4):
-    assert rank(identity(f4, 5)) == 5
+    assert rank(gf_matrix(f4, np.eye(5))) == 5
     assert rank(gf_matrix(f4, [[1] * 52])) == 1
 
 
@@ -62,7 +61,7 @@ def test_rref_is_canonical(f16):
 
 
 def test_nullspace_shapes_and_orthogonality(f4):
-    assert nullspace(identity(f4, 4)).rows == 0
+    assert nullspace(gf_matrix(f4, np.eye(4))).rows == 0
     ones = gf_matrix(f4, [[1] * 52])
     ns = nullspace(ones)
     assert ns.rows == 51
@@ -80,8 +79,6 @@ def test_rank_nullity_and_nullspace_product(p, e):
         assert rank(m) + ns.rows == cols
         if ns.rows:
             assert gram_is_zero(m, ns)
-            prod = field_matmul(m, GFMatrix(field, ns.entries.T.copy()))
-            assert not prod.entries.any()
 
 
 def test_gram_edge_cases(f4, f16):
@@ -163,7 +160,7 @@ def test_weight_distribution_invariants(f4, f16):
         assert dist[0] == 1
         assert next(i for i in range(1, n + 1) if dist[i]) == min_distance_exhaustive(g).value
     with pytest.raises(BudgetExceededError):
-        weight_distribution(identity(f16, 10), budget=100)
+        weight_distribution(gf_matrix(f16, np.eye(10)), budget=100)
     with pytest.raises(ValueError):
         weight_distribution(gf_matrix(f4, [[1, 2, 3], [1, 2, 3]]))
 
@@ -193,7 +190,7 @@ def test_parallel_enumeration_matches_sequential(f4):
 
 def test_budget_and_rank_errors(f16, f4):
     with pytest.raises(BudgetExceededError):
-        min_distance_exhaustive(identity(f16, 10), budget=100)
+        min_distance_exhaustive(gf_matrix(f16, np.eye(10)), budget=100)
     dep = gf_matrix(f4, [[1, 2, 3], [1, 2, 3]])
     with pytest.raises(ValueError):
         min_distance_exhaustive(dep)
@@ -206,18 +203,6 @@ def test_repetition_code_distance(f4):
     assert cert.value == 52
     assert cert.enumerated == 3
     assert cert.method == "exhaustive"
-
-
-def test_sampled_distance_upper_bounds_the_true_distance(f4):
-    rng = np.random.default_rng(23)
-    g = GFMatrix(f4, rng.integers(0, 4, size=(6, 16)).astype(np.uint16))
-    while rank(g) != 6:
-        g = GFMatrix(f4, rng.integers(0, 4, size=(6, 16)).astype(np.uint16))
-    exact = min_distance_exhaustive(g).value
-    sampled = min_distance_sampled(g, samples=3000, seed=4)
-    assert sampled.method == "sampled"
-    assert sampled.value >= exact
-    assert sum(1 for x in sampled.witness if x) == sampled.value
 
 
 def test_certificate_serialization(f4):

@@ -1,11 +1,14 @@
 import itertools
+import sys
 
 import pytest
 
-from cosetcodes import (NotSelfOrthogonalError,
-                        REFERENCE_CODES_8ARY, build_compatibility_graph,
+from cosetcodes import (NotSelfOrthogonalError, build_compatibility_graph,
                         compare_with_reference, derive_quantum, compute_cosets,
                         gram_is_zero, generator_matrix, search)
+from cosetcodes.fixtures import load_known_answers
+
+REFERENCE_CODES_8ARY = tuple(tuple(t) for t in load_known_answers()["reference_codes_8ary"])
 
 
 def _image(table, ell, cid):
@@ -196,6 +199,14 @@ def test_search_min_quantum_k_floor(t51q16):
     assert (30, 7) in res.frontier()
 
 
+def test_search_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    res = search(compute_cosets(64, 4095), 8, node_budget=3000, verify=False)
+    assert sys.getrecursionlimit() == limit
+    # counts recorded from the recursive formulation of the same traversal
+    assert res.complete and res.nodes == 853 and len(res.reports) == 427
+
+
 def test_search_node_budget_flags_incomplete(t51):
     res = search(t51, 2, node_budget=3)
     assert not res.complete
@@ -236,11 +247,11 @@ def test_report_json_schema(t21):
 def test_compare_with_reference_records(t585):
     res = search(t585, 8, min_quantum_k=560)
     r576 = [r for r in res.reports if r.quantum_k == 576][0]
-    recs = compare_with_reference(r576)
+    recs = compare_with_reference(r576, REFERENCE_CODES_8ARY)
     assert [c.reference for c in recs] == [(589, 553, 4)]
     assert recs[0].delta_k == 23 and recs[0].delta_n == -3
     r568 = [r for r in res.reports if r.quantum_k == 568][0]
-    recs6 = compare_with_reference(r568)
+    recs6 = compare_with_reference(r568, REFERENCE_CODES_8ARY)
     assert {c.reference for c in recs6} == {(589, 513, 6), (627, 531, 6), (629, 557, 6)}
     assert all(c.delta_k > 0 and c.delta_n < 0 for c in recs6)
 
