@@ -129,8 +129,8 @@ class GeneratorMatrix:
     def symbol_field(self) -> Field:
         return self.mat.field
 
-    def to_json_obj(self, include_entries: bool = True) -> dict:
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "q": self.family.table.q,
             "n": self.family.table.n,
             "rows": self.mat.rows,
@@ -138,10 +138,8 @@ class GeneratorMatrix:
             "family": self.family.to_json_obj(),
             "field": self.parent.describe(),
             "symbol_field": self.symbol_field.describe(),
+            "entries": [int(x) for x in self.mat.entries.reshape(-1)],
         }
-        if include_entries:
-            obj["entries"] = [int(x) for x in self.mat.entries.reshape(-1)]
-        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -163,11 +161,12 @@ def load_matrix_json(text: str) -> GeneratorMatrix:
     ctx = make_field(fdesc["p"], fdesc["e"], tuple(fdesc["modulus"]))
     if ctx.generator != fdesc["generator"]:
         raise ValueError("field generator mismatch; incompatible export")
+    if "entries" not in obj:
+        raise ValueError("export has no \"entries\"; nothing to re-check")
     rebuilt = generator_matrix(family, ctx)
-    if "entries" in obj:
-        stored = np.asarray(obj["entries"], dtype=np.uint16).reshape(obj["rows"], obj["cols"])
-        if not np.array_equal(stored, rebuilt.mat.entries):
-            raise ValueError("stored entries disagree with the reconstruction")
+    stored = np.asarray(obj["entries"], dtype=np.uint16).reshape(obj["rows"], obj["cols"])
+    if not np.array_equal(stored, rebuilt.mat.entries):
+        raise ValueError("stored entries disagree with the reconstruction")
     return rebuilt
 
 
@@ -203,16 +202,9 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
     log_alpha = (ctx.order - 1) // n
 
     rows: list[np.ndarray] = []
-    basis_cache: dict[int, SubfieldBasis] = {}
-
     for cid in family.members:
         coset = table.cosets[cid]
-        basis = (bases or {}).get(cid)
-        if basis is None:
-            basis = basis_cache.get(coset.size)
-            if basis is None:
-                basis = subfield_power_basis(ctx, q, coset.size)
-                basis_cache[coset.size] = basis
+        basis = (bases or {}).get(cid) or subfield_power_basis(ctx, q, coset.size)
         for poly in trace_polynomials(ctx, table, coset, basis):
             rows.append(_evaluate_on_domain(ctx, poly, n, log_alpha))
 

@@ -228,6 +228,7 @@ class Field:
         self.generator = generator
         self._build_tables()
         self._views: dict[int, SubfieldView] = {}
+        self._bases: dict[tuple[int, int], SubfieldBasis] = {}
         self._np_tables: dict[str, np.ndarray] = {}
 
     # -- construction -------------------------------------------------
@@ -554,11 +555,17 @@ def subfield_power_basis(ctx: Field, q: int, s: int) -> SubfieldBasis:
 
     w = gamma^((p^e-1)/(q^s-1)) generates the multiplicative group of
     F_(q^s); the constructor re-checks Frobenius fixedness and F_q-linear
-    independence.
+    independence.  The basis is cached on ctx, so that check runs once
+    per (q, s).
     """
+    basis = ctx._bases.get((q, s))
+    if basis is not None:
+        return basis
     m = ctx.e // ctx._subfield_degree(q)
     if s < 1 or m % s != 0:
         raise ValueError(f"F_{q}^{s} is not a subfield of F_{q}^{m}")
     w = ctx._subfield_generator(q**s)
     values = tuple(ctx.pow(w, i) for i in range(s))
-    return SubfieldBasis(ctx=ctx, q=q, s=s, values=values)
+    basis = SubfieldBasis(ctx=ctx, q=q, s=s, values=values)
+    ctx._bases[(q, s)] = basis
+    return basis

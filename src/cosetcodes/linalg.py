@@ -1,9 +1,12 @@
 """Dense linear algebra over small Galois-field alphabets.
 
 Matrices carry their symbol :class:`~cosetcodes.galois.Field` and a numpy
-uint16 entry array.  Row reduction, nullspaces and Gram products run on
-dense lookup tables, which is comfortably fast for the sizes this package
-touches (at most a few hundred rows and columns).
+uint16 entry array.  Row reduction and nullspaces run on the field's
+dense lookup tables: each pivot tabulates the q multiples of its row
+once, and clearing its column is a row gather from that table.  Gram
+products expand symbols into their base-p digits and run as float32
+matrix products over F_p (BLAS), exact by construction; see
+:func:`gram_is_zero`.
 
 The module also houses the exhaustive minimum-distance certifier, the
 performance-critical piece of the package.  Messages are traversed in
@@ -35,6 +38,9 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 1 << 26
 TABLE_ROWS = 1 << 16  # span-table row cap of the enumeration kernel
+F32_EXACT = 1 << 24  # float32 holds every integer up to this one exactly
+GRAM_BLOCK_ROWS = 128  # g1 rows per block of gram_is_zero
+GRAM_FLOATS = 1 << 17  # float32 operands of one gram_is_zero product
 
 
 class BudgetExceededError(RuntimeError):
@@ -84,41 +90,44 @@ def gf_matrix(field: Field, rows, cols: int | None = None) -> GFMatrix:
 # Row reduction
 # ---------------------------------------------------------------------------
 
-def _sub_rows(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b entry-wise."""
-    if field.p == 2:
-        return a ^ b
-    return field.add_table[a, field.neg_table[b]]
-
-
 def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
-    """Rank and the unique reduced row echelon form (canonical)."""
+    """Rank and the unique reduced row echelon form (canonical).
+
+    Each pivot row is scaled to a leading 1 and its q multiples are
+    tabulated once (negated in odd characteristic).  Clearing the pivot
+    column is then one row gather of those multiples, indexed by the
+    column, plus one XOR or add-table pass over the matrix; the pivot row
+    itself gathers the zero multiple.  The pivot row is zero left of the
+    pivot column, so only the columns from it on are touched.
+    """
     field = m.field
-    a = m.entries.copy()
+    dtype = np.min_scalar_type(field.order - 1)
+    a = m.entries.astype(dtype)
     rows, cols = a.shape
-    mul = field.mul_table
+    mul = field.mul_table.astype(dtype, copy=False)
+    if field.p != 2:
+        neg = field.neg_table.astype(dtype, copy=False)
+        add = field.add_table.astype(dtype, copy=False)
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
             continue
+        pivot = r + int(nz[0])
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
         pv = int(a[r, c])
         if pv != 1:
-            a[r] = mul[field.inv(pv)][a[r]]
+            a[r, c:] = mul[field.inv(pv)][a[r, c:]]
         col_vals = a[:, c].copy()
         col_vals[r] = 0
-        hit = np.nonzero(col_vals)[0]
-        if hit.size:
-            delta = mul[col_vals[hit][:, None], a[r][None, :]]
-            a[hit] = _sub_rows(field, a[hit], delta)
+        multiples = np.take(mul, a[r, c:], axis=1)  # row v is v * pivot row
+        if field.p == 2:
+            a[:, c:] ^= np.take(multiples, col_vals, axis=0)
+        else:
+            a[:, c:] = add[a[:, c:], np.take(neg[multiples], col_vals, axis=0)]
         r += 1
     return r, GFMatrix(field, a[:r])
 
@@ -165,16 +174,6 @@ def pow_entrywise(m: GFMatrix, k: int) -> GFMatrix:
     return GFMatrix(m.field, m.field.pow_table(k)[m.entries])
 
 
-def _fold_add(field: Field, products: np.ndarray, axis: int) -> np.ndarray:
-    if field.p == 2:
-        return np.bitwise_xor.reduce(products, axis=axis)
-    add = field.add_table
-    out = np.take(products, 0, axis=axis)
-    for i in range(1, products.shape[axis]):
-        out = add[out, np.take(products, i, axis=axis)]
-    return out
-
-
 def gram_is_zero(g1: GFMatrix, g2: GFMatrix, product: str = "euclidean",
                  ell: int | None = None) -> bool:
     """True iff every row pair is orthogonal under the chosen inner product.
@@ -182,6 +181,16 @@ def gram_is_zero(g1: GFMatrix, g2: GFMatrix, product: str = "euclidean",
     ``product="euclidean"`` uses the plain dot product.  For
     ``product="hermitian"`` the first argument's entries are raised to the
     ell-th power before the dot product; requires ell >= 2 and q = ell^2.
+
+    The products run over F_p as float32 matrix products.  A symbol's
+    base-p digits are its coordinates on 1, x, ..., x^(f-1) (q = p^f), so
+    digit t of <a, b> is sum_c sum_j digit_t(x^j a_c) * digit_j(b_c)
+    mod p.  For each block of g1 rows and each digit t, the sum runs over
+    column chunks in float64.  A chunk of w columns has partial sums of at
+    most (p-1)^2 * f * w, so w is capped to keep that below 2^24, where
+    float32 holds every integer exactly; w is also capped so that both
+    operands of a product hold at most ``GRAM_FLOATS`` floats.  The first
+    block and digit with a nonzero residue return False.
     """
     if g1.field is not g2.field:
         raise ValueError("matrices use different field contexts")
@@ -198,12 +207,27 @@ def gram_is_zero(g1: GFMatrix, g2: GFMatrix, product: str = "euclidean",
     if g1.rows == 0 or g2.rows == 0 or g1.cols == 0:
         return True
     field = g1.field
-    mul = field.mul_table
-    for i in range(g1.rows):
-        products = mul[g1.entries[i][None, :], g2.entries]
-        sums = _fold_add(field, products, axis=1)
-        if np.any(sums):
-            return False
+    p, f = field.p, field.e
+    powers = p ** np.arange(f)
+    symbols = np.arange(field.order)
+    digits = (symbols[:, None] // powers % p).astype(np.float32)  # [v, j]
+    shifted = field.mul_table[powers].T  # [v, j] = x^j * v
+    shifted_digits = (shifted[None] // powers[:, None, None] % p).astype(np.float32)  # [t, v, j]
+    block = min(g1.rows, GRAM_BLOCK_ROWS)
+    # columns per product: exact in float32 (at least one column for every
+    # field with dense tables) and operands within GRAM_FLOATS floats
+    step = min((F32_EXACT - 1) // ((p - 1) ** 2 * f),
+               max(1, GRAM_FLOATS // (f * (g2.rows + block))))
+    for lo in range(0, g1.rows, block):
+        rows = g1.entries[lo:lo + block]
+        for t in range(f):
+            sums = np.zeros((len(rows), g2.rows))
+            for c in range(0, g1.cols, step):
+                a = np.take(shifted_digits[t], rows[:, c:c + step], axis=0)
+                b = np.take(digits, g2.entries[:, c:c + step], axis=0)
+                sums += a.reshape(len(rows), -1) @ b.reshape(g2.rows, -1).T
+            if np.any(sums.astype(np.int64) % p):
+                return False
     return True
 
 

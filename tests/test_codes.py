@@ -8,6 +8,8 @@ from cosetcodes import (classical_params, evaluation_domain, field_for_table,
                         min_distance_exhaustive, rank,
                         row_space_equal, subfield_power_basis,
                         trace_polynomials, truncated_family)
+from cosetcodes import galois
+from cosetcodes.galois import Field
 from conftest import random_subfield_basis
 
 
@@ -172,6 +174,37 @@ def test_matrix_json_detects_corruption(t51):
     obj["entries"][3] = (obj["entries"][3] + 1) % 4
     with pytest.raises(ValueError):
         load_matrix_json(json.dumps(obj))
+
+
+def test_matrix_json_without_entries_is_rejected(t51):
+    obj = json.loads(generator_matrix(truncated_family(t51, 16)).to_json())
+    del obj["entries"]
+    with pytest.raises(ValueError, match="entries"):
+        load_matrix_json(json.dumps(obj))
+
+
+def test_generator_matrix_validates_each_subfield_basis_once(t51, monkeypatch):
+    # a context of its own, so no earlier test has filled its basis cache
+    shared = field_for_table(t51)
+    ctx = Field(shared.p, shared.e, shared.modulus, shared.generator)
+    checked = []
+    real = galois._independent_over_subfield
+
+    def counting(c, q, values):
+        checked.append((q, len(values)))
+        return real(c, q, values)
+
+    monkeypatch.setattr(galois, "_independent_over_subfield", counting)
+    family = t51.family([0, 1, 3, 17])
+    sizes = sorted({t51.cosets[cid].size for cid in family.members})
+    assert len(sizes) > 1
+    first = generator_matrix(family, ctx)
+    bases = {s: subfield_power_basis(ctx, 4, s) for s in sizes}
+    second = generator_matrix(family, ctx)
+    assert all(subfield_power_basis(ctx, 4, s) is bases[s] for s in sizes)
+    assert sorted(checked) == [(4, s) for s in sizes]
+    assert np.array_equal(first.mat.entries, second.mat.entries)
+    assert np.array_equal(first.mat.entries, generator_matrix(family).mat.entries)
 
 
 def test_text_grid_dimensions(t21):

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcodes import (BudgetExceededError, GFMatrix, gf_matrix, gram_is_zero,
                         make_field, min_distance_exhaustive, nullspace,
                         pow_entrywise, rank, rank_and_rref, row_space_equal)
-from cosetcodes.linalg import (TABLE_ROWS, _codeword_for_message, _gray_digits,
-                               weight_distribution)
+from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, _codeword_for_message,
+                               _gray_digits, weight_distribution)
+
+# (p, e) of the fields the property tests draw from; ell^2 = p^e for even e
+PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1)]
 
 
 def random_full_rank(field, k, n, rng):
@@ -100,6 +107,113 @@ def test_hermitian_equals_euclidean_of_powered_first_argument(f16):
     a = GFMatrix(f16, rng.integers(0, 16, size=(3, 8)).astype(np.uint16))
     b = GFMatrix(f16, rng.integers(0, 16, size=(2, 8)).astype(np.uint16))
     assert gram_is_zero(a, b, "hermitian", ell=4) == gram_is_zero(pow_entrywise(a, 4), b)
+
+
+def oracle_rref(field, entries):
+    """Scalar Gauss-Jordan elimination with Field.mul/add/inv/neg."""
+    a = [[int(x) for x in row] for row in entries]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(inv, x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                factor = field.neg(a[i][c])
+                a[i] = [field.add(x, field.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        r += 1
+    return r, a[:r]
+
+
+def oracle_gram_is_zero(field, e1, e2, ell=None):
+    """Every row pair's sum of Field.mul products, the first row raised to ell."""
+    for u in e1:
+        u = [field.pow(int(x), ell) if ell else int(x) for x in u]
+        for v in e2:
+            acc = 0
+            for x, y in zip(u, v):
+                acc = field.add(acc, field.mul(x, int(y)))
+            if acc:
+                return False
+    return True
+
+
+@st.composite
+def field_matrices(draw, count=1, max_rows=6):
+    """A field from PROPERTY_FIELDS and ``count`` matrices with one column count.
+
+    Entries are zeroed at a drawn rate, so rank-deficient matrices and
+    zero columns are common; 0 rows and 0 columns are possible.
+    """
+    p, e = draw(st.sampled_from(PROPERTY_FIELDS))
+    field = make_field(p, e)
+    cols = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for _ in range(count):
+        shape = (draw(st.integers(0, max_rows)), cols)
+        keep = rng.random(shape) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+        out.append(GFMatrix(field, rng.integers(0, field.order, size=shape) * keep))
+    return field, out
+
+
+def hermitian_ell(field):
+    """ell with q = ell^2, or None when q is not a square."""
+    ell = math.isqrt(field.order)
+    return ell if ell * ell == field.order else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_rref_matches_scalar_gauss_jordan(case):
+    field, (m,) = case
+    r, reduced = rank_and_rref(m)
+    want_r, want = oracle_rref(field, m.entries)
+    assert r == want_r
+    assert reduced.entries.tolist() == want
+    assert reduced.entries.shape == (r, m.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(count=2))
+def test_gram_matches_scalar_oracle(case):
+    field, (g1, g2) = case
+    assert gram_is_zero(g1, g2) == oracle_gram_is_zero(field, g1.entries, g2.entries)
+    ell = hermitian_ell(field)
+    if ell is not None:
+        assert (gram_is_zero(g1, g2, "hermitian", ell=ell)
+                == oracle_gram_is_zero(field, g1.entries, g2.entries, ell))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(max_rows=8))
+def test_gram_of_a_matrix_and_its_nullspace_is_zero(case):
+    field, (m,) = case
+    ns = nullspace(m)
+    assert gram_is_zero(m, ns)
+    assert oracle_gram_is_zero(field, m.entries, ns.entries)
+    ell = hermitian_ell(field)
+    if ell is not None:
+        hns = nullspace(pow_entrywise(m, ell))
+        assert gram_is_zero(m, hns, "hermitian", ell=ell)
+        assert oracle_gram_is_zero(field, m.entries, hns.entries, ell)
+
+
+def test_gram_past_the_float32_bound_matches_the_oracle():
+    # 5063 columns of 59 over F_61: <a, a> = 5063 * 59^2 = 17624303, which is
+    # odd and above 2^24, so a single float32 product cannot hold it exactly
+    p, cols = 61, 61 * 83
+    assert (p - 1) ** 2 * cols >= F32_EXACT
+    field = make_field(p, 1)
+    a = gf_matrix(field, [[59] * cols])
+    assert gram_is_zero(a, a)
+    assert oracle_gram_is_zero(field, a.entries, a.entries)
+    b = gf_matrix(field, [[59] * (cols - 1) + [58]])
+    assert not gram_is_zero(a, b)
+    assert not oracle_gram_is_zero(field, a.entries, b.entries)
 
 
 def test_gray_sequence_changes_one_symbol_per_step():
