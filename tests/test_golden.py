@@ -1,10 +1,12 @@
 """Golden-output guard: every listed CLI call must print byte-identical output.
 
 Each case runs ``cli.main`` in-process and compares the exit code and the
-sha256 of stdout against values recorded before the package's dead and
-duplicate API was removed.  A refactor that changes any printed byte
-(a frontier, a certificate witness, a field description, a JSON key
-order) fails here.  Do not update a digest to make a change pass; a
+sha256 of stdout against values recorded before the refactors they
+guard: the first fourteen before the package's dead and duplicate API
+was removed, the odd-characteristic and GF(2^16) cases after them
+before the field tables were rebuilt as F_p-linear maps.  A refactor
+that changes any printed byte (a frontier, a certificate witness, a
+field description, a JSON key order) fails here.  Do not update a digest to make a change pass; a
 change of output has to be justified on its own.
 """
 
@@ -43,6 +45,17 @@ GOLDEN = [
      "fc9e5e1ba8104127be893f35c50875193b0994d2cbfb2e58175aad09ae1f67f2"),
     ("search --q 4 --ell 2 --n 21", 0,
      "dfc6c2318a03b671196bd6ac527337e2691e0cac1b81cf73d9f54942cbde2438"),
+    ("matrix --q 5 --n 12 --family 0,1,2 --format text", 0,
+     "5c1fcc523cab20406311b63993dd92c5619b900a7ad67508592a1a471cb7beef"),
+    ("matrix --q 9 --n 10 --family 0,1", 0,
+     "77cbf3c68a55f7b77b1a8645ac4070d1713c4f9b604946b1bc5350cf6edc23bc"),
+    # GF(7): the generator is the primitive root 3, not x (= 5 mod x + 2)
+    ("matrix --q 7 --n 6 --family 0,1", 0,
+     "d58d96eaed0cff53d29f44538ee0d7c5bb646dce4cf4af391fe18a312e18bf33"),
+    ("matrix --q 4 --n 257 --family 0,1", 0,
+     "e4fb41e2b1237147a81d509a0d2e17877c6ae88ba038b44f279fb3d451e74ff5"),
+    ("classical --q 5 --n 24 --family 0,1,2 --certify --format json", 0,
+     "4b5b853834ca88aec477214b582e087295cd3a44a07497f709df614937151e87"),
 ]
 
 
