@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,12 +42,6 @@ class TracePolynomial:
     @property
     def degree(self) -> int:
         return max(e for e, _ in self.terms)
-
-    def evaluate(self, ctx: Field, point: int) -> int:
-        acc = 0
-        for e, c in self.terms:
-            acc = ctx.add(acc, ctx.mul(c, ctx.pow(point, e)) if point or e == 0 else 0)
-        return acc
 
 
 def trace_polynomials(ctx: Field, table: CosetTable, coset: Coset,
@@ -74,28 +68,6 @@ def trace_polynomials(ctx: Field, table: CosetTable, coset: Coset,
             raise AssertionError("term support does not match the coset")
         out.append(TracePolynomial(coset_rep=a, basis_index=j, terms=tuple(terms)))
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluationDomain:
-    """The n+1 evaluation points (0, a^0, a^1, ..., a^(n-1)), a primitive."""
-
-    field: Field
-    n: int
-    points: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def evaluation_domain(ctx: Field, n: int) -> EvaluationDomain:
-    if n <= 1:
-        raise ValueError("n must be greater than 1")
-    alpha = nth_root_of_unity(ctx, n)  # validates divisibility
-    points = [0] + [ctx.pow(alpha, i) for i in range(n)]
-    if len(set(points)) != n + 1:
-        raise AssertionError("evaluation points are not distinct")
-    return EvaluationDomain(field=ctx, n=n, points=tuple(points))
 
 
 @lru_cache(maxsize=None)
@@ -155,19 +127,27 @@ class GeneratorMatrix:
 def load_matrix_json(text: str) -> GeneratorMatrix:
     """Rebuild an exported generator matrix for independent re-checking."""
     obj = json.loads(text)
+    _require_fields(obj, "export", ("q", "n", "rows", "cols", "family", "field", "entries"))
+    fdesc = obj["field"]
+    _require_fields(fdesc, "\"field\"", ("p", "e", "modulus", "generator"))
     table = _table_from_json(obj)
     family = table.family(c[0] for c in obj["family"])
-    fdesc = obj["field"]
     ctx = make_field(fdesc["p"], fdesc["e"], tuple(fdesc["modulus"]))
     if ctx.generator != fdesc["generator"]:
         raise ValueError("field generator mismatch; incompatible export")
-    if "entries" not in obj:
-        raise ValueError("export has no \"entries\"; nothing to re-check")
     rebuilt = generator_matrix(family, ctx)
     stored = np.asarray(obj["entries"], dtype=np.uint16).reshape(obj["rows"], obj["cols"])
     if not np.array_equal(stored, rebuilt.mat.entries):
         raise ValueError("stored entries disagree with the reconstruction")
     return rebuilt
+
+
+def _require_fields(obj, where: str, keys) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where} has no \"{key}\" field")
 
 
 def _table_from_json(obj: dict) -> CosetTable:
@@ -226,22 +206,10 @@ def _evaluate_on_domain(ctx: Field, poly: TracePolynomial, n: int,
                         log_alpha: int) -> np.ndarray:
     """Values of the polynomial at (0, a^0, ..., a^(n-1)) as parent codes."""
     q1 = ctx.order - 1
-    out = np.zeros(n + 1, dtype=np.int64)
+    ts = np.arange(n, dtype=np.int64)
     const = [c for e, c in poly.terms if e == 0]
-    out[0] = const[0] if const else 0
-    if ctx.p == 2:
-        ts = np.arange(n, dtype=np.int64)
-        acc = np.zeros(n, dtype=np.int64)
-        for e, c in poly.terms:
-            idx = (ctx.log_np[c] + (log_alpha * e) * ts) % q1
-            acc ^= ctx.exp_np[idx]
-        out[1:] = acc
-    else:
-        alpha = ctx.pow(ctx.generator, log_alpha)
-        for t in range(n):
-            point = ctx.pow(alpha, t)
-            out[t + 1] = poly.evaluate(ctx, point)
-    return out
+    terms = (ctx.exp_np[(ctx.log_np[c] + (log_alpha * e) * ts) % q1] for e, c in poly.terms)
+    return np.concatenate([const or [0], reduce(ctx.add, terms)])
 
 
 def truncated_family(table: CosetTable, r: int) -> CosetFamily:

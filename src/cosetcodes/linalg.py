@@ -147,27 +147,13 @@ def row_space_equal(a: GFMatrix, b: GFMatrix) -> bool:
 
 def nullspace(m: GFMatrix) -> GFMatrix:
     """Rows spanning {v : M v = 0} under the dot product."""
-    field = m.field
-    r, rref = rank_and_rref(m)
-    cols = m.cols
-    ent = rref.entries
-    pivots = []
-    j = 0
-    for i in range(r):
-        while j < cols and ent[i, j] == 0:
-            j += 1
-        pivots.append(j)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint16)
-    neg = field.neg_table if field.p != 2 else None
-    for row_idx, fc in enumerate(free):
-        basis[row_idx, fc] = 1
-        for i, pc in enumerate(pivots):
-            v = int(ent[i, fc])
-            if v:
-                basis[row_idx, pc] = v if field.p == 2 else int(neg[v])
-    return GFMatrix(field, basis)
+    ent = rank_and_rref(m)[1].entries
+    pivots = [int(np.flatnonzero(row)[0]) for row in ent]
+    free = np.setdiff1d(np.arange(m.cols), pivots)
+    basis = np.zeros((len(free), m.cols), dtype=np.uint16)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = m.field.neg_table[ent[:, free]].T
+    return GFMatrix(m.field, basis)
 
 
 def pow_entrywise(m: GFMatrix, k: int) -> GFMatrix:
@@ -268,8 +254,7 @@ def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray
     mul = field.mul_table
     for sym, row in zip(message, rows):
         if sym:
-            scaled = mul[int(sym)][row]
-            out = out ^ scaled if field.p == 2 else field.add_table[out, scaled]
+            out = field.add(out, mul[int(sym)][row])
     return out
 
 

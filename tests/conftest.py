@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cosetcodes import (GFMatrix, SubfieldBasis, compute_cosets, make_field,
                         rank, subfield_power_basis)
@@ -21,6 +22,13 @@ def random_subfield_basis(ctx, q, s, rng):
                 acc = ctx.add(acc, ctx.mul(int(view.embed[sym]), el))
         elems.append(acc)
     return SubfieldBasis(ctx=ctx, q=q, s=s, values=tuple(elems))
+
+
+def coset_families(table, with_zero=False):
+    """Hypothesis strategy: nonempty families of the table, with {0} if asked."""
+    zero = {table.coset_of(0)} if with_zero else set()
+    ids = st.sets(st.integers(0, len(table) - 1), min_size=0 if zero else 1, max_size=8)
+    return ids.map(lambda c: table.family(table.cosets[i].min_rep for i in c | zero))
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +54,21 @@ def t51q16():
 @pytest.fixture(scope="session")
 def t585():
     return compute_cosets(64, 585)
+
+
+@pytest.fixture(scope="session")
+def t26q3():
+    return compute_cosets(3, 26)
+
+
+@pytest.fixture(scope="session")
+def t24q5():
+    return compute_cosets(5, 24)
+
+
+@pytest.fixture(scope="session")
+def t80q9():
+    return compute_cosets(9, 80)
 
 
 @pytest.fixture(scope="session")

@@ -167,6 +167,23 @@ def test_matrix_export_and_recheck(tmp_path, capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("mangle,named", [
+    (lambda obj: {k: v for k, v in obj.items() if k != "family"}, '"family"'),
+    (lambda obj: [obj], "not a JSON object"),
+    (lambda obj: {**obj, "field": {k: v for k, v in obj["field"].items() if k != "e"}},
+     '"e"'),
+], ids=["no-family", "top-level-list", "field-without-e"])
+def test_recheck_of_malformed_export_is_an_error(tmp_path, capsys, mangle, named):
+    path = tmp_path / "m.json"
+    run(capsys, "matrix", "--q", "4", "--n", "21", "--family", "0,1", "-o", str(path))
+    path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "recheck", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_outputs_are_deterministic(capsys):
     _, out1, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "51",
                      "--family", "0,1,2,6", "--format", "json")

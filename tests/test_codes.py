@@ -2,15 +2,31 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosetcodes import (classical_params, evaluation_domain, field_for_table,
+from cosetcodes import (classical_params, compute_cosets, field_for_table,
                         generator_matrix, load_matrix_json, make_field,
-                        min_distance_exhaustive, rank,
+                        min_distance_exhaustive, nth_root_of_unity, rank,
                         row_space_equal, subfield_power_basis,
                         trace_polynomials, truncated_family)
-from cosetcodes import galois
+from cosetcodes import codes, galois
 from cosetcodes.galois import Field
-from conftest import random_subfield_basis
+from conftest import coset_families, random_subfield_basis
+
+
+def domain_points(ctx, n):
+    """The n+1 evaluation points (0, a^0, a^1, ..., a^(n-1)), a primitive."""
+    alpha = nth_root_of_unity(ctx, n)
+    return [0] + [ctx.pow(alpha, i) for i in range(n)]
+
+
+def evaluate(ctx, poly, point):
+    """Scalar oracle: sum of c * point^e over the polynomial's terms."""
+    acc = 0
+    for e, c in poly.terms:
+        acc = ctx.add(acc, ctx.mul(c, ctx.pow(point, e)))
+    return acc
 
 
 def test_trace_polynomials_constant_for_zero_coset(t51):
@@ -51,22 +67,42 @@ def test_trace_polynomials_reject_basis_mismatch(t51):
         trace_polynomials(ctx, t51, t51.cosets[1], basis)  # coset size 4, basis size 2
 
 
-def test_evaluation_domain_sizes(f256, f4096):
-    assert len(evaluation_domain(f256, 51)) == 52
-    assert len(evaluation_domain(f4096, 585)) == 586
+def test_evaluation_domain_sizes(t51, t585, f256):
+    assert generator_matrix(t51.family([0, 1])).mat.cols == 52
+    assert generator_matrix(t585.family([0, 1])).mat.cols == 586
+    assert len(set(domain_points(f256, 51))) == 52
     with pytest.raises(ValueError):
-        evaluation_domain(f256, 1)
-    with pytest.raises(ValueError):
-        evaluation_domain(f256, 7)  # does not divide 255
+        generator_matrix(compute_cosets(4, 7).family([0]), f256)  # 7 does not divide 255
 
 
 def test_weight_sum_identity_over_the_domain(f256):
-    dom = evaluation_domain(f256, 51)
     for k in (1, 3, 20, 50):
         acc = 0
-        for b in dom.points:
+        for b in domain_points(f256, 51):
             acc = f256.add(acc, f256.pow(b, k) if b else 0)
         assert acc == 0
+
+
+@pytest.mark.parametrize("q,n,reps", [
+    (4, 21, [0, 1, 3, 7]), (16, 51, [0, 4, 17]), (3, 8, [0, 1, 2, 4]),
+    (3, 26, [0, 1, 2, 13]), (5, 24, [0, 1, 2, 12]), (9, 10, [0, 1, 5]), (7, 6, [0, 1, 3]),
+])
+def test_domain_evaluation_matches_scalar_oracle(q, n, reps):
+    table = compute_cosets(q, n)
+    ctx = field_for_table(table)
+    points = domain_points(ctx, n)
+    log_alpha = (ctx.order - 1) // n
+    fam = table.family(reps)
+    rows = []
+    for cid in fam.members:
+        basis = subfield_power_basis(ctx, q, table.cosets[cid].size)
+        for poly in trace_polynomials(ctx, table, table.cosets[cid], basis):
+            expect = [evaluate(ctx, poly, b) for b in points]
+            got = codes._evaluate_on_domain(ctx, poly, n, log_alpha)
+            assert got.tolist() == expect
+            rows.append(expect)
+    symbols = ctx.subfield_view(q).project[np.asarray(rows)]
+    assert np.array_equal(generator_matrix(fam).mat.entries, symbols)
 
 
 def test_generator_matrix_zero_family_is_all_ones(t51):
@@ -89,13 +125,13 @@ def test_entries_are_frobenius_fixed_in_the_parent(t51, t21, t51q16):
     for table, reps in ((t51, [0, 1, 11]), (t21, [0, 1, 2, 3]), (t51q16, [0, 4, 8])):
         ctx = field_for_table(table)
         fam = table.family(reps)
-        dom = evaluation_domain(ctx, table.n)
+        points = domain_points(ctx, table.n)
         for cid in fam.members:
             coset = table.cosets[cid]
             basis = subfield_power_basis(ctx, table.q, coset.size)
             for poly in trace_polynomials(ctx, table, coset, basis):
-                for point in dom.points:
-                    v = poly.evaluate(ctx, point)
+                for point in points:
+                    v = evaluate(ctx, poly, point)
                     assert ctx.frobenius(v, table.q) == v
 
 
@@ -108,6 +144,15 @@ def test_rank_equals_family_dimension_random(t21, t51, t63, t51q16):
             fam = table.family(table.cosets[i].min_rep for i in ids)
             g = generator_matrix(fam)
             assert rank(g.mat) == fam.dim()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_equals_dimension_property(t21, t51, t63, t51q16, t26q3, t24q5, t80q9, data):
+    table = data.draw(st.sampled_from([t21, t51, t63, t51q16, t26q3, t24q5, t80q9]))
+    fam = data.draw(coset_families(table))
+    g = generator_matrix(fam)
+    assert g.mat.rows == rank(g.mat) == fam.dim()
 
 
 def test_row_space_is_basis_independent(t51):
@@ -216,7 +261,6 @@ def test_text_grid_dimensions(t21):
 
 def test_odd_characteristic_code_construction():
     # q = 3, n = 8: order of 3 mod 8 is 2, parent field GF(9)
-    from cosetcodes import compute_cosets
     table = compute_cosets(3, 8)
     ctx = field_for_table(table)
     assert ctx is make_field(3, 2)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosetcodes import (compute_cosets, euclidean_dual,
-                        hermitian_dual, nullspace, rank_and_rref,
-                        row_space_equal)
+from cosetcodes import (compute_cosets, euclidean_dual, euclidean_dual_family,
+                        generator_matrix, gram_is_zero, hermitian_dual,
+                        hermitian_dual_family, nullspace, pow_entrywise,
+                        rank_and_rref, row_space_equal)
+from conftest import coset_families
 
 
 def test_euclidean_dual_worked_example(t51):
@@ -111,3 +115,29 @@ def test_report_json_shape(t21):
     assert obj["dim_S"] == 2 and obj["dim_dual"] == 20
     assert obj["gram_verified"] is True and obj["nullspace_verified"] is True
     assert obj["S"] == [[0], [7]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_dimensions_sum_to_length(t21, t51, t63, t51q16, t26q3, t24q5, t80q9, data):
+    table = data.draw(st.sampled_from([t21, t51, t63, t51q16, t26q3, t24q5, t80q9]))
+    fam = data.draw(coset_families(table, with_zero=True))
+    dual = euclidean_dual_family(fam)
+    assert fam.dim() + dual.dim() == table.n + 1
+    # the characteristic divides n + 1 in every table here, so the dual
+    # family describes the dual code in odd characteristic as well
+    assert gram_is_zero(generator_matrix(fam).mat, generator_matrix(dual).mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hermitian_dual_is_euclidean_dual_of_scaled_family(t21, t51, t63, t51q16,
+                                                           t80q9, data):
+    table, ell = data.draw(st.sampled_from(
+        [(t21, 2), (t51, 2), (t63, 2), (t51q16, 4), (t80q9, 3)]))
+    fam = data.draw(coset_families(table, with_zero=True))
+    scaled = fam.scale(ell)
+    assert hermitian_dual_family(fam, ell) == euclidean_dual_family(scaled)
+    # code level: the ell-th powers of C_S span the code of the scaled family
+    g = generator_matrix(fam).mat
+    assert row_space_equal(pow_entrywise(g, ell), generator_matrix(scaled).mat)

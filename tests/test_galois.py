@@ -5,7 +5,11 @@ import pytest
 
 from cosetcodes import (SubfieldBasis, make_field,
                         nth_root_of_unity, subfield_power_basis)
-from cosetcodes.galois import prime_factors
+from cosetcodes.galois import (Field, _int_to_digits, _poly_mulmod, _poly_powmod,
+                               prime_factors)
+
+SMALL_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 11) if p**e <= 1024]
+IMPRIMITIVE_X = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8+x^4+x^3+x+1: x has order 51
 
 
 def test_f4_has_the_unique_irreducible_quadratic(f4):
@@ -53,7 +57,7 @@ def assert_order(f, a, order):
 
 def test_irreducible_but_imprimitive_modulus_gets_searched_generator():
     # x^8+x^4+x^3+x+1 is irreducible with x of order 51 only
-    f = make_field(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
+    f = make_field(2, 8, IMPRIMITIVE_X)
     assert_order(f, 2, 51)
     assert f.generator == 3
     assert_order(f, f.generator, 255)
@@ -206,3 +210,61 @@ def test_field_description_round_trip(f4096):
     rebuilt = make_field(desc["p"], desc["e"], tuple(desc["modulus"]))
     assert rebuilt is f4096  # cached, identical context
     assert rebuilt.generator == desc["generator"]
+
+
+def _from_digits(digits, p):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("p,e,modulus", [(p, e, None) for p, e in SMALL_FIELDS] + [
+    (2, 8, IMPRIMITIVE_X), (2, 16, None),
+    # float32 digit products are not exact here, (p-1)^2 > 2^24
+    (65537, 1, None),
+])
+def test_tables_match_scalar_oracle(p, e, modulus):
+    f = make_field(p, e, modulus)
+    q, q1, mod = f.order, f.order - 1, list(f.modulus)
+    if e == 1:
+        exp = [pow(f.generator, i, p) for i in range(q1)]
+    else:
+        g, v, exp = _int_to_digits(f.generator, p, e), [1] + [0] * (e - 1), []
+        for _ in range(q1):
+            exp.append(_from_digits(v, p))
+            v = _poly_mulmod(g, v, mod, p)
+    assert f.exp_np.tolist() == exp + exp
+    assert f.log_np[0] == -1
+    assert np.array_equal(f.log_np[exp], np.arange(q1))
+
+    rng = np.random.default_rng(q)
+    a, b = rng.integers(0, q, size=(2, 200))
+    digits_a = np.asarray([_int_to_digits(int(x), p, e) for x in a])
+    digits_b = np.asarray([_int_to_digits(int(x), p, e) for x in b])
+    place = p ** np.arange(e)
+    assert np.array_equal(f.add(a, b), (digits_a + digits_b) % p @ place)
+    assert np.array_equal(f.neg(a), -digits_a % p @ place)
+    assert [f.add(int(x), int(y)) for x, y in zip(a, b)] == f.add(a, b).tolist()
+    assert [f.neg(int(x)) for x in a] == f.neg(a).tolist()
+    if q > 1024:
+        return
+
+    digits = np.asarray([_int_to_digits(x, p, e) for x in range(q)])
+    add = sum((digits[:, None, i] + digits[None, :, i]) % p * p**i for i in range(e))
+    assert np.array_equal(f.add_table, add)
+    assert np.array_equal(f.neg_table, -digits % p @ place)
+    sample = [0, 1] + rng.integers(2, q, size=30).tolist() if q > 32 else range(q)
+    for k in (0, 1, 2, 3, q1 - 1):
+        table = f.pow_table(k)
+        for x in sample:
+            want = _from_digits(_poly_powmod(_int_to_digits(x, p, e), k, mod, p), p)
+            assert table[x] == want, (x, k)
+
+
+@pytest.mark.parametrize("modulus,generator", [
+    (IMPRIMITIVE_X, 2),           # g^255 = 1, but g has order 51
+    (IMPRIMITIVE_X, 1),
+    ((1, 0, 1), 2),               # x^2 + 1 = (x + 1)^2 over F_2
+    ((0, 1, 1), 2),               # x^2 + x: x is a zero divisor
+])
+def test_generator_without_full_order_is_rejected(modulus, generator):
+    with pytest.raises(ValueError, match="full multiplicative order"):
+        Field(2, len(modulus) - 1, modulus, generator)
