@@ -36,7 +36,9 @@ MAX_FIELD_SIZE = 1 << 20
 # Cap for dense q x q operation tables (used by the linear-algebra layer).
 MAX_TABLE_FIELD_SIZE = 1 << 12
 
-EXP_CHUNK_ROWS = 1 << 12  # digit rows per product while doubling the exp table
+# digit rows per product while doubling the exp table; chunks of 2^12 rows and
+# more left megabytes of freed temporaries in the resident set of the process
+EXP_CHUNK_ROWS = 1 << 8
 
 
 def is_prime(n: int) -> bool:
@@ -281,7 +283,7 @@ class Field:
             raise ValueError("generator does not have full multiplicative order")
         self.exp_np = np.concatenate([exp, exp])
         self.log_np = log
-        self._exp = self.exp_np.tolist()
+        self._exp = exp.tolist() * 2  # one int object per element
         self._log = log.tolist()
 
     # -- arithmetic on integer-coded elements ----------------------------
