@@ -127,9 +127,11 @@ class GeneratorMatrix:
 def load_matrix_json(text: str) -> GeneratorMatrix:
     """Rebuild an exported generator matrix for independent re-checking."""
     obj = json.loads(text)
-    _require_fields(obj, "export", ("q", "n", "rows", "cols", "family", "field", "entries"))
+    _require_fields(obj, "export", {"q": int, "n": int, "rows": int, "cols": int,
+                                    "family": list, "field": dict, "entries": list})
     fdesc = obj["field"]
-    _require_fields(fdesc, "\"field\"", ("p", "e", "modulus", "generator"))
+    _require_fields(fdesc, "\"field\"", {"p": int, "e": int, "modulus": list,
+                                         "generator": int})
     table = _table_from_json(obj)
     family = table.family(c[0] for c in obj["family"])
     ctx = make_field(fdesc["p"], fdesc["e"], tuple(fdesc["modulus"]))
@@ -142,18 +144,23 @@ def load_matrix_json(text: str) -> GeneratorMatrix:
     return rebuilt
 
 
-def _require_fields(obj, where: str, keys) -> None:
+def _require_fields(obj, where: str, types: dict) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
-    for key in keys:
+    for key, kind in types.items():
         if key not in obj:
             raise ValueError(f"{where} has no \"{key}\" field")
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"{where} field \"{key}\" must be {kind.__name__}")
 
 
 def _table_from_json(obj: dict) -> CosetTable:
     from .cosets import compute_cosets
 
     table = compute_cosets(obj["q"], obj["n"])
+    if not all(isinstance(c, list) and c and all(isinstance(v, int) for v in c)
+               for c in obj["family"]):
+        raise ValueError("export field \"family\" must hold nonempty lists of ints")
     stored = [sorted(c) for c in obj["family"]]
     for c in stored:
         got = list(table.cosets[table.coset_of(c[0])].elements)

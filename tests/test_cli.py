@@ -172,7 +172,11 @@ def test_matrix_export_and_recheck(tmp_path, capsys):
     (lambda obj: [obj], "not a JSON object"),
     (lambda obj: {**obj, "field": {k: v for k, v in obj["field"].items() if k != "e"}},
      '"e"'),
-], ids=["no-family", "top-level-list", "field-without-e"])
+    (lambda obj: {**obj, "family": 5}, '"family"'),
+    (lambda obj: {**obj, "family": [5]}, '"family"'),
+    (lambda obj: {**obj, "q": "4"}, '"q"'),
+], ids=["no-family", "top-level-list", "field-without-e", "family-not-list",
+        "coset-not-list", "q-not-int"])
 def test_recheck_of_malformed_export_is_an_error(tmp_path, capsys, mangle, named):
     path = tmp_path / "m.json"
     run(capsys, "matrix", "--q", "4", "--n", "21", "--family", "0,1", "-o", str(path))
