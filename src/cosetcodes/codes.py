@@ -132,6 +132,10 @@ def load_matrix_json(text: str) -> GeneratorMatrix:
     fdesc = obj["field"]
     _require_fields(fdesc, "\"field\"", {"p": int, "e": int, "modulus": list,
                                          "generator": int})
+    if not all(isinstance(c, int) for c in fdesc["modulus"]):
+        raise ValueError("\"field\" field \"modulus\" must hold ints")
+    if not all(isinstance(v, int) and 0 <= v < obj["q"] for v in obj["entries"]):
+        raise ValueError("export field \"entries\" must hold ints in 0..q-1")
     table = _table_from_json(obj)
     family = table.family(c[0] for c in obj["family"])
     ctx = make_field(fdesc["p"], fdesc["e"], tuple(fdesc["modulus"]))

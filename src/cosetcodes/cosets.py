@@ -105,13 +105,13 @@ class CosetTable:
             "cosets": [list(c.elements) for c in self.cosets],
         }
 
-    def to_text(self, columns: int = 3) -> str:
+    def to_text(self) -> str:
         """Plain-text table, three cosets per row."""
         cells = [repr(c) for c in self.cosets]
         width = max(len(s) for s in cells) + 2
         lines = []
-        for i in range(0, len(cells), columns):
-            lines.append("".join(s.ljust(width) for s in cells[i:i + columns]).rstrip())
+        for i in range(0, len(cells), 3):
+            lines.append("".join(s.ljust(width) for s in cells[i:i + 3]).rstrip())
         return "\n".join(lines)
 
     def __repr__(self) -> str:

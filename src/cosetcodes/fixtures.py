@@ -46,10 +46,9 @@ def _result(name: str, ok: bool, expected, computed) -> FixtureResult:
 
 
 def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET,
-            jobs: int = 1, data: dict | None = None) -> list[FixtureResult]:
+            jobs: int = 1) -> list[FixtureResult]:
     """Recompute every bundled known answer; returns one result per check."""
-    if data is None:
-        data = load_known_answers()
+    data = load_known_answers()
     results: list[FixtureResult] = []
     tables: dict[tuple[int, int], cosets.CosetTable] = {}
 

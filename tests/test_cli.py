@@ -175,8 +175,18 @@ def test_matrix_export_and_recheck(tmp_path, capsys):
     (lambda obj: {**obj, "family": 5}, '"family"'),
     (lambda obj: {**obj, "family": [5]}, '"family"'),
     (lambda obj: {**obj, "q": "4"}, '"q"'),
+    (lambda obj: {**obj, "entries": [-1] + obj["entries"][1:]}, '"entries"'),
+    (lambda obj: {**obj, "entries": [65536] + obj["entries"][1:]}, '"entries"'),
+    # f_0 = 1 in every primitive binary modulus, so int(1.5) would pass
+    (lambda obj: {**obj, "field": {**obj["field"],
+                                   "modulus": [None] + obj["field"]["modulus"][1:]}},
+     '"modulus"'),
+    (lambda obj: {**obj, "field": {**obj["field"],
+                                   "modulus": [1.5] + obj["field"]["modulus"][1:]}},
+     '"modulus"'),
 ], ids=["no-family", "top-level-list", "field-without-e", "family-not-list",
-        "coset-not-list", "q-not-int"])
+        "coset-not-list", "q-not-int", "entry-negative", "entry-too-large",
+        "modulus-null", "modulus-float"])
 def test_recheck_of_malformed_export_is_an_error(tmp_path, capsys, mangle, named):
     path = tmp_path / "m.json"
     run(capsys, "matrix", "--q", "4", "--n", "21", "--family", "0,1", "-o", str(path))

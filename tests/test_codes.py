@@ -231,7 +231,7 @@ def test_matrix_json_without_entries_is_rejected(t51):
 def test_generator_matrix_validates_each_subfield_basis_once(t51, monkeypatch):
     # a context of its own, so no earlier test has filled its basis cache
     shared = field_for_table(t51)
-    ctx = Field(shared.p, shared.e, shared.modulus, shared.generator)
+    ctx = Field(shared.p, shared.e, shared.modulus)
     checked = []
     real = galois._independent_over_subfield
 

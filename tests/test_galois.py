@@ -5,11 +5,12 @@ import pytest
 
 from cosetcodes import (SubfieldBasis, make_field,
                         nth_root_of_unity, subfield_power_basis)
-from cosetcodes.galois import (Field, _int_to_digits, _poly_mulmod, _poly_powmod,
+from cosetcodes.galois import (_int_to_digits, _poly_mulmod, _poly_powmod,
                                prime_factors)
 
 SMALL_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 11) if p**e <= 1024]
 IMPRIMITIVE_X = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8+x^4+x^3+x+1: x has order 51
+PRIMITIVE_NOT_CANONICAL = (1, 0, 1, 1, 0, 1, 0, 0, 1)  # x^8+x^5+x^3+x^2+1
 
 
 def test_f4_has_the_unique_irreducible_quadratic(f4):
@@ -55,12 +56,15 @@ def assert_order(f, a, order):
         assert f.pow(a, order // r) != 1
 
 
-def test_irreducible_but_imprimitive_modulus_gets_searched_generator():
-    # x^8+x^4+x^3+x+1 is irreducible with x of order 51 only
-    f = make_field(2, 8, IMPRIMITIVE_X)
-    assert_order(f, 2, 51)
-    assert f.generator == 3
-    assert_order(f, f.generator, 255)
+def test_irreducible_but_imprimitive_modulus_is_rejected():
+    # x^8+x^4+x^3+x+1 is irreducible (x^256 = x and x^16 != x mod f), but x
+    # has order 51 only
+    mod, x = list(IMPRIMITIVE_X), [0, 1] + [0] * 6
+    assert _poly_powmod(x, 256, mod, 2) == x
+    assert _poly_powmod(x, 16, mod, 2) != x
+    assert _poly_powmod(x, 51, mod, 2) == [1] + [0] * 7
+    with pytest.raises(ValueError, match="not primitive"):
+        make_field(2, 8, IMPRIMITIVE_X)
 
 
 def test_field_laws_small():
@@ -217,7 +221,7 @@ def _from_digits(digits, p):
 
 
 @pytest.mark.parametrize("p,e,modulus", [(p, e, None) for p, e in SMALL_FIELDS] + [
-    (2, 8, IMPRIMITIVE_X), (2, 16, None),
+    (2, 8, PRIMITIVE_NOT_CANONICAL), (2, 16, None),
     # float32 digit products are not exact here, (p-1)^2 > 2^24
     (65537, 1, None),
 ])
@@ -259,12 +263,41 @@ def test_tables_match_scalar_oracle(p, e, modulus):
             assert table[x] == want, (x, k)
 
 
-@pytest.mark.parametrize("modulus,generator", [
-    (IMPRIMITIVE_X, 2),           # g^255 = 1, but g has order 51
-    (IMPRIMITIVE_X, 1),
-    ((1, 0, 1), 2),               # x^2 + 1 = (x + 1)^2 over F_2
-    ((0, 1, 1), 2),               # x^2 + x: x is a zero divisor
-])
-def test_generator_without_full_order_is_rejected(modulus, generator):
-    with pytest.raises(ValueError, match="full multiplicative order"):
-        Field(2, len(modulus) - 1, modulus, generator)
+@pytest.mark.parametrize("p,modulus", [
+    (2, IMPRIMITIVE_X),  # x^255 = 1, but x has order 51
+    (2, (1, 0, 1)),      # x^2 + 1 = (x + 1)^2 over F_2
+    (2, (0, 1, 1)),      # x^2 + x: x is a zero divisor
+    (2, (0, 1)),         # x over F_2: 1 gets a log, but x^1 = 0
+    (7, (6, 1)),         # x - 1 over F_7: x = 1 has order 1
+], ids=["x-order-51", "x2+1", "x2+x", "x-over-F2", "x-1-over-F7"])
+def test_imprimitive_modulus_is_rejected(p, modulus):
+    with pytest.raises(ValueError, match="not primitive"):
+        make_field(p, len(modulus) - 1, modulus)
+
+
+def _multiplicative_order(c, p, e, mod):
+    """Order of c by walking its powers with the schoolbook product."""
+    one, c = [1] + [0] * (e - 1), _int_to_digits(c, p, e)
+    v, k = c, 1
+    while v != one:
+        v, k = _poly_mulmod(v, c, mod, p), k + 1
+    return k
+
+
+@pytest.mark.parametrize("p,e,modulus", [(p, e, None) for p, e in SMALL_FIELDS]
+                         + [(2, 8, PRIMITIVE_NOT_CANONICAL)])
+def test_generator_is_the_smallest_element_of_full_order(p, e, modulus):
+    f = make_field(p, e, modulus)
+    orders = [_multiplicative_order(c, p, e, list(f.modulus))
+              for c in range(1, f.generator + 1)]
+    assert orders[-1] == f.order - 1
+    assert all(k < f.order - 1 for k in orders[:-1])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 8), (7, 1), (5, 3), (65537, 1)])
+def test_scalar_arithmetic_returns_python_ints(p, e):
+    f = make_field(p, e)
+    a, b = np.int64(f.order - 1), np.uint16(1)  # numpy operands, as from tables
+    for v in (f.mul(a, b), f.mul(1, 1), f.inv(a), f.inv(1), f.pow(a, 3),
+              f.pow(b, -1), f.pow(0, 2), f.pow(0, 0)):
+        assert type(v) is int
