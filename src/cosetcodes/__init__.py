@@ -12,9 +12,8 @@ from .galois import (Field, SubfieldBasis, make_field, nth_root_of_unity,
                      subfield_power_basis)
 from .cosets import (Coset, CosetFamily, CosetTable, compute_cosets,
                      euclidean_dual_family, hermitian_dual_family, order_mod)
-from .codes import (GeneratorMatrix, TracePolynomial, classical_params,
-                    field_for_table, generator_matrix, load_matrix_json,
-                    trace_polynomials, truncated_family)
+from .codes import (GeneratorMatrix, classical_params, field_for_table,
+                    generator_matrix, load_matrix_json, truncated_family)
 from .linalg import (DEFAULT_BUDGET, BudgetExceededError, DistanceCertificate,
                      GFMatrix, gf_matrix, gram_is_zero, min_distance_exhaustive,
                      nullspace, pow_entrywise, rank, rank_and_rref, row_space_equal)
@@ -31,9 +30,8 @@ __all__ = [
     "subfield_power_basis",
     "Coset", "CosetFamily", "CosetTable", "compute_cosets",
     "euclidean_dual_family", "hermitian_dual_family", "order_mod",
-    "GeneratorMatrix", "TracePolynomial", "classical_params",
-    "field_for_table", "generator_matrix", "load_matrix_json",
-    "trace_polynomials", "truncated_family",
+    "GeneratorMatrix", "classical_params", "field_for_table",
+    "generator_matrix", "load_matrix_json", "truncated_family",
     "DEFAULT_BUDGET", "BudgetExceededError", "DistanceCertificate", "GFMatrix",
     "gf_matrix", "gram_is_zero", "min_distance_exhaustive",
     "nullspace", "pow_entrywise", "rank", "rank_and_rref",

@@ -1,12 +1,14 @@
 """Evaluation codes attached to coset families.
 
-Each coset S_a of size s contributes s polynomials, one per element of a
-chosen basis of F_(q^s) over F_q: the j-th polynomial is the orbit sum
-sum_i (b_j * x^a)^(q^i) for i < s, with exponents reduced mod n.  Reduced
-this way, the exponent support of the polynomial is exactly the coset and
-its degree is the coset's largest element.  On the evaluation set (zero
-plus the n-th roots of unity in GF(q^m)) all values land in the subfield
-F_q, so the value vectors form rows of a generator matrix over F_q.
+Each coset S_a of size s contributes s rows, one per element b_j of a
+chosen basis of F_(q^s) over F_q: the row is the orbit sum
+sum_i (b_j * x^a)^(q^i) for i < s, with exponents reduced mod n, evaluated
+on zero plus the n-th roots of unity in GF(q^m).  The exponent support of
+that polynomial is exactly the coset, so its degree is the coset's
+largest element.  At alpha^t it is the trace Tr_(F_(q^s)/F_q)(b_j *
+alpha^(a t)), a sum over one Frobenius orbit, so every value lies in F_q
+and the rows form a generator matrix over F_q.  All rows of a family are
+evaluated at once, as one array expression over exp/log tables.
 
 The generator matrix builder verifies subfield membership of every entry
 (a projection table miss raises) and checks that the matrix has full row
@@ -17,57 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .cosets import Coset, CosetFamily, CosetTable, order_mod
+from .cosets import CosetFamily, CosetTable, order_mod
 from .galois import (Field, SubfieldBasis, degree_over_prime, make_field,
                      nth_root_of_unity, prime_factors, subfield_power_basis)
 from .linalg import GFMatrix, rank
-
-
-@dataclass(frozen=True)
-class TracePolynomial:
-    """Orbit-sum polynomial for one coset and one basis element.
-
-    ``terms`` are (exponent, coefficient) pairs with exponents already
-    reduced mod n; coefficient values live in the parent field.
-    """
-
-    coset_rep: int
-    basis_index: int
-    terms: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return max(e for e, _ in self.terms)
-
-
-def trace_polynomials(ctx: Field, table: CosetTable, coset: Coset,
-                      basis: SubfieldBasis) -> list[TracePolynomial]:
-    """The s polynomials of a coset for the given basis of F_(q^s)."""
-    q, n = table.q, table.n
-    s = coset.size
-    if basis.s != s or basis.q != q:
-        raise ValueError(f"basis is for F_{q}^{basis.s}, coset needs F_{q}^{s}")
-    if basis.ctx is not ctx:
-        raise ValueError("basis bound to a different field context")
-    a = coset.min_rep
-    out = []
-    for j, value in enumerate(basis.values):
-        terms = []
-        exp_a, coef = a, value
-        for _ in range(s):
-            terms.append((exp_a, coef))
-            exp_a = (exp_a * q) % n
-            coef = ctx.pow(coef, q)
-        terms.sort()
-        exps = [e for e, _ in terms]
-        if tuple(exps) != coset.elements:
-            raise AssertionError("term support does not match the coset")
-        out.append(TracePolynomial(coset_rep=a, basis_index=j, terms=tuple(terms)))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -132,9 +91,9 @@ def load_matrix_json(text: str) -> GeneratorMatrix:
     fdesc = obj["field"]
     _require_fields(fdesc, "\"field\"", {"p": int, "e": int, "modulus": list,
                                          "generator": int})
-    if not all(isinstance(c, int) for c in fdesc["modulus"]):
+    if not all(_is_int(c) for c in fdesc["modulus"]):
         raise ValueError("\"field\" field \"modulus\" must hold ints")
-    if not all(isinstance(v, int) and 0 <= v < obj["q"] for v in obj["entries"]):
+    if not all(_is_int(v) and 0 <= v < obj["q"] for v in obj["entries"]):
         raise ValueError("export field \"entries\" must hold ints in 0..q-1")
     table = _table_from_json(obj)
     family = table.family(c[0] for c in obj["family"])
@@ -154,15 +113,20 @@ def _require_fields(obj, where: str, types: dict) -> None:
     for key, kind in types.items():
         if key not in obj:
             raise ValueError(f"{where} has no \"{key}\" field")
-        if not isinstance(obj[key], kind):
+        if not (_is_int(obj[key]) if kind is int else isinstance(obj[key], kind)):
             raise ValueError(f"{where} field \"{key}\" must be {kind.__name__}")
+
+
+def _is_int(v) -> bool:
+    """A JSON integer: json.loads gives bool for true/false, and bool is an int."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _table_from_json(obj: dict) -> CosetTable:
     from .cosets import compute_cosets
 
     table = compute_cosets(obj["q"], obj["n"])
-    if not all(isinstance(c, list) and c and all(isinstance(v, int) for v in c)
+    if not all(isinstance(c, list) and c and all(_is_int(v) for v in c)
                for c in obj["family"]):
         raise ValueError("export field \"family\" must hold nonempty lists of ints")
     stored = [sorted(c) for c in obj["family"]]
@@ -190,17 +154,23 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
     q, n = table.q, table.n
     view = ctx.subfield_view(q)
     nth_root_of_unity(ctx, n)  # raises unless n divides |ctx*|
-    log_alpha = (ctx.order - 1) // n
 
-    rows: list[np.ndarray] = []
+    reps, values, sizes = [], [], []
     for cid in family.members:
         coset = table.cosets[cid]
-        basis = (bases or {}).get(cid) or subfield_power_basis(ctx, q, coset.size)
-        for poly in trace_polynomials(ctx, table, coset, basis):
-            rows.append(_evaluate_on_domain(ctx, poly, n, log_alpha))
+        a, s = coset.min_rep, coset.size
+        # the orbit of a is the exponent support, so the degree is max(coset)
+        if sorted(a * q**i % n for i in range(s)) != list(coset.elements):
+            raise AssertionError(f"orbit of {a} under x -> {q}x is not the coset {coset}")
+        basis = (bases or {}).get(cid) or subfield_power_basis(ctx, q, s)
+        if basis.ctx is not ctx or basis.q != q or basis.s != s:
+            raise ValueError(f"coset {coset} needs a basis of F_{q}^{s} in this field, "
+                             f"got F_{basis.q}^{basis.s}")
+        reps += [a] * s
+        values += basis.values
+        sizes += [s] * s
 
-    values = np.vstack(rows)
-    symbols = view.project[values]
+    symbols = view.project[_trace_rows(ctx, q, n, reps, values, sizes)]
     if (symbols < 0).any():
         raise ArithmeticError(
             "evaluation produced a value outside the F_q subfield "
@@ -213,14 +183,28 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
     return GeneratorMatrix(mat=mat, family=family, parent=ctx)
 
 
-def _evaluate_on_domain(ctx: Field, poly: TracePolynomial, n: int,
-                        log_alpha: int) -> np.ndarray:
-    """Values of the polynomial at (0, a^0, ..., a^(n-1)) as parent codes."""
+def _trace_rows(ctx: Field, q: int, n: int, reps, values, sizes) -> np.ndarray:
+    """Parent values at (0, alpha^0, ..., alpha^(n-1)) of the rows (a, b, s).
+
+    Row r is sum_(i<s) (b * x^a)^(q^i) for a, b, s = reps[r], values[r],
+    sizes[r].  With alpha = gamma^L, L = (Q-1)/n, its value at alpha^t is
+    sum_(i<s) exp[q^i * (log b + (L*a mod Q-1) * t) mod Q-1].  At 0 only
+    the zero coset (a = 0, s = 1) is nonzero, with value b.
+    """
     q1 = ctx.order - 1
-    ts = np.arange(n, dtype=np.int64)
-    const = [c for e, c in poly.terms if e == 0]
-    terms = (ctx.exp_np[(ctx.log_np[c] + (log_alpha * e) * ts) % q1] for e, c in poly.terms)
-    return np.concatenate([const or [0], reduce(ctx.add, terms)])
+    a = np.asarray(reps, dtype=np.int64)
+    b = np.asarray(values, dtype=np.int64)
+    s = np.asarray(sizes, dtype=np.int64)
+    logs = ctx.log_np[b][:, None] + (a * (q1 // n) % q1)[:, None] * np.arange(n)
+    logs %= q1
+    acc = np.zeros_like(logs)
+    for i in range(int(s.max())):
+        term = ctx.exp_np[logs]
+        term[i >= s] = 0  # rows whose orbit has fewer than i + 1 terms
+        acc = ctx.add(acc, term)
+        logs *= q
+        logs %= q1
+    return np.column_stack([np.where(a == 0, b, 0), acc])
 
 
 def truncated_family(table: CosetTable, r: int) -> CosetFamily:

@@ -83,7 +83,7 @@ def euclidean_dual(family: CosetFamily, ctx: Field | None = None,
             ctx = field_for_table(table)
         g_s = generator_matrix(family, ctx)
         g_dual = generator_matrix(dual_fam, ctx)
-        gram_ok = gram_is_zero(g_s.mat, g_dual.mat, "euclidean")
+        gram_ok = gram_is_zero(g_s.mat, g_dual.mat)
         ns_ok = row_space_equal(g_dual.mat, nullspace(g_s.mat))
         if not (gram_ok and ns_ok):
             raise VerificationError(
@@ -126,8 +126,8 @@ def hermitian_dual(family: CosetFamily, ctx: Field | None = None,
             ctx = field_for_table(table)
         g_s = generator_matrix(family, ctx)
         g_dual = generator_matrix(dual_fam, ctx)
-        gram_ok = gram_is_zero(g_s.mat, g_dual.mat, "hermitian", ell=ell)
         powered = pow_entrywise(g_s.mat, ell)
+        gram_ok = gram_is_zero(powered, g_dual.mat)
         ns_ok = row_space_equal(g_dual.mat, nullspace(powered))
         g_scaled = generator_matrix(scaled, ctx)
         code_identity = row_space_equal(powered, g_scaled.mat)

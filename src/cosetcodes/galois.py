@@ -502,7 +502,9 @@ def make_field(p: int, e: int, modulus: tuple[int, ...] | list[int] | None = Non
     if modulus is None:
         modulus = _smallest_primitive_modulus(p, e)
     else:
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(modulus)
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in modulus):
+            raise ValueError(f"modulus coefficients must be ints, got {list(modulus)}")
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree e (ascending coefficients)")
         if any(not 0 <= c < p for c in modulus[:-1]):

@@ -160,13 +160,11 @@ def pow_entrywise(m: GFMatrix, k: int) -> GFMatrix:
     return GFMatrix(m.field, m.field.pow_table(k)[m.entries])
 
 
-def gram_is_zero(g1: GFMatrix, g2: GFMatrix, product: str = "euclidean",
-                 ell: int | None = None) -> bool:
-    """True iff every row pair is orthogonal under the chosen inner product.
+def gram_is_zero(g1: GFMatrix, g2: GFMatrix) -> bool:
+    """True iff every row of g1 is orthogonal to every row of g2 (dot product).
 
-    ``product="euclidean"`` uses the plain dot product.  For
-    ``product="hermitian"`` the first argument's entries are raised to the
-    ell-th power before the dot product; requires ell >= 2 and q = ell^2.
+    For the Hermitian product over F_(ell^2), pass ``pow_entrywise(g1, ell)``
+    as the first argument.
 
     The products run over F_p as float32 matrix products.  A symbol's
     base-p digits are its coordinates on 1, x, ..., x^(f-1) (q = p^f), so
@@ -182,14 +180,6 @@ def gram_is_zero(g1: GFMatrix, g2: GFMatrix, product: str = "euclidean",
         raise ValueError("matrices use different field contexts")
     if g1.cols != g2.cols:
         raise ValueError("matrices must have the same number of columns")
-    if product == "hermitian":
-        if ell is None or ell < 2:
-            raise ValueError("hermitian product requires ell >= 2")
-        if g1.q != ell * ell:
-            raise ValueError(f"hermitian product requires q = ell^2, got q={g1.q}, ell={ell}")
-        g1 = pow_entrywise(g1, ell)
-    elif product != "euclidean":
-        raise ValueError(f"unknown product {product!r}")
     if g1.rows == 0 or g2.rows == 0 or g1.cols == 0:
         return True
     field = g1.field

@@ -27,7 +27,7 @@ from .codes import field_for_table, generator_matrix
 from .duality import VerificationError
 from .galois import Field
 from .linalg import (DEFAULT_BUDGET, DistanceCertificate, gram_is_zero,
-                     min_distance_exhaustive)
+                     min_distance_exhaustive, pow_entrywise)
 
 
 class NotSelfOrthogonalError(ValueError):
@@ -152,7 +152,7 @@ def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
         ctx = field_for_table(table)
     if verify_gram:
         g_s = generator_matrix(family, ctx)
-        gram_zero = gram_is_zero(g_s.mat, g_s.mat, "hermitian", ell=ell)
+        gram_zero = gram_is_zero(pow_entrywise(g_s.mat, ell), g_s.mat)
         if gram_zero != self_orthogonal:
             raise VerificationError(
                 "Hermitian Gram disagrees with the combinatorial containment")

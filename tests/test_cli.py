@@ -184,9 +184,17 @@ def test_matrix_export_and_recheck(tmp_path, capsys):
     (lambda obj: {**obj, "field": {**obj["field"],
                                    "modulus": [1.5] + obj["field"]["modulus"][1:]}},
      '"modulus"'),
+    # json booleans are Python bools, which are ints: true would read as 1
+    (lambda obj: {**obj, "entries": [True] + obj["entries"][1:]}, '"entries"'),
+    (lambda obj: {**obj, "field": {**obj["field"],
+                                   "modulus": [True] + obj["field"]["modulus"][1:]}},
+     '"modulus"'),
+    (lambda obj: {**obj, "family": [[0], [True] + obj["family"][1][1:]]}, '"family"'),
+    (lambda obj: {**obj, "rows": True}, '"rows"'),
 ], ids=["no-family", "top-level-list", "field-without-e", "family-not-list",
         "coset-not-list", "q-not-int", "entry-negative", "entry-too-large",
-        "modulus-null", "modulus-float"])
+        "modulus-null", "modulus-float", "entry-true", "modulus-true",
+        "residue-true", "rows-true"])
 def test_recheck_of_malformed_export_is_an_error(tmp_path, capsys, mangle, named):
     path = tmp_path / "m.json"
     run(capsys, "matrix", "--q", "4", "--n", "21", "--family", "0,1", "-o", str(path))

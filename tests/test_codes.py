@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import (classical_params, compute_cosets, field_for_table,
+from cosetcodes import (Coset, classical_params, compute_cosets, field_for_table,
                         generator_matrix, load_matrix_json, make_field,
                         min_distance_exhaustive, nth_root_of_unity, rank,
-                        row_space_equal, subfield_power_basis,
-                        trace_polynomials, truncated_family)
-from cosetcodes import codes, galois
+                        row_space_equal, subfield_power_basis, truncated_family)
+from cosetcodes import galois
 from cosetcodes.galois import Field
 from conftest import coset_families, random_subfield_basis
 
@@ -21,50 +21,46 @@ def domain_points(ctx, n):
     return [0] + [ctx.pow(alpha, i) for i in range(n)]
 
 
-def evaluate(ctx, poly, point):
-    """Scalar oracle: sum of c * point^e over the polynomial's terms."""
-    acc = 0
-    for e, c in poly.terms:
-        acc = ctx.add(acc, ctx.mul(c, ctx.pow(point, e)))
-    return acc
+def oracle_rows(ctx, family, bases=None):
+    """Scalar oracle: sum_(i<s) b^(q^i) * point^(a q^i mod n) per row and point."""
+    table = family.table
+    q, n = table.q, table.n
+    points = domain_points(ctx, n)
+    rows = []
+    for cid in family.members:
+        coset = table.cosets[cid]
+        a, s = coset.min_rep, coset.size
+        basis = (bases or {}).get(cid) or subfield_power_basis(ctx, q, s)
+        for b in basis.values:
+            row = []
+            for point in points:
+                acc = 0
+                for i in range(s):
+                    term = ctx.mul(ctx.pow(b, q**i), ctx.pow(point, a * q**i % n))
+                    acc = ctx.add(acc, term)
+                row.append(acc)
+            rows.append(row)
+    return rows
 
 
-def test_trace_polynomials_constant_for_zero_coset(t51):
+def test_generator_matrix_rejects_basis_mismatch(t51):
     ctx = field_for_table(t51)
-    basis = subfield_power_basis(ctx, 4, 1)
-    polys = trace_polynomials(ctx, t51, t51.cosets[0], basis)
-    assert len(polys) == 1
-    assert polys[0].terms == ((0, 1),)
+    fam = t51.family([0, 1])
+    cid = t51.coset_of(1)  # coset size 4
+    with pytest.raises(ValueError, match="needs a basis"):
+        generator_matrix(fam, bases={cid: subfield_power_basis(ctx, 4, 2)})
+    other = Field(ctx.p, ctx.e, ctx.modulus)  # equal field, another context
+    with pytest.raises(ValueError, match="needs a basis"):
+        generator_matrix(fam, bases={cid: subfield_power_basis(other, 4, 4)})
 
 
-def test_trace_polynomials_support_matches_coset(t51):
-    ctx = field_for_table(t51)
-    basis = subfield_power_basis(ctx, 4, 4)
-    polys = trace_polynomials(ctx, t51, t51.cosets[1], basis)
-    assert len(polys) == 4
-    for p in polys:
-        assert tuple(e for e, _ in p.terms) == (1, 4, 13, 16)
-        assert p.degree == 16
-
-
-def test_trace_polynomial_coefficients_follow_frobenius_orbit(t51q16):
-    ctx = field_for_table(t51q16)
-    basis = subfield_power_basis(ctx, 16, 2)
-    coset = t51q16.cosets[t51q16.coset_of(4)]
-    polys = trace_polynomials(ctx, t51q16, coset, basis)
-    assert len(polys) == 2
-    for j, p in enumerate(polys):
-        (e1, c1), (e2, c2) = p.terms
-        assert (e1, e2) == (4, 13)
-        assert c1 == basis.values[j]
-        assert c2 == ctx.pow(c1, 16)
-
-
-def test_trace_polynomials_reject_basis_mismatch(t51):
-    ctx = field_for_table(t51)
-    basis = subfield_power_basis(ctx, 4, 2)
-    with pytest.raises(ValueError):
-        trace_polynomials(ctx, t51, t51.cosets[1], basis)  # coset size 4, basis size 2
+def test_generator_matrix_rejects_a_coset_that_is_not_an_orbit(t21):
+    # {1, 4, 17} has the size of the orbit {1, 4, 16} of 1, not its support
+    cosets = list(t21.cosets)
+    cosets[t21.coset_of(1)] = Coset((1, 4, 17))
+    bad = dataclasses.replace(t21, cosets=tuple(cosets))
+    with pytest.raises(AssertionError, match="is not the coset"):
+        generator_matrix(bad.family([0, 1]))
 
 
 def test_evaluation_domain_sizes(t51, t585, f256):
@@ -90,19 +86,16 @@ def test_weight_sum_identity_over_the_domain(f256):
 def test_domain_evaluation_matches_scalar_oracle(q, n, reps):
     table = compute_cosets(q, n)
     ctx = field_for_table(table)
-    points = domain_points(ctx, n)
-    log_alpha = (ctx.order - 1) // n
+    project = ctx.subfield_view(q).project
     fam = table.family(reps)
-    rows = []
-    for cid in fam.members:
-        basis = subfield_power_basis(ctx, q, table.cosets[cid].size)
-        for poly in trace_polynomials(ctx, table, table.cosets[cid], basis):
-            expect = [evaluate(ctx, poly, b) for b in points]
-            got = codes._evaluate_on_domain(ctx, poly, n, log_alpha)
-            assert got.tolist() == expect
-            rows.append(expect)
-    symbols = ctx.subfield_view(q).project[np.asarray(rows)]
-    assert np.array_equal(generator_matrix(fam).mat.entries, symbols)
+    want = project[np.asarray(oracle_rows(ctx, fam))]
+    assert np.array_equal(generator_matrix(fam).mat.entries, want)
+    rng = np.random.default_rng(q * n)
+    for _ in range(2):
+        bases = {cid: random_subfield_basis(ctx, q, table.cosets[cid].size, rng)
+                 for cid in fam.members}
+        want = project[np.asarray(oracle_rows(ctx, fam, bases))]
+        assert np.array_equal(generator_matrix(fam, bases=bases).mat.entries, want)
 
 
 def test_generator_matrix_zero_family_is_all_ones(t51):
@@ -121,18 +114,11 @@ def test_generator_matrix_shapes_and_ranks(t51, t21):
 
 
 def test_entries_are_frobenius_fixed_in_the_parent(t51, t21, t51q16):
-    # re-evaluate the polynomials in the parent field and check x^q == x
+    # the oracle's parent values satisfy x^q == x
     for table, reps in ((t51, [0, 1, 11]), (t21, [0, 1, 2, 3]), (t51q16, [0, 4, 8])):
         ctx = field_for_table(table)
-        fam = table.family(reps)
-        points = domain_points(ctx, table.n)
-        for cid in fam.members:
-            coset = table.cosets[cid]
-            basis = subfield_power_basis(ctx, table.q, coset.size)
-            for poly in trace_polynomials(ctx, table, coset, basis):
-                for point in points:
-                    v = evaluate(ctx, poly, point)
-                    assert ctx.frobenius(v, table.q) == v
+        for row in oracle_rows(ctx, table.family(reps)):
+            assert all(ctx.frobenius(v, table.q) == v for v in row)
 
 
 def test_rank_equals_family_dimension_random(t21, t51, t63, t51q16):

@@ -47,6 +47,9 @@ def test_make_field_rejects_bad_inputs():
         make_field(2, 3, (1, 1, 1, 1))  # x^3+x^2+x+1 = (x+1)(x^2+1): reducible
     with pytest.raises(ValueError):
         make_field(2, 3, (1, 1, 1))  # wrong degree
+    for modulus in ((1.5, 1, 1), (True, 1, 1), ("1", 1, 1), (None, 1, 1)):
+        with pytest.raises(ValueError, match="must be ints"):
+            make_field(2, 2, modulus)  # int(c) would build GF(4) from x^2+x+1
 
 
 def assert_order(f, a, order):
