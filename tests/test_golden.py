@@ -4,7 +4,9 @@ Each case runs ``cli.main`` in-process and compares the exit code and the
 sha256 of stdout against values recorded before the refactors they
 guard: the first fourteen before the package's dead and duplicate API
 was removed, the odd-characteristic and GF(2^16) cases after them
-before the field tables were rebuilt as F_p-linear maps.  A refactor
+before the field tables were rebuilt as F_p-linear maps, and the last
+two (an ell = 4 quantum CSV and a conditional search objective) before
+the dual checks and the Hermitian pair rule were merged.  A refactor
 that changes any printed byte (a frontier, a certificate witness, a
 field description, a JSON key order) fails here.  Do not update a digest to make a change pass; a
 change of output has to be justified on its own.
@@ -56,6 +58,10 @@ GOLDEN = [
      "e4fb41e2b1237147a81d509a0d2e17877c6ae88ba038b44f279fb3d451e74ff5"),
     ("classical --q 5 --n 24 --family 0,1,2 --certify --format json", 0,
      "4b5b853834ca88aec477214b582e087295cd3a44a07497f709df614937151e87"),
+    ("quantum --q 16 --ell 4 --n 51 --family 0,1,2 --format csv", 0,
+     "ebe4e9b047a63077c3765a659812d0f9b94beee67a95deb1f4b67259ffdfba1c"),
+    ("search --q 4 --ell 2 --n 63 --objective max_k_given_d --target 6", 0,
+     "731b3122dc536e0ecff0e7c8cec785a57dc7d2a242cbecf4017ad417afeddba3"),
 ]
 
 
