@@ -129,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_q_ell(q: int, ell: int) -> None:
-    if ell * ell != q:
-        raise UsageError(f"--ell {ell} does not satisfy ell^2 = q = {q}")
-
-
 class UsageError(Exception):
     pass
 
@@ -229,7 +224,6 @@ def cmd_recheck(args) -> int:
 
 
 def cmd_quantum(args) -> int:
-    _check_q_ell(args.q, args.ell)
     table = compute_cosets(args.q, args.n)
     family = table.family(args.family)
     report = derive_quantum(family, args.ell, certify=args.certify_dual,
@@ -257,7 +251,6 @@ def cmd_quantum(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _check_q_ell(args.q, args.ell)
     if args.objective != "pareto" and args.target is None:
         raise UsageError(f"--objective {args.objective} requires --target")
     table = compute_cosets(args.q, args.n)

@@ -101,8 +101,12 @@ def load_matrix_json(text: str) -> GeneratorMatrix:
     if ctx.generator != fdesc["generator"]:
         raise ValueError("field generator mismatch; incompatible export")
     rebuilt = generator_matrix(family, ctx)
-    stored = np.asarray(obj["entries"], dtype=np.uint16).reshape(obj["rows"], obj["cols"])
-    if not np.array_equal(stored, rebuilt.mat.entries):
+    shape = rebuilt.mat.entries.shape
+    if (obj["rows"], obj["cols"]) != shape:
+        raise ValueError(f"export fields \"rows\" x \"cols\" = {obj['rows']} x {obj['cols']}"
+                         f" do not match the rebuilt {shape[0]} x {shape[1]} matrix")
+    stored = np.asarray(obj["entries"], dtype=np.uint16)
+    if not np.array_equal(stored, rebuilt.mat.entries.ravel()):
         raise ValueError("stored entries disagree with the reconstruction")
     return rebuilt
 
@@ -134,6 +138,8 @@ def _table_from_json(obj: dict) -> CosetTable:
         got = list(table.cosets[table.coset_of(c[0])].elements)
         if got != c:
             raise ValueError(f"stored coset {c} does not match computed {got}")
+    if len({tuple(c) for c in stored}) != len(stored):
+        raise ValueError("export field \"family\" lists a coset twice")
     return table
 
 

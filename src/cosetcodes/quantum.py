@@ -5,11 +5,14 @@ quantum code with parameters [[n+1, n+1-2k, >= d]] whenever the attached
 code C_S lies inside its Hermitian dual C_T: k is the dimension of C_S
 and d is the degree bound n+1 - max_degree(T).  Containment S within T
 is equivalent to a purely combinatorial condition: no two chosen nonzero
-cosets A, B may satisfy A = dual(ell*B).  That condition is encoded as a
-:class:`CompatibilityGraph` whose independent sets are exactly the
-admissible families.
+cosets A, B may satisfy A = dual(ell*B).  One pair scan states that rule
+for :func:`derive_quantum` and :meth:`CompatibilityGraph.is_admissible`
+alike.  The map B -> dual(ell*B) is an involution (ell^2 = q fixes every
+coset), so the conflicts form a matching: each coset's only conflict is
+its image, and a coset that is its own image can never be chosen.
+:class:`CompatibilityGraph` holds that image map.
 
-The search walks independent sets depth-first with vertices ordered by
+The search walks admissible families depth-first with vertices ordered by
 the degree their dual image removes (largest first), pruning branches
 whose optimistic (quantum_k, d) pair is already dominated, and returns
 the exact Pareto frontier.  Every emitted report re-verifies
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from .cosets import CosetFamily, CosetTable, hermitian_dual_family
 from .codes import field_for_table, generator_matrix
-from .duality import VerificationError
+from .duality import VerificationError, check_q
 from .galois import Field
 from .linalg import (DEFAULT_BUDGET, DistanceCertificate, gram_is_zero,
                      min_distance_exhaustive, pow_entrywise)
@@ -96,13 +99,6 @@ class QuantumCodeReport:
                 f"{self.ell} from S reps {list(self.family_s.reps())}")
 
 
-def _validate_ell(table: CosetTable, ell: int) -> None:
-    if ell < 2 or ell * ell != table.q:
-        raise ValueError(f"need q = ell^2 with ell >= 2; got q={table.q}, ell={ell}")
-    if table.q % 2:
-        raise ValueError("quantum constructions are only supported for even q")
-
-
 def _self_orthogonality_violations(family: CosetFamily, ell: int) -> list[tuple[int, int]]:
     """Pairs (a, b) of member reps with S_a = dual(ell * S_b)."""
     table = family.table
@@ -137,9 +133,7 @@ def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
     otherwise the report stays bound-only.
     """
     table = family.table
-    _validate_ell(table, ell)
-    if not family.contains_zero:
-        raise ValueError("family must contain the coset {0}")
+    check_q(table.q, ell)
     t_family = hermitian_dual_family(family, ell)
     violations = _self_orthogonality_violations(family, ell)
     self_orthogonal = not violations
@@ -181,9 +175,10 @@ def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
 class CompatibilityGraph:
     """Conflict graph over nonzero cosets for the containment condition.
 
-    An edge joins A and B when A = dual(ell*B) (equivalently B =
-    dual(ell*A)); a family {0} + I is admissible iff I avoids the
-    self-loop vertices entirely and is an independent set.
+    A and B conflict when A = dual(ell*B).  That map is an involution, so
+    the graph is the matching v -- image[v] plus the self-loops image[v] =
+    v; a family {0} + I is admissible iff I avoids the self-loop vertices
+    and never holds both ends of a matching edge.
     """
 
     table: CosetTable
@@ -191,34 +186,21 @@ class CompatibilityGraph:
     vertices: tuple[int, ...]      # choosable nonzero coset ids
     excluded: tuple[int, ...]      # self-loop ids, never choosable
     image: tuple[int, ...]         # full map: coset id -> dual(ell * coset) id
-    adj: dict[int, frozenset[int]]
 
     def is_admissible(self, coset_ids) -> bool:
-        ids = [i for i in coset_ids if i != self.table.coset_of(0)]
-        if any(i in set(self.excluded) for i in ids):
-            return False
-        idset = set(ids)
-        return all(not (self.adj.get(i, frozenset()) & idset) for i in ids)
+        family = CosetFamily(self.table, (self.table.coset_of(0), *coset_ids))
+        return not _self_orthogonality_violations(family, self.ell)
 
 
 def build_compatibility_graph(table: CosetTable, ell: int) -> CompatibilityGraph:
-    _validate_ell(table, ell)
+    check_q(table.q, ell)
     zero_id = table.coset_of(0)
     image = tuple(table.dual_coset(table.scaled_coset(i, ell)) for i in range(len(table)))
-    vertices, excluded = [], []
-    adj: dict[int, set[int]] = {}
-    for i in range(len(table)):
-        if i == zero_id:
-            continue
-        if image[i] == i:
-            excluded.append(i)
-            continue
-        vertices.append(i)
-        adj.setdefault(i, set()).add(image[i])
-        adj.setdefault(image[i], set()).add(i)
-    return CompatibilityGraph(table=table, ell=ell, vertices=tuple(vertices),
-                              excluded=tuple(excluded), image=image,
-                              adj={k: frozenset(v) for k, v in adj.items()})
+    nonzero = [i for i in range(len(table)) if i != zero_id]
+    return CompatibilityGraph(table=table, ell=ell,
+                              vertices=tuple(i for i in nonzero if image[i] != i),
+                              excluded=tuple(i for i in nonzero if image[i] == i),
+                              image=image)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,12 +265,12 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     # depth-first on an explicit stack: the skip branch is pushed first, so
     # the include branch is explored first
     nodes, complete = 0, True
-    stack = [(0, (), frozenset(), 1, base_skip)]
+    stack = [(0, (), 1, base_skip)]
     while stack:
         if nodes >= node_budget:
             complete = False
             break
-        idx, chosen, blocked, k_now, skip_max = stack.pop()
+        idx, chosen, k_now, skip_max = stack.pop()
         nodes += 1
         qk_now = n + 1 - 2 * k_now
         if qk_now < floor:
@@ -303,10 +285,10 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
         if dominated(qk_now, n + 1 - skip_max):
             continue
         v = order[idx]
-        stack.append((idx + 1, chosen, blocked, k_now, max(skip_max, w[v])))
-        if v not in blocked:
-            stack.append((idx + 1, chosen + (v,), blocked | graph.adj.get(v, frozenset()),
-                          k_now + sizes[idx], skip_max))
+        stack.append((idx + 1, chosen, k_now, max(skip_max, w[v])))
+        # the matching leaves image[v] as v's only conflict
+        if graph.image[v] not in chosen:
+            stack.append((idx + 1, chosen + (v,), k_now + sizes[idx], skip_max))
 
     frontier.sort(key=lambda t: -t[0])
     if ctx is None:

@@ -203,9 +203,8 @@ def test_criterion_6_property_suites(t21, t51, t63, t51q16):
         for cid in range(len(table)):
             assert table.dual_coset(table.dual_coset(cid)) == cid
         graph = build_compatibility_graph(table, ell)
-        for v, nbrs in graph.adj.items():
-            for u in nbrs:
-                assert v in graph.adj[u]
+        for v in range(len(table)):
+            assert graph.image[graph.image[v]] == v
 
     # pruned search equals the unpruned powerset frontier
     assert _search(t21, 2).frontier() == _frontier_by_powerset(t21, 2)

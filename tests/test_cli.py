@@ -191,10 +191,16 @@ def test_matrix_export_and_recheck(tmp_path, capsys):
      '"modulus"'),
     (lambda obj: {**obj, "family": [[0], [True] + obj["family"][1][1:]]}, '"family"'),
     (lambda obj: {**obj, "rows": True}, '"rows"'),
+    # table.family would drop the repeat, and the rebuild would then match
+    (lambda obj: {**obj, "family": obj["family"] + [obj["family"][1]]}, '"family"'),
+    (lambda obj: {**obj, "rows": obj["rows"] + 3}, '"rows"'),
+    (lambda obj: {**obj, "rows": obj["cols"], "cols": obj["rows"]}, '"cols"'),
+    (lambda obj: {**obj, "entries": obj["entries"][:-1]}, "entries"),
 ], ids=["no-family", "top-level-list", "field-without-e", "family-not-list",
         "coset-not-list", "q-not-int", "entry-negative", "entry-too-large",
         "modulus-null", "modulus-float", "entry-true", "modulus-true",
-        "residue-true", "rows-true"])
+        "residue-true", "rows-true", "family-repeated-coset", "rows-wrong",
+        "rows-cols-swapped", "entries-short"])
 def test_recheck_of_malformed_export_is_an_error(tmp_path, capsys, mangle, named):
     path = tmp_path / "m.json"
     run(capsys, "matrix", "--q", "4", "--n", "21", "--family", "0,1", "-o", str(path))

@@ -46,8 +46,7 @@ def test_hermitian_dual_trivial_family(t21):
 
 
 def test_hermitian_dual_n585_family_level(t585):
-    # code-level checks are exercised at n <= 63; here the family only
-    rep = hermitian_dual(t585.family([0, 8, 16]), ell=8, verify=False)
+    rep = hermitian_dual(t585.family([0, 8, 16]), ell=8)
     excluded = sorted(set(range(len(t585))) - set(rep.family_dual.members))
     assert [list(t585.cosets[i].elements) for i in excluded] == \
         [[457, 583], [521, 584]]
@@ -101,10 +100,10 @@ def test_zero_coset_is_required(t51):
 def test_hermitian_requires_square_q(t21, t51q16):
     with pytest.raises(ValueError):
         hermitian_dual(t21.family([0]), ell=3)
-    rep = hermitian_dual(t51q16.family([0]), ell=4, verify=False)
+    rep = hermitian_dual(t51q16.family([0]), ell=4)
     assert rep.ell == 4
     # ell inferred from q when omitted
-    rep2 = hermitian_dual(t51q16.family([0]), verify=False)
+    rep2 = hermitian_dual(t51q16.family([0]))
     assert rep2.ell == 4
 
 

@@ -114,24 +114,28 @@ def test_family_0_5_is_actually_self_orthogonal(t21):
     assert rep.triple() == (22, 14, 2)
 
 
-def test_gram_and_containment_agree_on_random_families(t21):
+def test_gram_and_containment_agree_on_random_families(t21, t51q16):
+    # three routes: Gram product, containment in T (derive_quantum) and the graph
     import numpy as np
     rng = np.random.default_rng(8)
-    for _ in range(12):
-        size = int(rng.integers(1, 5))
-        ids = set(rng.choice(len(t21), size=size, replace=False).tolist())
-        ids.add(t21.coset_of(0))
-        fam = t21.family(t21.cosets[i].min_rep for i in ids)
-        rep = derive_quantum(fam, 2, require_self_orthogonal=False)
-        g = generator_matrix(fam)
-        assert gram_is_zero(pow_entrywise(g.mat, 2), g.mat) == rep.self_orthogonal
+    for table, ell in ((t21, 2), (t51q16, 4)):
+        graph = build_compatibility_graph(table, ell)
+        for _ in range(12):
+            size = int(rng.integers(1, 5))
+            ids = set(rng.choice(len(table), size=size, replace=False).tolist())
+            ids.add(table.coset_of(0))
+            fam = table.family(table.cosets[i].min_rep for i in ids)
+            rep = derive_quantum(fam, ell, require_self_orthogonal=False)
+            g = generator_matrix(fam)
+            assert gram_is_zero(pow_entrywise(g.mat, ell), g.mat) == rep.self_orthogonal
+            assert graph.is_admissible(fam.members) == rep.self_orthogonal
 
 
 def test_compatibility_graph_n21(t21):
     graph = build_compatibility_graph(t21, 2)
     by_rep = {t21.cosets[i].min_rep: i for i in range(len(t21))}
     assert graph.is_admissible([by_rep[1], by_rep[2], by_rep[3]])
-    assert by_rep[2] in graph.adj[by_rep[5]]
+    assert graph.image[by_rep[5]] == by_rep[2]
     assert not graph.is_admissible([by_rep[2], by_rep[5]])
     assert sorted(t21.cosets[i].min_rep for i in graph.excluded) == [7, 14]
     assert not graph.is_admissible([by_rep[7]])
@@ -140,9 +144,8 @@ def test_compatibility_graph_n21(t21):
 def test_compatibility_graph_symmetry(t21, t51, t63, t51q16):
     for table, ell in ((t21, 2), (t51, 2), (t63, 2), (t51q16, 4)):
         graph = build_compatibility_graph(table, ell)
-        for v, nbrs in graph.adj.items():
-            for u in nbrs:
-                assert v in graph.adj[u]
+        for v in range(len(table)):
+            assert graph.image[graph.image[v]] == v
         for v in graph.vertices:
             img = _image(table, ell, v)
             assert _image(table, ell, img) == v
