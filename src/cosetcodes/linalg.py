@@ -9,20 +9,23 @@ matrix products over F_p (BLAS), exact by construction; see
 :func:`gram_is_zero`.
 
 The module also houses the exhaustive minimum-distance certifier, the
-performance-critical piece of the package.  Messages are traversed in
-q-ary modular Gray order, so consecutive messages differ in exactly one
-symbol.  One split-table kernel serves every characteristic: it holds
-the span of the low generator rows (at most ``TABLE_ROWS`` codewords)
-and, for each Gray step of the remaining high message digits, adds one
-high-part vector onto the whole table and counts nonzero symbols per
+performance-critical piece of the package.  Messages are indexed in
+q-ary modular Gray order.  Scalar multiples of a codeword share its
+weight, so the certifier weighs one codeword of each scalar class.  One
+split-table kernel serves every characteristic: it holds the span of the
+low generator rows (at most ``TABLE_ROWS`` codewords) and, for the zero
+high part and each high Gray index whose leading base-q digit is 1, adds
+one high-part vector onto the whole table and counts nonzero symbols per
 row.  Characteristic 2 works on bit-packed uint64 words, odd
-characteristic on one byte per symbol.  The same block loop yields the
-full weight distribution.
+characteristic on one byte per symbol.  The same step loop yields the
+full weight distribution, each class outside the table counted q - 1
+times.
 
-Certification can split the high steps into contiguous chunks on a
-process pool; results, including the reported witness (the first
-minimum-weight codeword in Gray order), are identical to the sequential
-traversal.
+The steps run in increasing Gray order and weigh the Gray-first member
+of each class, so the reported witness is still the first
+minimum-weight codeword in Gray order.  Certification can split the
+steps into contiguous chunks on a process pool; results, witness
+included, are identical to the sequential traversal.
 """
 
 from __future__ import annotations
@@ -213,7 +216,12 @@ def gram_is_zero(g1: GFMatrix, g2: GFMatrix) -> bool:
 
 @dataclass(frozen=True)
 class DistanceCertificate:
-    """Result of a minimum-weight computation over a code's codewords."""
+    """Result of a minimum-weight computation over a code's codewords.
+
+    ``enumerated`` counts the nonzero codewords whose weight is
+    certified, q^k - 1; the kernel weighs one codeword per scalar class
+    and covers the other q - 2 multiples by their equal weight.
+    """
 
     method: str               # always "exhaustive"
     value: int
@@ -265,15 +273,24 @@ def _pack_rows(rows: np.ndarray, f: int) -> np.ndarray:
 
 
 class _SpanKernel:
-    """Split-table enumeration of every codeword of a full-rank k x n matrix.
+    """Split-table enumeration of a full-rank k x n matrix, one codeword per scalar class.
 
     Gray index t splits as t = t_low + q^b * T.  The high Gray digits
     (rows b..k-1) are the Gray digits of T; the low ones are the Gray
     digits of t_low, except that digit b-1 is shifted by -(T mod q).  So
-    for each high step T the q^b codewords t_low + q^b * T are exactly the
-    span table of the low b rows plus one high-part vector, in an order
-    fixed by T mod q.  ``b`` is the largest value with q^b <= TABLE_ROWS,
-    but at least 1.
+    for each high index T the q^b codewords t_low + q^b * T are exactly
+    the span table of the low b rows plus one high-part vector, in an
+    order fixed by T mod q.  ``b`` is the largest value with q^b <=
+    TABLE_ROWS, but at least 1.
+
+    The leading nonzero digit of T equals that of its Gray digits (the
+    high message u), and lambda * u has leading digit lambda.  So each
+    scalar class of codewords outside the span table has exactly one
+    member whose T has leading base-q digit 1, and no member with a
+    smaller T.  The steps are T = 0 (the table itself) and, in increasing
+    order, every T in [q^j, 2 q^j) for j < h = k - b: 1 + (q^h - 1)/(q - 1)
+    steps instead of q^h, still in Gray order, so the first minimum they
+    meet is the first of the whole code.
 
     Characteristic 2 keeps table rows as packed uint64 words (word-major,
     shape (words, q^b)) and adds by XOR.  Odd characteristic keeps one
@@ -289,7 +306,7 @@ class _SpanKernel:
         while b < k and q ** (b + 1) <= TABLE_ROWS:
             b += 1
         self.q, self.n, self.b, self.high = q, n, b, k - b
-        self.blocks = q ** (k - b)
+        self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
         # scaled[i, v] = v * row_i
         scaled = field.mul_table[np.arange(q)[None, :, None], g.entries[:, None, :]]
         if field.p == 2:
@@ -314,6 +331,16 @@ class _SpanKernel:
         self.scaled_high = scaled[b:]
         self.char2 = field.p == 2
 
+    def _high_index(self, step: int) -> int:
+        """T of a step: 0, then the integers whose leading base-q digit is 1."""
+        if step == 0:
+            return 0
+        rest, lead = step - 1, 1  # lead = q^j, the place of the leading digit
+        while rest >= lead:
+            rest -= lead
+            lead *= self.q
+        return lead + rest
+
     def _minus_high_part(self, t_high: int) -> np.ndarray:
         """-(sum of the high rows scaled by the Gray digits of t_high)."""
         digits = _gray_digits(t_high, self.high, self.q)
@@ -326,7 +353,7 @@ class _SpanKernel:
         return self.neg[h]
 
     def weights(self, start: int, stop: int):
-        """Yield (T, weights) for the high steps T in [start, stop).
+        """Yield (T, weights) for the steps in [start, stop).
 
         ``weights[m]`` is the weight of span-table row m plus the high
         part of T; row 0 of step 0 is the zero codeword.  The array may
@@ -336,7 +363,8 @@ class _SpanKernel:
             x, y = np.empty_like(self.table), np.empty_like(self.table)
         else:
             ne = np.empty(self.table.shape, dtype=bool)
-        for t_high in range(start, stop):
+        for step in range(start, stop):
+            t_high = self._high_index(step)
             h = self._minus_high_part(t_high)
             if self.char2:
                 yield t_high, self._packed_weights(h, x, y)
@@ -372,7 +400,7 @@ class _SpanKernel:
         return int(t_low.min())
 
     def first_minimum(self, start: int, stop: int) -> tuple[int, int]:
-        """(weight, t) of the first nonzero minimum-weight codeword for T in [start, stop)."""
+        """(weight, t) of the first nonzero minimum-weight codeword of steps [start, stop)."""
         best_w, best_t = self.n + 1, -1
         for t_high, wts in self.weights(start, stop):
             skip = 1 if t_high == 0 else 0  # the zero codeword
@@ -390,15 +418,21 @@ def _first_minimum_chunk(args) -> tuple[int, int]:
     return kernel.first_minimum(start, stop)
 
 
+def check_budget(q: int, k: int, budget: int) -> None:
+    """Raise :class:`BudgetExceededError` unless a dimension-k code over
+    F_q is small enough to certify: q^k - 1 at most ``budget``."""
+    total = q**k - 1
+    if total > budget or total >= 1 << 62:  # counts and row indices are int64
+        raise BudgetExceededError(
+            f"enumeration of {total} codewords exceeds budget {budget}")
+
+
 def _enumerable_kernel(g: GFMatrix, budget: int) -> _SpanKernel:
     """The kernel for g after the budget and rank checks."""
     k = g.rows
     if k == 0:
         raise ValueError("cannot certify an empty code")
-    total = g.q**k - 1
-    if total > budget or total >= 1 << 62:  # counts and row indices are int64
-        raise BudgetExceededError(
-            f"enumeration of {total} codewords exceeds budget {budget}")
+    check_budget(g.q, k, budget)
     if rank(g) != k:
         raise ValueError("generator matrix is rank-deficient")
     return _SpanKernel(g)
@@ -408,17 +442,18 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
                             jobs: int = 1) -> DistanceCertificate:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
-    Messages are traversed in q-ary modular Gray order; the witness is
-    the first codeword attaining the minimum in that order, at every
-    worker count.  Raises :class:`BudgetExceededError` when q^k - 1
-    exceeds ``budget`` and ValueError for rank-deficient input.
+    One codeword of each scalar class is weighed.  The witness is the
+    first codeword attaining the minimum in the q-ary modular Gray order
+    of messages, at every worker count.  Raises
+    :class:`BudgetExceededError` when q^k - 1 exceeds ``budget`` (or
+    does not fit int64 counts) and ValueError for rank-deficient input.
     """
     kernel = _enumerable_kernel(g, budget)
-    workers = min(jobs, kernel.blocks)
+    workers = min(jobs, kernel.steps)
     if workers <= 1:
-        best_w, best_t = kernel.first_minimum(0, kernel.blocks)
+        best_w, best_t = kernel.first_minimum(0, kernel.steps)
     else:
-        cuts = [kernel.blocks * i // workers for i in range(workers + 1)]
+        cuts = [kernel.steps * i // workers for i in range(workers + 1)]
         tasks = [(kernel, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         with get_context("fork").Pool(workers) as pool:
             best_w, best_t = min(pool.map(_first_minimum_chunk, tasks))
@@ -436,10 +471,11 @@ def weight_distribution(g: GFMatrix, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Exact weight enumerator [A_0, ..., A_n] of the code spanned by g.
 
     Same enumeration, budget and rank checks as
-    :func:`min_distance_exhaustive`.
+    :func:`min_distance_exhaustive`; a step with a nonzero high part
+    counts each of its codewords q - 1 times, once per scalar multiple.
     """
     kernel = _enumerable_kernel(g, budget)
     counts = np.zeros(g.cols + 1, dtype=np.int64)
-    for _, wts in kernel.weights(0, kernel.blocks):
-        counts += np.bincount(wts, minlength=g.cols + 1)
+    for t_high, wts in kernel.weights(0, kernel.steps):
+        counts += np.bincount(wts, minlength=g.cols + 1) * (g.q - 1 if t_high else 1)
     return counts.tolist()

@@ -29,8 +29,9 @@ from .cosets import CosetFamily, CosetTable, hermitian_dual_family
 from .codes import field_for_table, generator_matrix
 from .duality import VerificationError, check_q
 from .galois import Field
-from .linalg import (DEFAULT_BUDGET, DistanceCertificate, gram_is_zero,
-                     min_distance_exhaustive, pow_entrywise)
+from .linalg import (DEFAULT_BUDGET, BudgetExceededError, DistanceCertificate,
+                     check_budget, gram_is_zero, min_distance_exhaustive,
+                     pow_entrywise)
 
 
 class NotSelfOrthogonalError(ValueError):
@@ -129,8 +130,9 @@ def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
     ``self_orthogonal=False`` is returned for inspection.
 
     With ``certify`` set, an exhaustive distance certificate for the dual
-    code C_T is attached provided q^dim(C_T) - 1 fits the budget;
-    otherwise the report stays bound-only.
+    code C_T is attached unless :func:`~cosetcodes.linalg.check_budget`
+    refuses its q^dim(C_T) - 1 codewords; the report then stays
+    bound-only.
     """
     table = family.table
     check_q(table.q, ell)
@@ -157,8 +159,11 @@ def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
     d_lower = table.n + 1 - t_family.max_degree()
     certificate = None
     if certify and self_orthogonal:
-        dim_t = t_family.dim()
-        if table.q**dim_t - 1 <= budget:
+        try:
+            check_budget(table.q, t_family.dim(), budget)
+        except BudgetExceededError:
+            pass  # the report stays bound-only
+        else:
             g_t = generator_matrix(t_family, ctx)
             certificate = min_distance_exhaustive(g_t.mat, budget=budget, jobs=jobs)
     return QuantumCodeReport(ell=ell, family_s=family, t_family=t_family,

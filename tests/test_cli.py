@@ -116,6 +116,14 @@ def test_quantum_fixture(capsys):
     assert "self_orthogonal=True" in out
 
 
+def test_quantum_certify_dual_past_the_int64_cap_stays_bound_only(capsys):
+    # 4^63 - 1 codewords fit a budget of 10^38 but not the kernel's int64 counts
+    code, out, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "63",
+                       "--family", "0", "--certify-dual", "--budget", str(10**38))
+    assert code == 0
+    assert "dual code distance not certified" in out
+
+
 def test_quantum_rejection_names_pair(capsys):
     code, out, err = run(capsys, "quantum", "--q", "4", "--ell", "2",
                          "--n", "21", "--family", "0,7")

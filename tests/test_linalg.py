@@ -9,7 +9,7 @@ from cosetcodes import (BudgetExceededError, GFMatrix, gf_matrix, gram_is_zero,
                         make_field, min_distance_exhaustive, nullspace,
                         pow_entrywise, rank, rank_and_rref, row_space_equal)
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, _codeword_for_message,
-                               _gray_digits, weight_distribution)
+                               _gray_digits, _SpanKernel, weight_distribution)
 
 # (p, e) of the fields the property tests draw from; ell^2 = p^e for even e
 PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1)]
@@ -239,19 +239,73 @@ def test_enumerator_matches_naive_recomputation(p, e):
         assert weight_distribution(g) == counts
 
 
-@pytest.mark.parametrize("p,e,k,n", [(2, 1, 18, 24), (2, 1, 18, 66), (3, 1, 11, 20),
-                                     (2, 2, 9, 30), (2, 2, 9, 70), (2, 3, 6, 30)])
-def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
-    field = make_field(p, e)
-    g = random_full_rank(field, k, n, np.random.default_rng(k * n))
-    assert g.q**k > TABLE_ROWS  # more than one span table's worth of codewords
+def assert_matches_gray_oracle(g):
+    """Distance, Gray-first witness and weight distribution against every codeword."""
     cw = vectorized_gray_codewords(g)
     weights = np.count_nonzero(cw, axis=1)
     first = 1 + int(np.argmin(weights[1:]))
     cert = min_distance_exhaustive(g)
     assert cert.value == weights[first]
     assert cert.witness == tuple(map(int, cw[first]))
-    assert weight_distribution(g) == np.bincount(weights, minlength=n + 1).tolist()
+    assert weight_distribution(g) == np.bincount(weights, minlength=g.cols + 1).tolist()
+    return weights
+
+
+@pytest.mark.parametrize("p,e,k,n", [(2, 1, 18, 24), (2, 1, 18, 66), (3, 1, 11, 20),
+                                     (2, 2, 9, 30), (2, 2, 9, 70), (2, 3, 6, 30),
+                                     (7, 1, 7, 10), (3, 1, 12, 16)])
+def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
+    field = make_field(p, e)
+    g = random_full_rank(field, k, n, np.random.default_rng(k * n))
+    assert g.q**k > TABLE_ROWS  # more than one span table's worth of codewords
+    assert_matches_gray_oracle(g)
+
+
+@pytest.mark.parametrize("p,k", [(2, 18), (3, 12)])
+def test_repeated_columns_witness_matches_vectorized_oracle(p, k):
+    # the code {(c, sum c, c, sum c)}: minimum-weight words abound and tie across steps
+    field = make_field(p, 1)
+    m = random_full_rank(field, k, k, np.random.default_rng(p * k)).entries
+    base = np.hstack([m, m.sum(axis=1, keepdims=True, dtype=np.uint16) % p])
+    g = GFMatrix(field, np.hstack([base, base]))
+    assert _SpanKernel(g).high >= 2
+    weights = assert_matches_gray_oracle(g)
+    assert np.count_nonzero(weights == weights[1:].min()) > 10 * (g.q - 1)
+
+
+def leading_digit(t, q):
+    while t >= q:
+        t //= q
+    return t
+
+
+@pytest.mark.parametrize("p,e,k,n", [(2, 1, 19, 30), (2, 2, 10, 24), (3, 1, 12, 20),
+                                     (5, 1, 8, 14), (2, 4, 6, 20)])
+def test_walk_weighs_one_codeword_per_scalar_class(monkeypatch, p, e, k, n):
+    field = make_field(p, e)
+    g = random_full_rank(field, k, n, np.random.default_rng(k + n))
+    q, high = g.q, _SpanKernel(g).high
+    assert high >= 2
+    steps = []
+    walk = _SpanKernel.weights
+
+    def counted(self, start, stop):
+        for t_high, wts in walk(self, start, stop):
+            steps.append(t_high)
+            yield t_high, wts
+
+    monkeypatch.setattr(_SpanKernel, "weights", counted)
+    expected = 1 + (q**high - 1) // (q - 1)
+    assert min_distance_exhaustive(g).enumerated == q**k - 1
+    assert len(steps) == len(set(steps)) == expected
+    # the zero high part, then high Gray indices with leading base-q digit 1
+    assert steps[0] == 0
+    assert all(leading_digit(t, q) == 1 for t in steps[1:])
+    steps.clear()
+    dist = weight_distribution(g)
+    assert len(steps) == expected
+    assert sum(dist) == q**k
+    assert all(a % (q - 1) == 0 for a in dist[1:])
 
 
 def test_weight_distribution_invariants(f4, f16):
@@ -290,6 +344,11 @@ def test_parallel_enumeration_matches_sequential(f4):
         assert seq.value == par.value
         assert seq.witness == par.witness
         assert seq.enumerated == par.enumerated
+    g = random_full_rank(make_field(3, 1), 13, 22, np.random.default_rng(13))
+    seq = min_distance_exhaustive(g, jobs=1)
+    for jobs in (2, 3):  # odd characteristic, 14 steps
+        par = min_distance_exhaustive(g, jobs=jobs)
+        assert (seq.value, seq.witness) == (par.value, par.witness)
 
 
 def test_budget_and_rank_errors(f16, f4):
