@@ -24,7 +24,8 @@ from .cosets import compute_cosets
 from .codes import (classical_params, generator_matrix, load_matrix_json,
                     truncated_family)
 from .duality import VerificationError
-from .linalg import DEFAULT_BUDGET, BudgetExceededError, min_distance_exhaustive
+from .linalg import (DEFAULT_BUDGET, BudgetExceededError, check_budget,
+                     min_distance_exhaustive)
 from .quantum import NotSelfOrthogonalError, derive_quantum, search
 
 BUDGET_ENV = "COSETCODES_BUDGET"
@@ -61,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "and derived quantum code parameters.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt=True):
-        if fmt:
-            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_format(p):
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+
+    def add_enumeration(p):
         # argparse converts a string default with type, so a bad env value is a usage error
         p.add_argument("--budget", type=_budget,
                        default=os.environ.get(BUDGET_ENV) or str(DEFAULT_BUDGET),
@@ -86,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated coset representatives")
     p.add_argument("--certify", action="store_true",
                    help="certify the exact minimum distance exhaustively")
-    add_common(p)
+    add_format(p)
+    add_enumeration(p)
 
     p = sub.add_parser("matrix", help="export a generator matrix")
     p.add_argument("--q", type=int, required=True)
@@ -107,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=_parse_reps, required=True)
     p.add_argument("--certify-dual", action="store_true",
                    help="attach an exhaustive distance certificate for the dual code")
-    add_common(p)
+    add_format(p)
+    add_enumeration(p)
 
     p = sub.add_parser("search", help="search families for the (quantum_k, d) frontier")
     p.add_argument("--q", type=int, required=True)
@@ -119,18 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-quantum-k", type=int, default=0,
                    help="do not explore families below this quantum dimension")
     p.add_argument("--node-budget", type=_positive_int, default=1_000_000)
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("verify", help="run the bundled known-answer suite")
     p.add_argument("--skip-certify", action="store_true",
                    help="skip the exhaustive distance certifications")
-    add_common(p, fmt=False)
+    add_enumeration(p)
 
     return parser
-
-
-class UsageError(Exception):
-    pass
 
 
 def _family_for(args, table):
@@ -245,14 +245,16 @@ def cmd_quantum(args) -> int:
             print(f"dual code exact distance: {cert.value} "
                   f"({cert.enumerated} codewords enumerated)")
         elif args.certify_dual:
-            print("dual code distance not certified (dimension exceeds budget); "
-                  "reported value is the degree bound only")
+            # derive_quantum leaves the certificate off only when check_budget refuses
+            try:
+                check_budget(args.q, report.t_family.dim(), args.budget)
+            except BudgetExceededError as exc:
+                print(f"dual code distance not certified ({exc}); "
+                      "reported value is the degree bound only")
     return 0
 
 
 def cmd_search(args) -> int:
-    if args.objective != "pareto" and args.target is None:
-        raise UsageError(f"--objective {args.objective} requires --target")
     table = compute_cosets(args.q, args.n)
     result = search(table, args.ell, objective=args.objective, target=args.target,
                     min_quantum_k=args.min_quantum_k, node_budget=args.node_budget)
@@ -302,9 +304,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except NotSelfOrthogonalError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1

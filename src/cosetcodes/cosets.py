@@ -8,9 +8,10 @@ which keeps every downstream output deterministic.
 A :class:`CosetFamily` is a selected subset of a table's cosets.  The
 family-level operations implemented here are purely combinatorial:
 scaling by an integer, member-wise dualization (negation mod n), and the
-two complement constructions that describe the Euclidean and Hermitian
-dual codes of the evaluation code attached to a family (see the
-``duality`` module for the code-level verification).
+complement construction that describes the Euclidean dual code of the
+evaluation code attached to a family.  The Hermitian dual family is
+defined through it, as the Euclidean dual family of the ell-scaled
+family (see the ``duality`` module for the code-level verification).
 """
 
 from __future__ import annotations
@@ -206,25 +207,23 @@ class CosetFamily:
         return "CosetFamily[" + ", ".join(repr(c) for c in self.cosets()) + "]"
 
 
-def _complement_with_zero(family: CosetFamily, removed: CosetFamily) -> CosetFamily:
-    table = family.table
-    zero_id = table.coset_of(0)
-    keep = set(range(len(table))) - set(removed.members)
-    keep.add(zero_id)
-    return CosetFamily(table, tuple(sorted(keep)))
-
-
 def euclidean_dual_family(family: CosetFamily) -> CosetFamily:
     """The family describing the Euclidean dual code: {0} plus every coset
     not in the member-wise dual of the input.  Requires {0} in the input."""
     if not family.contains_zero:
         raise ValueError("family must contain the coset {0}")
-    return _complement_with_zero(family, family.dual())
+    table = family.table
+    keep = set(range(len(table))) - set(family.dual().members)
+    keep.add(table.coset_of(0))
+    return CosetFamily(table, tuple(sorted(keep)))
 
 
 def hermitian_dual_family(family: CosetFamily, ell: int) -> CosetFamily:
-    """The family describing the Hermitian dual code: {0} plus every coset
-    not in the dual of the ell-scaled input.  Requires {0} in the input."""
+    """The family describing the Hermitian dual code: by definition the
+    Euclidean dual family of the ell-scaled input, which is {0} plus every
+    coset not in the dual of ell*S.  Requires {0} in the input itself: an
+    ell sharing a factor with n could scale a nonzero coset onto {0}.
+    ``duality.hermitian_dual`` checks the identity on codes."""
     if not family.contains_zero:
         raise ValueError("family must contain the coset {0}")
-    return _complement_with_zero(family, family.scale(ell).dual())
+    return euclidean_dual_family(family.scale(ell))

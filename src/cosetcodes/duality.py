@@ -8,9 +8,10 @@ two generator matrices must vanish, and the dual family's row space must
 equal the nullspace of the primal matrix.  Every dual is verified this
 way; a family-only answer is ``cosets.euclidean_dual_family`` or
 ``cosets.hermitian_dual_family``.  The Euclidean and Hermitian duals share
-one verification body: the Hermitian product raises the primal matrix to
-the ell-th power entry-wise, and additionally checks that the result spans
-the code of the ell-scaled family.
+one verification body.  ``cosets`` defines the Hermitian dual family as
+the Euclidean dual family of the ell-scaled family; the code-level check
+of that identity raises the primal matrix to the ell-th power entry-wise
+and verifies that the result spans the code of the ell-scaled family.
 
 Duality is only provided for even q; n is then odd and the block length
 n+1 even.  Odd characteristic is rejected rather than extrapolated, and
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .cosets import CosetFamily, euclidean_dual_family, hermitian_dual_family
-from .codes import GeneratorMatrix, field_for_table, generator_matrix
-from .galois import Field
+from .codes import GeneratorMatrix, generator_matrix
 from .linalg import gram_is_zero, nullspace, pow_entrywise, row_space_equal
 
 
@@ -72,30 +72,29 @@ def check_q(q: int, ell: int | None = None) -> None:
         raise ValueError("dual and quantum constructions are only supported for even q")
 
 
-def euclidean_dual(family: CosetFamily, ctx: Field | None = None) -> DualityReport:
+def euclidean_dual(family: CosetFamily) -> DualityReport:
     """Euclidean dual family of ``family``, verified at the code level."""
     check_q(family.table.q)
-    return _verified_dual(family, euclidean_dual_family(family), None, ctx)
+    return _verified_dual(family, euclidean_dual_family(family), None)
 
 
-def hermitian_dual(family: CosetFamily, ctx: Field | None = None,
-                   ell: int | None = None) -> DualityReport:
+def hermitian_dual(family: CosetFamily, ell: int | None = None) -> DualityReport:
     """Hermitian dual family of ``family`` for q = ell^2 (ell inferred when omitted).
 
-    Beyond the Gram and nullspace checks this also verifies the reduction
-    identity: the Hermitian dual equals the Euclidean dual of the
-    ell-scaled family, both at the family level and at the code level
-    (the entry-wise ell-th power of the primal code spans the code of the
-    scaled family).
+    The family is the Euclidean dual family of the ell-scaled family, by
+    its definition in ``cosets``.  Beyond the Gram and nullspace checks
+    this verifies that reduction identity at the code level: the
+    entry-wise ell-th power of the primal code spans the code of the
+    scaled family.
     """
     q = family.table.q
     ell = isqrt(q) if ell is None else ell
     check_q(q, ell)
-    return _verified_dual(family, hermitian_dual_family(family, ell), ell, ctx)
+    return _verified_dual(family, hermitian_dual_family(family, ell), ell)
 
 
-def _verified_dual(family: CosetFamily, dual_fam: CosetFamily, ell: int | None,
-                   ctx: Field | None) -> DualityReport:
+def _verified_dual(family: CosetFamily, dual_fam: CosetFamily,
+                   ell: int | None) -> DualityReport:
     """Check ``dual_fam`` against the code of ``family``: Euclidean when
     ``ell`` is None, Hermitian (u_i^ell v_i) otherwise."""
     table = family.table
@@ -103,18 +102,12 @@ def _verified_dual(family: CosetFamily, dual_fam: CosetFamily, ell: int | None,
     dim_s, dim_dual = family.dim(), dual_fam.dim()
     if dim_s + dim_dual != table.n + 1:
         raise VerificationError("dual dimensions do not complement the block length")
-    if ctx is None:
-        ctx = field_for_table(table)
-    g_s = generator_matrix(family, ctx)
-    g_dual = generator_matrix(dual_fam, ctx)
+    g_s = generator_matrix(family)
+    g_dual = generator_matrix(dual_fam)
     primal = g_s.mat
     if ell is not None:
-        scaled = family.scale(ell)
-        if dual_fam != euclidean_dual_family(scaled):
-            raise VerificationError("hermitian dual does not reduce to the euclidean dual "
-                                    "of the scaled family")
         primal = pow_entrywise(primal, ell)
-        if not row_space_equal(primal, generator_matrix(scaled, ctx).mat):
+        if not row_space_equal(primal, generator_matrix(family.scale(ell)).mat):
             raise VerificationError("the ell-th powers of C_S do not span the code "
                                     "of the scaled family")
     if not (gram_is_zero(primal, g_dual.mat)

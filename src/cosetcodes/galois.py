@@ -44,21 +44,6 @@ MAX_TABLE_FIELD_SIZE = 1 << 12
 EXP_CHUNK_ROWS = 1 << 8
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -493,7 +478,7 @@ def make_field(p: int, e: int, modulus: tuple[int, ...] | list[int] | None = Non
     root, which need not be x: ``make_field(7, 1)`` has modulus x + 2, so
     x = 5, but generator 3.
     """
-    if not is_prime(p):
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be positive")

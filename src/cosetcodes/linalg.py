@@ -420,11 +420,15 @@ def _first_minimum_chunk(args) -> tuple[int, int]:
 
 def check_budget(q: int, k: int, budget: int) -> None:
     """Raise :class:`BudgetExceededError` unless a dimension-k code over
-    F_q is small enough to certify: q^k - 1 at most ``budget``."""
+    F_q is small enough to certify: q^k - 1 at most ``budget`` and below
+    2^62.  The message names the limit that refused the job."""
     total = q**k - 1
-    if total > budget or total >= 1 << 62:  # counts and row indices are int64
+    if total > budget:
         raise BudgetExceededError(
             f"enumeration of {total} codewords exceeds budget {budget}")
+    if total >= 1 << 62:  # counts and row indices are int64
+        raise BudgetExceededError(
+            f"enumeration of {total} codewords reaches the int64 count cap 2^62")
 
 
 def _enumerable_kernel(g: GFMatrix, budget: int) -> _SpanKernel:

@@ -115,10 +115,9 @@ def _self_orthogonality_violations(family: CosetFamily, ell: int) -> list[tuple[
     return sorted(out)
 
 
-def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
-                   verify_gram: bool = True, require_self_orthogonal: bool = True,
-                   certify: bool = False, budget: int = DEFAULT_BUDGET,
-                   jobs: int = 1) -> QuantumCodeReport:
+def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
+                   require_self_orthogonal: bool = True, certify: bool = False,
+                   budget: int = DEFAULT_BUDGET, jobs: int = 1) -> QuantumCodeReport:
     """Derive the [[n+1, n+1-2k, >= d]] parameters for a coset family.
 
     Containment of the family in its Hermitian dual family is checked
@@ -144,10 +143,8 @@ def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
         raise VerificationError("containment check disagrees with pair scan")
     if not self_orthogonal and require_self_orthogonal:
         raise NotSelfOrthogonalError(violations)
-    if ctx is None:
-        ctx = field_for_table(table)
     if verify_gram:
-        g_s = generator_matrix(family, ctx)
+        g_s = generator_matrix(family)
         gram_zero = gram_is_zero(pow_entrywise(g_s.mat, ell), g_s.mat)
         if gram_zero != self_orthogonal:
             raise VerificationError(
@@ -164,11 +161,12 @@ def derive_quantum(family: CosetFamily, ell: int, ctx: Field | None = None,
         except BudgetExceededError:
             pass  # the report stays bound-only
         else:
-            g_t = generator_matrix(t_family, ctx)
+            g_t = generator_matrix(t_family)
             certificate = min_distance_exhaustive(g_t.mat, budget=budget, jobs=jobs)
     return QuantumCodeReport(ell=ell, family_s=family, t_family=t_family,
                              classical_k=k, quantum_k=quantum_k, d_lower=d_lower,
-                             self_orthogonal=self_orthogonal, parent=ctx,
+                             self_orthogonal=self_orthogonal,
+                             parent=field_for_table(table),
                              distance_certificate=certificate)
 
 
@@ -223,8 +221,7 @@ class SearchResult:
 
 def search(table: CosetTable, ell: int, objective: str = "pareto",
            target: int | None = None, min_quantum_k: int = 0,
-           node_budget: int = 1_000_000, ctx: Field | None = None,
-           verify: bool = True) -> SearchResult:
+           node_budget: int = 1_000_000, verify: bool = True) -> SearchResult:
     """Enumerate admissible families and return the (quantum_k, d) frontier.
 
     Vertices are processed in descending order of the degree their dual
@@ -296,12 +293,10 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
             stack.append((idx + 1, chosen + (v,), k_now + sizes[idx], skip_max))
 
     frontier.sort(key=lambda t: -t[0])
-    if ctx is None:
-        ctx = field_for_table(table)
     reports = []
     for qk, d, chosen in frontier:
         family = CosetFamily(table, tuple(sorted((zero_id,) + chosen)))
-        report = derive_quantum(family, ell, ctx, verify_gram=verify)
+        report = derive_quantum(family, ell, verify_gram=verify)
         if (report.quantum_k, report.d_lower) != (qk, d):
             raise VerificationError("frontier bookkeeping disagrees with derivation")
         reports.append(report)

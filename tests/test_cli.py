@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cosetcodes import cli
 from cosetcodes.cli import main
 
 
@@ -122,6 +124,22 @@ def test_quantum_certify_dual_past_the_int64_cap_stays_bound_only(capsys):
                        "--family", "0", "--certify-dual", "--budget", str(10**38))
     assert code == 0
     assert "dual code distance not certified" in out
+    assert "int64 count cap 2^62" in out
+    assert "exceeds budget" not in out
+
+
+def test_classical_certify_past_the_int64_cap_names_the_cap(capsys):
+    budget = str(10**38)
+    code, out, _ = run(capsys, "classical", "--q", "4", "--n", "63", "--r", "62",
+                       "--certify", "--budget", budget)
+    assert code == 0
+    assert "bound only: enumeration of 85070591730234615865843651857942052863 " \
+           "codewords reaches the int64 count cap 2^62" in out
+    assert "exceeds budget" not in out
+    code, out, _ = run(capsys, "classical", "--q", "4", "--n", "63", "--r", "62",
+                       "--certify", "--budget", budget, "--format", "json")
+    skipped = json.loads(out)["certification_skipped"]
+    assert "int64 count cap" in skipped and "exceeds budget" not in skipped
 
 
 def test_quantum_rejection_names_pair(capsys):
@@ -144,6 +162,15 @@ def test_search_text_and_exit(capsys):
     assert code == 0
     assert "[[52, 38, >=5]]" in out
     assert "[[52, 14, >=12]]" in out
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--budget", "5"]])
+def test_search_rejects_enumeration_flags(capsys, flag):
+    # search never enumerates codewords, so it takes neither flag
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--q", "4", "--ell", "2", "--n", "21", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_search_objective_requires_target(capsys):
@@ -244,3 +271,59 @@ def test_verify_catches_corrupted_fixture(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--skip-certify")
     assert code == 1
     assert "[FAIL] order of 4 mod 51" in out
+
+
+def test_verify_budget_too_small_for_any_certification(capsys):
+    code, out, err = run(capsys, "verify", "--budget", "10")
+    assert code == 0, err
+    assert "[INFO] certified d q=4 n=51 r=16: expected 36, computed bound only: " \
+           "enumeration of 1023 codewords exceeds budget 10" in out
+    assert "[INFO] dual-code certification ell=2 n=21" in out
+    assert out.splitlines()[-1] == "34 passed, 0 failed, 8 informational"
+
+
+def test_verify_budget_refusing_only_the_dual_certification(capsys):
+    code, out, _ = run(capsys, "verify", "--budget", "100000")
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert ("[INFO] dual-code certification ell=2 n=21: expected dim 12, exact d 6, "
+            "computed bound only: enumeration of 16777215 codewords exceeds budget 100000"
+            in out.splitlines())
+    assert out.splitlines()[-1] == "39 passed, 0 failed, 3 informational"
+
+
+# one argv per subcommand that makes its handler reach every option it takes
+HANDLER_ARGVS = {
+    "cosets": ["--q", "4", "--n", "3"],
+    "classical": ["--q", "4", "--n", "21", "--family", "0,1", "--certify"],
+    "matrix": ["--q", "4", "--n", "21", "--family", "0,1"],
+    "recheck": ["{export}"],
+    "quantum": ["--q", "4", "--ell", "2", "--n", "21", "--family", "0,1,2,3",
+                "--certify-dual"],
+    "search": ["--q", "4", "--ell", "2", "--n", "21"],
+    "verify": ["--skip-certify"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HANDLER_ARGVS))
+def test_every_option_is_read_by_its_handler(tmp_path, capsys, command):
+    export = tmp_path / "m.json"
+    assert main(["matrix", "--q", "4", "--n", "21", "--family", "0,1", "-o", str(export)]) == 0
+    reads: set[str] = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    argv = [a.format(export=export) for a in HANDLER_ARGVS[command]]
+    args = parser.parse_args([command, *argv], namespace=Recorder())
+    dests = set(vars(args)) - {"command"}
+    reads.clear()  # argparse reads attributes while it fills them
+    getattr(cli, f"cmd_{command}")(args)
+    capsys.readouterr()
+    assert dests - reads == set()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(HANDLER_ARGVS)

@@ -163,11 +163,14 @@ def test_hermitian_dual_family_degree_n51(t51):
     assert 52 - tfam.max_degree() == 6
 
 
-def test_complement_families_require_zero(t51):
+def test_complement_families_require_zero(t51, t21):
     with pytest.raises(ValueError):
         euclidean_dual_family(t51.family([1]))
     with pytest.raises(ValueError):
         hermitian_dual_family(t51.family([1]), 2)
+    # 3 * 7 = 0 mod 21: the scaled family holds {0}, the input does not
+    with pytest.raises(ValueError):
+        hermitian_dual_family(t21.family([7]), 3)
 
 
 def test_max_degree_trivial_and_empty(t51):

@@ -39,8 +39,9 @@ def test_f4096_generator_order_checks(f4096):
 
 
 def test_make_field_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        make_field(4, 2)  # not prime
+    for p in (-3, 0, 1, 4, 9, 15):  # not prime
+        with pytest.raises(ValueError, match="is not prime"):
+            make_field(p, 2)
     with pytest.raises(ValueError):
         make_field(2, 21)  # 2^21 > 2^20
     with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ from cosetcodes import (BudgetExceededError, GFMatrix, gf_matrix, gram_is_zero,
                         make_field, min_distance_exhaustive, nullspace,
                         pow_entrywise, rank, rank_and_rref, row_space_equal)
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, _codeword_for_message,
-                               _gray_digits, _SpanKernel, weight_distribution)
+                               _gray_digits, _SpanKernel, check_budget,
+                               weight_distribution)
 
 # (p, e) of the fields the property tests draw from; ell^2 = p^e for even e
 PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1)]
@@ -359,6 +360,18 @@ def test_budget_and_rank_errors(f16, f4):
         min_distance_exhaustive(dep)
     with pytest.raises(ValueError):
         min_distance_exhaustive(gf_matrix(f4, [], cols=5))
+
+
+def test_budget_refusal_names_the_limit():
+    check_budget(2, 62, 1 << 62)  # 2^62 - 1 codewords: the largest count allowed
+    with pytest.raises(BudgetExceededError, match="^enumeration of 4095 codewords "
+                                                  "exceeds budget 100$"):
+        check_budget(4, 6, 100)
+    with pytest.raises(BudgetExceededError, match="int64 count cap 2\\^62$"):
+        check_budget(2, 63, 1 << 63)
+    # past both limits the budget, which the caller chose, is named
+    with pytest.raises(BudgetExceededError, match="exceeds budget 100$"):
+        check_budget(2, 63, 100)
 
 
 def test_repetition_code_distance(f4):
