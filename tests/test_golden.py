@@ -4,12 +4,14 @@ Each case runs ``cli.main`` in-process and compares the exit code and the
 sha256 of stdout against values recorded before the refactors they
 guard: the first fourteen before the package's dead and duplicate API
 was removed, the odd-characteristic and GF(2^16) cases after them
-before the field tables were rebuilt as F_p-linear maps, and the last
-two (an ell = 4 quantum CSV and a conditional search objective) before
-the dual checks and the Hermitian pair rule were merged.  A refactor
-that changes any printed byte (a frontier, a certificate witness, a
-field description, a JSON key order) fails here.  Do not update a digest to make a change pass; a
-change of output has to be justified on its own.
+before the field tables were rebuilt as F_p-linear maps, the next two
+(an ell = 4 quantum CSV and a conditional search objective) before the
+dual checks and the Hermitian pair rule were merged, and the last four
+(budget refusals) before dual-code certification was split from quantum
+derivation.  A refactor that changes any printed byte (a frontier, a
+certificate witness, a field description, a JSON key order, a refusal)
+fails here.  Do not update a digest to make a change pass; a change of
+output has to be justified on its own.
 """
 
 import hashlib
@@ -62,6 +64,16 @@ GOLDEN = [
      "ebe4e9b047a63077c3765a659812d0f9b94beee67a95deb1f4b67259ffdfba1c"),
     ("search --q 4 --ell 2 --n 63 --objective max_k_given_d --target 6", 0,
      "731b3122dc536e0ecff0e7c8cec785a57dc7d2a242cbecf4017ad417afeddba3"),
+    # budget refusals: each output names the limit, and only the bound stands
+    ("quantum --q 4 --ell 2 --n 21 --family 0,1,2,3 --certify-dual --budget 100", 0,
+     "95756c8d5d7eb07f6760327c32c0fc7a9a88b8d65a0e817dee7bb92d10539a8d"),
+    ("quantum --q 4 --ell 2 --n 21 --family 0,1,2,3 --certify-dual --budget 100 "
+     "--format csv", 0,
+     "8d4ef78cf1138d48c1cf20ab360ef1dec25beb2541521558ff85f8df7011b59e"),
+    ("classical --q 4 --n 21 --family 0,1,2,3 --certify --budget 100 --format json", 0,
+     "c90f98834b8eda83c318f7d833fbc706222650e4010186b1de7265a145e3b55c"),
+    ("verify --budget 100000", 0,
+     "dfcd7cf78b0192a2fec9f92499e925a8cf5296b9d5e6df09252c97754f57991b"),
 ]
 
 
