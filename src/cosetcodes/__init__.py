@@ -20,8 +20,8 @@ from .linalg import (DEFAULT_BUDGET, BudgetExceededError, DistanceCertificate,
 from .duality import DualityReport, VerificationError, euclidean_dual, hermitian_dual
 from .quantum import (ComparisonRecord, CompatibilityGraph,
                       NotSelfOrthogonalError, QuantumCodeReport, SearchResult,
-                      build_compatibility_graph, compare_with_reference,
-                      derive_quantum, search)
+                      build_compatibility_graph, certify_dual,
+                      compare_with_reference, derive_quantum, search)
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,6 @@ __all__ = [
     "DualityReport", "VerificationError", "euclidean_dual", "hermitian_dual",
     "ComparisonRecord", "CompatibilityGraph",
     "NotSelfOrthogonalError", "QuantumCodeReport", "SearchResult",
-    "build_compatibility_graph", "compare_with_reference", "derive_quantum",
-    "search",
+    "build_compatibility_graph", "certify_dual", "compare_with_reference",
+    "derive_quantum", "search",
 ]

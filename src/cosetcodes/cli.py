@@ -24,9 +24,9 @@ from .cosets import compute_cosets
 from .codes import (classical_params, generator_matrix, load_matrix_json,
                     truncated_family)
 from .duality import VerificationError
-from .linalg import (DEFAULT_BUDGET, BudgetExceededError, check_budget,
-                     min_distance_exhaustive)
-from .quantum import NotSelfOrthogonalError, derive_quantum, search
+from .linalg import DEFAULT_BUDGET, BudgetExceededError, min_distance_exhaustive
+from .quantum import (OBJECTIVES, NotSelfOrthogonalError, certify_dual,
+                      derive_quantum, search)
 
 BUDGET_ENV = "COSETCODES_BUDGET"
 
@@ -117,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--objective", choices=("pareto", "max_d_given_k", "max_k_given_d"),
-                   default="pareto")
+    p.add_argument("--objective", choices=OBJECTIVES, default="pareto")
     p.add_argument("--target", type=int, help="target for the conditional objectives")
     p.add_argument("--min-quantum-k", type=int, default=0,
                    help="do not explore families below this quantum dimension")
@@ -226,12 +225,22 @@ def cmd_recheck(args) -> int:
 def cmd_quantum(args) -> int:
     table = compute_cosets(args.q, args.n)
     family = table.family(args.family)
-    report = derive_quantum(family, args.ell, certify=args.certify_dual,
-                            budget=args.budget, jobs=args.jobs)
+    report = derive_quantum(family, args.ell)
+    cert = None
+    budget_note = None
+    if args.certify_dual:
+        try:
+            cert = certify_dual(report, budget=args.budget, jobs=args.jobs)
+        except BudgetExceededError as exc:
+            budget_note = str(exc)
     if args.format == "json":
-        print(report.to_json())
+        obj = report.to_json_obj()
+        if cert:
+            obj["distance_certificate"] = cert.as_dict()
+        if budget_note:
+            obj["certification_skipped"] = budget_note
+        print(json.dumps(obj))
     elif args.format == "csv":
-        cert = report.distance_certificate
         print(_csv_output([(args.q, args.ell, args.n, report.block_length,
                             report.quantum_k, report.d_lower,
                             cert.value if cert else None,
@@ -240,17 +249,12 @@ def cmd_quantum(args) -> int:
         print(f"[[{report.block_length}, {report.quantum_k}, >={report.d_lower}]] "
               f"over GF({args.ell}), S reps {list(report.family_s.reps())}, "
               f"self_orthogonal={report.self_orthogonal}")
-        cert = report.distance_certificate
         if cert:
             print(f"dual code exact distance: {cert.value} "
                   f"({cert.enumerated} codewords enumerated)")
-        elif args.certify_dual:
-            # derive_quantum leaves the certificate off only when check_budget refuses
-            try:
-                check_budget(args.q, report.t_family.dim(), args.budget)
-            except BudgetExceededError as exc:
-                print(f"dual code distance not certified ({exc}); "
-                      "reported value is the degree bound only")
+        if budget_note:
+            print(f"dual code distance not certified ({budget_note}); "
+                  "reported value is the degree bound only")
     return 0
 
 

@@ -12,6 +12,12 @@ coset), so the conflicts form a matching: each coset's only conflict is
 its image, and a coset that is its own image can never be chosen.
 :class:`CompatibilityGraph` holds that image map.
 
+Derivation never enumerates codewords.  :func:`certify_dual` is the
+separate, optional step that certifies d(C_T) exhaustively; C_T is a code
+whether or not S is self-orthogonal, so it certifies any report, and a
+refusal is the :class:`~cosetcodes.linalg.BudgetExceededError` of the
+budget check, raised before C_T's generator matrix is built.
+
 The search walks admissible families depth-first with vertices ordered by
 the degree their dual image removes (largest first), pruning branches
 whose optimistic (quantum_k, d) pair is already dominated, and returns
@@ -22,16 +28,14 @@ of the generator matrix with itself; disagreement is a hard failure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .cosets import CosetFamily, CosetTable, hermitian_dual_family
 from .codes import field_for_table, generator_matrix
 from .duality import VerificationError, check_q
 from .galois import Field
-from .linalg import (DEFAULT_BUDGET, BudgetExceededError, DistanceCertificate,
-                     check_budget, gram_is_zero, min_distance_exhaustive,
-                     pow_entrywise)
+from .linalg import (DEFAULT_BUDGET, DistanceCertificate, check_budget,
+                     gram_is_zero, min_distance_exhaustive, pow_entrywise)
 
 
 class NotSelfOrthogonalError(ValueError):
@@ -57,7 +61,6 @@ class QuantumCodeReport:
     d_lower: int
     self_orthogonal: bool
     parent: Field
-    distance_certificate: DistanceCertificate | None = None
 
     @property
     def q(self) -> int:
@@ -75,7 +78,7 @@ class QuantumCodeReport:
         return (self.block_length, self.quantum_k, self.d_lower)
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "ell": self.ell,
             "q": self.q,
             "n": self.n,
@@ -88,12 +91,6 @@ class QuantumCodeReport:
             "self_orthogonal": self.self_orthogonal,
             "field": self.parent.describe(),
         }
-        if self.distance_certificate is not None:
-            obj["distance_certificate"] = self.distance_certificate.as_dict()
-        return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
     def __repr__(self) -> str:
         return (f"[[{self.block_length},{self.quantum_k},>={self.d_lower}]]_"
@@ -116,8 +113,7 @@ def _self_orthogonality_violations(family: CosetFamily, ell: int) -> list[tuple[
 
 
 def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
-                   require_self_orthogonal: bool = True, certify: bool = False,
-                   budget: int = DEFAULT_BUDGET, jobs: int = 1) -> QuantumCodeReport:
+                   require_self_orthogonal: bool = True) -> QuantumCodeReport:
     """Derive the [[n+1, n+1-2k, >= d]] parameters for a coset family.
 
     Containment of the family in its Hermitian dual family is checked
@@ -127,11 +123,6 @@ def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
     self-orthogonality raise :class:`NotSelfOrthogonalError` unless
     ``require_self_orthogonal`` is false, in which case a report with
     ``self_orthogonal=False`` is returned for inspection.
-
-    With ``certify`` set, an exhaustive distance certificate for the dual
-    code C_T is attached unless :func:`~cosetcodes.linalg.check_budget`
-    refuses its q^dim(C_T) - 1 codewords; the report then stays
-    bound-only.
     """
     table = family.table
     check_q(table.q, ell)
@@ -154,20 +145,25 @@ def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
     if self_orthogonal and quantum_k < 0:
         raise VerificationError("self-orthogonal family with negative quantum dimension")
     d_lower = table.n + 1 - t_family.max_degree()
-    certificate = None
-    if certify and self_orthogonal:
-        try:
-            check_budget(table.q, t_family.dim(), budget)
-        except BudgetExceededError:
-            pass  # the report stays bound-only
-        else:
-            g_t = generator_matrix(t_family)
-            certificate = min_distance_exhaustive(g_t.mat, budget=budget, jobs=jobs)
     return QuantumCodeReport(ell=ell, family_s=family, t_family=t_family,
                              classical_k=k, quantum_k=quantum_k, d_lower=d_lower,
                              self_orthogonal=self_orthogonal,
-                             parent=field_for_table(table),
-                             distance_certificate=certificate)
+                             parent=field_for_table(table))
+
+
+def certify_dual(report: QuantumCodeReport, budget: int = DEFAULT_BUDGET,
+                 jobs: int = 1) -> DistanceCertificate:
+    """Certify the minimum distance of the report's dual code C_T exhaustively.
+
+    The budget is checked on q^dim(C_T) - 1 codewords before C_T's
+    generator matrix is built; a refusal raises
+    :class:`~cosetcodes.linalg.BudgetExceededError`, whose message names
+    the limit.  A report made with ``require_self_orthogonal=False`` is
+    certified too: C_T is a code either way.
+    """
+    check_budget(report.q, report.t_family.dim(), budget)
+    return min_distance_exhaustive(generator_matrix(report.t_family).mat,
+                                   budget=budget, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +202,9 @@ def build_compatibility_graph(table: CosetTable, ell: int) -> CompatibilityGraph
                               image=image)
 
 
+OBJECTIVES = ("pareto", "max_d_given_k", "max_k_given_d")
+
+
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """Frontier search outcome; ``complete`` is false when the node budget ran out."""
@@ -232,12 +231,15 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     inclusions), ``node_budget`` caps the traversal (a partial frontier
     is returned flagged as incomplete).
 
-    Objectives: ``pareto`` returns the full frontier; ``max_d_given_k``
-    returns the best-distance report with quantum_k >= target;
-    ``max_k_given_d`` the best-dimension report with d >= target.
+    Objectives (:data:`OBJECTIVES`): ``pareto`` returns the full frontier
+    and takes no target; ``max_d_given_k`` returns the best-distance report
+    with quantum_k >= target; ``max_k_given_d`` the best-dimension report
+    with d >= target.
     """
-    if objective not in ("pareto", "max_d_given_k", "max_k_given_d"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    if objective == "pareto" and target is not None:
+        raise ValueError("objective 'pareto' takes no target")
     if objective != "pareto" and target is None:
         raise ValueError(f"objective {objective!r} requires a target")
     graph = build_compatibility_graph(table, ell)

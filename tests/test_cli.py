@@ -128,6 +128,18 @@ def test_quantum_certify_dual_past_the_int64_cap_stays_bound_only(capsys):
     assert "exceeds budget" not in out
 
 
+def test_quantum_certify_dual_json_names_a_refusal(capsys):
+    code, out, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "21",
+                       "--family", "0,1,2,3", "--certify-dual", "--budget", "100",
+                       "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert "distance_certificate" not in obj
+    assert list(obj)[-2:] == ["field", "certification_skipped"]
+    assert obj["certification_skipped"] == \
+        "enumeration of 16777215 codewords exceeds budget 100"
+
+
 def test_classical_certify_past_the_int64_cap_names_the_cap(capsys):
     budget = str(10**38)
     code, out, _ = run(capsys, "classical", "--q", "4", "--n", "63", "--r", "62",
@@ -178,6 +190,14 @@ def test_search_objective_requires_target(capsys):
                        "--objective", "max_k_given_d")
     assert code == 2
     assert "target" in err
+
+
+def test_search_pareto_with_target_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--q", "4", "--ell", "2", "--n", "21",
+                         "--target", "3")
+    assert code == 2
+    assert out == ""
+    assert "objective 'pareto' takes no target" in err
 
 
 def test_ell_q_mismatch_is_usage_error(capsys):

@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
-from cosetcodes import (NotSelfOrthogonalError, build_compatibility_graph,
+from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError,
+                        build_compatibility_graph, certify_dual,
                         compare_with_reference, derive_quantum, compute_cosets,
                         gram_is_zero, generator_matrix, pow_entrywise, search)
+from cosetcodes import quantum
 from cosetcodes.fixtures import load_known_answers
 
 REFERENCE_CODES_8ARY = tuple(tuple(t) for t in load_known_answers()["reference_codes_8ary"])
@@ -196,6 +198,11 @@ def test_search_objectives(t51):
         search(t51, 2, objective="nonsense")
 
 
+def test_pareto_objective_takes_no_target(t21):
+    with pytest.raises(ValueError, match="objective 'pareto' takes no target"):
+        search(t21, 2, target=3)
+
+
 def test_search_min_quantum_k_floor(t51q16):
     res = search(t51q16, 4, min_quantum_k=30)
     assert all(r.quantum_k >= 30 for r in res.reports)
@@ -223,28 +230,45 @@ def test_emitted_reports_are_self_orthogonal_with_even_deficit(t21, t63):
             assert rep.quantum_k >= 0
 
 
-def test_certificate_attaches_when_dual_fits_budget():
+def test_certify_dual_returns_certificate_or_refuses():
     table = compute_cosets(4, 5)  # cosets mod 5: {0}, {1,4}, {2,3}
-    rep = derive_quantum(table.family([0, 1]), 2, certify=True)
-    cert = rep.distance_certificate
-    assert cert is not None
+    rep = derive_quantum(table.family([0, 1]), 2)
+    cert = certify_dual(rep)
     assert cert.enumerated == 4 ** rep.t_family.dim() - 1
     assert cert.value >= rep.d_lower
-    # too small a budget: bound-only report
-    rep2 = derive_quantum(table.family([0, 1]), 2, certify=True, budget=10)
-    assert rep2.distance_certificate is None
+    # too small a budget: the refusal names it
+    with pytest.raises(BudgetExceededError, match="exceeds budget 10"):
+        certify_dual(rep, budget=10)
+
+
+def test_refused_certify_dual_builds_no_matrix(t21, monkeypatch):
+    rep = derive_quantum(t21.family([0, 1, 2, 3]), 2)
+
+    def no_matrix(family):
+        raise AssertionError("C_T's generator matrix was built")
+
+    monkeypatch.setattr(quantum, "generator_matrix", no_matrix)
+    with pytest.raises(BudgetExceededError):
+        certify_dual(rep, budget=100)
+
+
+def test_certify_dual_takes_a_report_that_is_not_self_orthogonal():
+    table = compute_cosets(4, 9)  # {1,4,7} is its own image: never self-orthogonal
+    rep = derive_quantum(table.family([0, 1]), 2, require_self_orthogonal=False)
+    assert not rep.self_orthogonal
+    cert = certify_dual(rep)
+    assert cert.enumerated == 4 ** rep.t_family.dim() - 1 == 4 ** 6 - 1
+    assert cert.value >= rep.d_lower
 
 
 def test_report_json_schema(t21):
-    rep = derive_quantum(t21.family([0, 1, 2, 3]), 2, certify=True)
+    rep = derive_quantum(t21.family([0, 1, 2, 3]), 2)
     obj = rep.to_json_obj()
-    for key in ("ell", "q", "n", "block_length", "S", "T", "classical_k",
-                "quantum_k", "d_lower", "self_orthogonal", "field",
-                "distance_certificate"):
-        assert key in obj
+    assert list(obj) == ["ell", "q", "n", "block_length", "S", "T", "classical_k",
+                         "quantum_k", "d_lower", "self_orthogonal", "field"]
     assert obj["ell"] == 2 and obj["q"] == 4
     assert obj["field"]["p"] == 2 and obj["field"]["e"] == 6
-    assert obj["distance_certificate"]["value"] == 6
+    assert certify_dual(rep).value == 6
 
 
 def test_compare_with_reference_records(t585):
