@@ -13,10 +13,8 @@ its image, and a coset that is its own image can never be chosen.
 :class:`CompatibilityGraph` holds that image map.
 
 Derivation never enumerates codewords.  :func:`certify_dual` is the
-separate, optional step that certifies d(C_T) exhaustively; C_T is a code
-whether or not S is self-orthogonal, so it certifies any report, and a
-refusal is the :class:`~cosetcodes.linalg.BudgetExceededError` of the
-budget check, raised before C_T's generator matrix is built.
+separate step that certifies d(C_T) exhaustively, for any report: C_T is
+a code whether or not S is self-orthogonal.
 
 The search walks admissible families depth-first with vertices ordered by
 the degree their dual image removes (largest first), pruning branches

@@ -196,11 +196,8 @@ def test_search_objectives(t51):
         search(t51, 2, objective="max_k_given_d")
     with pytest.raises(ValueError):
         search(t51, 2, objective="nonsense")
-
-
-def test_pareto_objective_takes_no_target(t21):
     with pytest.raises(ValueError, match="objective 'pareto' takes no target"):
-        search(t21, 2, target=3)
+        search(t51, 2, target=3)
 
 
 def test_search_min_quantum_k_floor(t51q16):
