@@ -6,11 +6,12 @@ guard: the first fourteen before the package's dead and duplicate API
 was removed, the odd-characteristic and GF(2^16) cases after them
 before the field tables were rebuilt as F_p-linear maps, the next two
 (an ell = 4 quantum CSV and a conditional search objective) before the
-dual checks and the Hermitian pair rule were merged, and the last four
+dual checks and the Hermitian pair rule were merged, the next four
 (budget refusals) before dual-code certification was split from quantum
-derivation.  A refactor that changes any printed byte (a frontier, a
-certificate witness, a field description, a JSON key order, a refusal)
-fails here.  Do not update a digest to make a change pass; a change of
+derivation, and the text coset table before the package root was cut to
+the pipeline's entry points.  A refactor that changes any printed byte
+(a frontier, a certificate witness, a field description, a JSON key
+order, a refusal) fails here.  Do not update a digest to make a change pass; a change of
 output has to be justified on its own.
 """
 
@@ -74,6 +75,8 @@ GOLDEN = [
      "c90f98834b8eda83c318f7d833fbc706222650e4010186b1de7265a145e3b55c"),
     ("verify --budget 100000", 0,
      "dfcd7cf78b0192a2fec9f92499e925a8cf5296b9d5e6df09252c97754f57991b"),
+    ("cosets --q 4 --n 21 --format text", 0,
+     "f12cbd58602f00de3f50c86fa922b62035d031d1a02192c73763ab71af077675"),
 ]
 
 
