@@ -6,39 +6,27 @@ GF(q^m), computes their Euclidean and Hermitian dual families, derives
 quantum stabilizer code parameters from Hermitian self-orthogonal
 families, searches coset families for the best (dimension, distance)
 trade-offs, and certifies minimum distances by exhaustive enumeration.
+
+The root exports the pipeline's entry points and its three errors (the
+README's "Library API" list).  Result types, matrix routines and the
+other helpers are imported from their own modules: ``galois``,
+``cosets``, ``codes``, ``linalg``, ``duality`` and ``quantum``.
 """
 
-from .galois import (Field, SubfieldBasis, make_field, nth_root_of_unity,
-                     subfield_power_basis)
-from .cosets import (Coset, CosetFamily, CosetTable, compute_cosets,
-                     euclidean_dual_family, hermitian_dual_family, order_mod)
-from .codes import (GeneratorMatrix, classical_params, field_for_table,
-                    generator_matrix, load_matrix_json, truncated_family)
-from .linalg import (DEFAULT_BUDGET, BudgetExceededError, DistanceCertificate,
-                     GFMatrix, gf_matrix, gram_is_zero, min_distance_exhaustive,
-                     nullspace, pow_entrywise, rank, rank_and_rref, row_space_equal)
-from .duality import DualityReport, VerificationError, euclidean_dual, hermitian_dual
-from .quantum import (ComparisonRecord, CompatibilityGraph,
-                      NotSelfOrthogonalError, QuantumCodeReport, SearchResult,
-                      build_compatibility_graph, certify_dual,
-                      compare_with_reference, derive_quantum, search)
+from .galois import make_field
+from .cosets import compute_cosets, euclidean_dual_family, hermitian_dual_family
+from .codes import classical_params, generator_matrix, load_matrix_json, truncated_family
+from .linalg import BudgetExceededError, min_distance_exhaustive
+from .duality import VerificationError, euclidean_dual, hermitian_dual
+from .quantum import NotSelfOrthogonalError, certify_dual, derive_quantum, search
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "SubfieldBasis", "make_field", "nth_root_of_unity",
-    "subfield_power_basis",
-    "Coset", "CosetFamily", "CosetTable", "compute_cosets",
-    "euclidean_dual_family", "hermitian_dual_family", "order_mod",
-    "GeneratorMatrix", "classical_params", "field_for_table",
-    "generator_matrix", "load_matrix_json", "truncated_family",
-    "DEFAULT_BUDGET", "BudgetExceededError", "DistanceCertificate", "GFMatrix",
-    "gf_matrix", "gram_is_zero", "min_distance_exhaustive",
-    "nullspace", "pow_entrywise", "rank", "rank_and_rref",
-    "row_space_equal",
-    "DualityReport", "VerificationError", "euclidean_dual", "hermitian_dual",
-    "ComparisonRecord", "CompatibilityGraph",
-    "NotSelfOrthogonalError", "QuantumCodeReport", "SearchResult",
-    "build_compatibility_graph", "certify_dual", "compare_with_reference",
-    "derive_quantum", "search",
+    "make_field", "compute_cosets", "truncated_family", "generator_matrix",
+    "classical_params", "load_matrix_json",
+    "euclidean_dual_family", "hermitian_dual_family", "euclidean_dual",
+    "hermitian_dual", "derive_quantum", "certify_dual", "search",
+    "min_distance_exhaustive",
+    "BudgetExceededError", "VerificationError", "NotSelfOrthogonalError",
 ]

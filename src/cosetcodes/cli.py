@@ -154,6 +154,12 @@ def _csv_output(rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+def _csv_refusal(budget_note: str | None) -> None:
+    """Say on stderr why ``d_exact`` is empty; the CSV has no column for it."""
+    if budget_note:
+        print(f"bound only: {budget_note}", file=sys.stderr)
+
+
 def cmd_cosets(args) -> int:
     table = compute_cosets(args.q, args.n)
     if args.format == "json":
@@ -190,6 +196,7 @@ def cmd_classical(args) -> int:
     elif args.format == "csv":
         print(_csv_output([(args.q, None, args.n, length, k, d_bound, d_exact,
                             family.reps())]))
+        _csv_refusal(budget_note)
     else:
         exact = f", exact d = {d_exact} ({cert.enumerated} codewords enumerated)" if cert else ""
         print(f"[{length}, {k}, >={d_bound}] over GF({args.q}), "
@@ -245,6 +252,7 @@ def cmd_quantum(args) -> int:
                             report.quantum_k, report.d_lower,
                             cert.value if cert else None,
                             report.family_s.reps())]))
+        _csv_refusal(budget_note)
     else:
         print(f"[[{report.block_length}, {report.quantum_k}, >={report.d_lower}]] "
               f"over GF({args.ell}), S reps {list(report.family_s.reps())}, "

@@ -56,10 +56,6 @@ class GeneratorMatrix:
     family: CosetFamily
     parent: Field
 
-    @property
-    def symbol_field(self) -> Field:
-        return self.mat.field
-
     def to_json_obj(self) -> dict:
         return {
             "q": self.family.table.q,
@@ -68,7 +64,7 @@ class GeneratorMatrix:
             "cols": self.mat.cols,
             "family": self.family.to_json_obj(),
             "field": self.parent.describe(),
-            "symbol_field": self.symbol_field.describe(),
+            "symbol_field": self.mat.field.describe(),
             "entries": [int(x) for x in self.mat.entries.reshape(-1)],
         }
 

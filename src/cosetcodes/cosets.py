@@ -55,9 +55,6 @@ class Coset:
     def __contains__(self, residue: int) -> bool:
         return residue in self.elements
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __repr__(self) -> str:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
@@ -76,9 +73,6 @@ class CosetTable:
     def __len__(self) -> int:
         return len(self.cosets)
 
-    def __iter__(self):
-        return iter(self.cosets)
-
     def coset_of(self, residue: int) -> int:
         return self._id_of[residue % self.n]
 
@@ -90,13 +84,13 @@ class CosetTable:
         """Id of the coset containing ell * (any element of the coset)."""
         return self.coset_of(self.cosets[coset_id].min_rep * ell)
 
-    def full_family(self) -> CosetFamily:
-        return CosetFamily(self, tuple(range(len(self.cosets))))
-
     def family(self, residues) -> CosetFamily:
-        """Family of the cosets containing the given residues."""
-        ids = sorted({self.coset_of(r) for r in residues})
-        return CosetFamily(self, tuple(ids))
+        """Family of the cosets containing the given residues, each in 0..n-1."""
+        residues = list(residues)
+        for r in residues:
+            if not 0 <= r < self.n:
+                raise ValueError(f"residue {r} is outside 0..{self.n - 1}")
+        return CosetFamily(self, tuple(sorted({self._id_of[r] for r in residues})))
 
     def to_json_obj(self) -> dict:
         return {

@@ -21,7 +21,6 @@ n+1 even.  Odd characteristic is rejected rather than extrapolated, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .cosets import CosetFamily, euclidean_dual_family, hermitian_dual_family
 from .codes import GeneratorMatrix, generator_matrix
@@ -38,29 +37,13 @@ class DualityReport:
 
     family_s: CosetFamily
     family_dual: CosetFamily
-    dual_kind: str          # "euclidean" or "hermitian"
-    ell: int | None
+    ell: int | None         # None for the Euclidean dual
     dim_s: int
     dim_dual: int
     gram_verified: bool
     nullspace_verified: bool
     matrix_s: GeneratorMatrix
     matrix_dual: GeneratorMatrix
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dual_kind": self.dual_kind,
-            "ell": self.ell,
-            "q": self.family_s.table.q,
-            "n": self.family_s.table.n,
-            "S": self.family_s.to_json_obj(),
-            "dual": self.family_dual.to_json_obj(),
-            "dim_S": self.dim_s,
-            "dim_dual": self.dim_dual,
-            "gram_verified": self.gram_verified,
-            "nullspace_verified": self.nullspace_verified,
-            "field": self.matrix_s.parent.describe(),
-        }
 
 
 def check_q(q: int, ell: int | None = None) -> None:
@@ -78,8 +61,8 @@ def euclidean_dual(family: CosetFamily) -> DualityReport:
     return _verified_dual(family, euclidean_dual_family(family), None)
 
 
-def hermitian_dual(family: CosetFamily, ell: int | None = None) -> DualityReport:
-    """Hermitian dual family of ``family`` for q = ell^2 (ell inferred when omitted).
+def hermitian_dual(family: CosetFamily, ell: int) -> DualityReport:
+    """Hermitian dual family of ``family`` for q = ell^2.
 
     The family is the Euclidean dual family of the ell-scaled family, by
     its definition in ``cosets``.  Beyond the Gram and nullspace checks
@@ -87,9 +70,7 @@ def hermitian_dual(family: CosetFamily, ell: int | None = None) -> DualityReport
     entry-wise ell-th power of the primal code spans the code of the
     scaled family.
     """
-    q = family.table.q
-    ell = isqrt(q) if ell is None else ell
-    check_q(q, ell)
+    check_q(family.table.q, ell)
     return _verified_dual(family, hermitian_dual_family(family, ell), ell)
 
 
@@ -98,7 +79,6 @@ def _verified_dual(family: CosetFamily, dual_fam: CosetFamily,
     """Check ``dual_fam`` against the code of ``family``: Euclidean when
     ``ell`` is None, Hermitian (u_i^ell v_i) otherwise."""
     table = family.table
-    kind = "euclidean" if ell is None else "hermitian"
     dim_s, dim_dual = family.dim(), dual_fam.dim()
     if dim_s + dim_dual != table.n + 1:
         raise VerificationError("dual dimensions do not complement the block length")
@@ -112,8 +92,9 @@ def _verified_dual(family: CosetFamily, dual_fam: CosetFamily,
                                     "of the scaled family")
     if not (gram_is_zero(primal, g_dual.mat)
             and row_space_equal(g_dual.mat, nullspace(primal))):
+        kind = "euclidean" if ell is None else "hermitian"
         raise VerificationError(f"{kind} dual family disagrees with the nullspace oracle")
-    return DualityReport(family_s=family, family_dual=dual_fam, dual_kind=kind, ell=ell,
+    return DualityReport(family_s=family, family_dual=dual_fam, ell=ell,
                          dim_s=dim_s, dim_dual=dim_dual,
                          gram_verified=True, nullspace_verified=True,
                          matrix_s=g_s, matrix_dual=g_dual)

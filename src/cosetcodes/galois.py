@@ -362,8 +362,7 @@ class Field:
         embed = reduce(self.add, terms.T)
         project = np.full(self.order, -1, dtype=np.int64)
         project[embed] = np.arange(q)
-        view = SubfieldView(parent=self, field=symbol_field, w=w,
-                            embed=embed, project=project)
+        view = SubfieldView(field=symbol_field, embed=embed, project=project)
         self._views[q] = view
         return view
 
@@ -408,15 +407,9 @@ class Field:
 class SubfieldView:
     """Embedded subfield with integer symbol relabeling (see Field.subfield_view)."""
 
-    parent: Field
     field: Field
-    w: int
     embed: np.ndarray    # symbol -> parent value
     project: np.ndarray  # parent value -> symbol, -1 for non-members
-
-    @property
-    def q(self) -> int:
-        return self.field.order
 
 
 @dataclass(frozen=True)

@@ -320,10 +320,6 @@ class ComparisonRecord:
     delta_k: int
     delta_n: int
 
-    def as_dict(self) -> dict:
-        return {"ours": list(self.ours), "reference": list(self.reference),
-                "delta_k": self.delta_k, "delta_n": self.delta_n}
-
 
 def compare_with_reference(report: QuantumCodeReport,
                            reference: tuple[tuple[int, int, int], ...]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cosetcodes import (GFMatrix, SubfieldBasis, compute_cosets, make_field,
-                        rank, subfield_power_basis)
+from cosetcodes import compute_cosets, make_field
+from cosetcodes.galois import SubfieldBasis, subfield_power_basis
+from cosetcodes.linalg import GFMatrix, rank
 
 
 def random_subfield_basis(ctx, q, s, rng):

@@ -14,12 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from cosetcodes import (build_compatibility_graph, classical_params,
-                        compute_cosets, derive_quantum, euclidean_dual,
-                        field_for_table, generator_matrix, hermitian_dual,
-                        min_distance_exhaustive, nullspace, rank,
-                        row_space_equal, search, truncated_family,
-                        compare_with_reference)
+from cosetcodes import (classical_params, compute_cosets, derive_quantum,
+                        euclidean_dual, generator_matrix, hermitian_dual,
+                        min_distance_exhaustive, search, truncated_family)
+from cosetcodes.codes import field_for_table
+from cosetcodes.linalg import nullspace, rank, row_space_equal
+from cosetcodes.quantum import build_compatibility_graph, compare_with_reference
 from conftest import random_subfield_basis
 from test_cosets import TABLE_4_21, TABLE_4_51, TABLE_4_63
 from test_quantum import _frontier_by_powerset

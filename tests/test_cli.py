@@ -65,6 +65,32 @@ def test_classical_budget_fallback(capsys, monkeypatch):
     assert "exact d" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("classical", "--q", "4", "--n", "21", "--family", "0,22"),
+    ("quantum", "--q", "4", "--ell", "2", "--n", "21", "--family", "0,-1"),
+])
+def test_representative_outside_zero_to_n_minus_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "residue" in err and "outside 0..20" in err
+
+
+@pytest.mark.parametrize("argv,codewords", [
+    (("classical", "--q", "4", "--n", "21", "--family", "0,1,2,3", "--certify"),
+     4**10 - 1),
+    (("quantum", "--q", "4", "--ell", "2", "--n", "21", "--family", "0,1,2,3",
+      "--certify-dual"), 4**12 - 1),
+])
+def test_csv_names_a_refusal_on_stderr(capsys, argv, codewords):
+    code, out, err = run(capsys, *argv, "--budget", "100", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[6] == ""  # d_exact
+    assert err == f"bound only: enumeration of {codewords} codewords exceeds budget 100\n"
+    code, _, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("env,argv", [
     ("abc", []), ("0", []), ("-5", []),
     (None, ["--budget", "0"]), (None, ["--jobs", "0"]), (None, ["--jobs", "-2"]),

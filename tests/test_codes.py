@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import (Coset, classical_params, compute_cosets, field_for_table,
-                        generator_matrix, load_matrix_json, make_field,
-                        min_distance_exhaustive, nth_root_of_unity, rank,
-                        row_space_equal, subfield_power_basis, truncated_family)
+from cosetcodes import (classical_params, compute_cosets, generator_matrix,
+                        load_matrix_json, make_field, min_distance_exhaustive,
+                        truncated_family)
 from cosetcodes import galois
-from cosetcodes.galois import Field
+from cosetcodes.codes import field_for_table
+from cosetcodes.cosets import Coset
+from cosetcodes.galois import Field, nth_root_of_unity, subfield_power_basis
+from cosetcodes.linalg import rank, row_space_equal
 from conftest import coset_families, random_subfield_basis
 
 

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from cosetcodes import (SubfieldBasis, make_field,
-                        nth_root_of_unity, subfield_power_basis)
-from cosetcodes.galois import (_int_to_digits, _poly_mulmod, _poly_powmod,
-                               prime_factors)
+from cosetcodes import make_field
+from cosetcodes.galois import (SubfieldBasis, _int_to_digits, _poly_mulmod,
+                               _poly_powmod, nth_root_of_unity, prime_factors,
+                               subfield_power_basis)
 
 SMALL_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 11) if p**e <= 1024]
 IMPRIMITIVE_X = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8+x^4+x^3+x+1: x has order 51

@@ -1,6 +1,7 @@
 """Guards against stale imports and a stale ``__all__`` (no linter is required)."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -43,3 +44,9 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(set(cosetcodes.__all__)) == len(cosetcodes.__all__)
     assert set(cosetcodes.__all__) == public
+
+
+def test_readme_library_api_lists_all():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `(\w+)`", section, re.MULTILINE) == cosetcodes.__all__

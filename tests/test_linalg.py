@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import (BudgetExceededError, GFMatrix, gf_matrix, gram_is_zero,
-                        make_field, min_distance_exhaustive, nullspace,
-                        pow_entrywise, rank, rank_and_rref, row_space_equal)
-from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, _codeword_for_message,
-                               _gray_digits, _SpanKernel, check_budget,
-                               weight_distribution)
+from cosetcodes import BudgetExceededError, make_field, min_distance_exhaustive
+from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _codeword_for_message,
+                               _gray_digits, _SpanKernel, check_budget, gf_matrix,
+                               gram_is_zero, nullspace, pow_entrywise, rank,
+                               rank_and_rref, row_space_equal, weight_distribution)
 
 # (p, e) of the fields the property tests draw from; ell^2 = p^e for even e
 PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1)]

@@ -3,11 +3,11 @@ import sys
 
 import pytest
 
-from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError,
-                        build_compatibility_graph, certify_dual,
-                        compare_with_reference, derive_quantum, compute_cosets,
-                        gram_is_zero, generator_matrix, pow_entrywise, search)
+from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError, certify_dual,
+                        compute_cosets, derive_quantum, generator_matrix, search)
 from cosetcodes import quantum
+from cosetcodes.linalg import gram_is_zero, pow_entrywise
+from cosetcodes.quantum import build_compatibility_graph, compare_with_reference
 from cosetcodes.fixtures import load_known_answers
 
 REFERENCE_CODES_8ARY = tuple(tuple(t) for t in load_known_answers()["reference_codes_8ary"])
