@@ -74,6 +74,7 @@ class CosetTable:
         return len(self.cosets)
 
     def coset_of(self, residue: int) -> int:
+        """Id of the coset containing residue mod n (``scaled_coset`` relies on the mod)."""
         return self._id_of[residue % self.n]
 
     def dual_coset(self, coset_id: int) -> int:
@@ -86,11 +87,12 @@ class CosetTable:
 
     def family(self, residues) -> CosetFamily:
         """Family of the cosets containing the given residues, each in 0..n-1."""
-        residues = list(residues)
+        ids = set()
         for r in residues:
             if not 0 <= r < self.n:
                 raise ValueError(f"residue {r} is outside 0..{self.n - 1}")
-        return CosetFamily(self, tuple(sorted({self._id_of[r] for r in residues})))
+            ids.add(self._id_of[r])
+        return CosetFamily(self, tuple(sorted(ids)))
 
     def to_json_obj(self) -> dict:
         return {
