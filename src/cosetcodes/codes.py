@@ -19,29 +19,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .cosets import CosetFamily, CosetTable, order_mod
+from .cosets import CosetFamily, CosetTable
 from .galois import (Field, SubfieldBasis, degree_over_prime, make_field,
                      nth_root_of_unity, prime_factors, subfield_power_basis)
 from .linalg import GFMatrix, rank
 
 
-@lru_cache(maxsize=None)
-def _field_for(q: int, n: int) -> Field:
-    factors = prime_factors(q)
-    if len(factors) != 1:
-        raise ValueError(f"q={q} is not a prime power")
-    p = factors[0]
-    m = order_mod(q, n)
-    return make_field(p, degree_over_prime(q, p) * m)
-
-
 def field_for_table(table: CosetTable) -> Field:
     """The canonical parent field GF(q^m) for a coset table."""
-    return _field_for(table.q, table.n)
+    factors = prime_factors(table.q)
+    if len(factors) != 1:
+        raise ValueError(f"q={table.q} is not a prime power")
+    p = factors[0]
+    return make_field(p, degree_over_prime(table.q, p) * table.m)
 
 
 @dataclass(frozen=True, eq=False)

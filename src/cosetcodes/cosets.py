@@ -8,16 +8,16 @@ which keeps every downstream output deterministic.
 A :class:`CosetFamily` is a selected subset of a table's cosets.  The
 family-level operations implemented here are purely combinatorial:
 scaling by an integer, member-wise dualization (negation mod n), and the
-complement construction that describes the Euclidean dual code of the
-evaluation code attached to a family.  The Hermitian dual family is
-defined through it, as the Euclidean dual family of the ell-scaled
-family (see the ``duality`` module for the code-level verification).
+complement construction: {0} plus every coset outside the family's image
+describes the dual code.  The Euclidean image is negation; the Hermitian
+one, B -> dual(ell*B) for q = ell^2, is :func:`hermitian_image` (see the
+``duality`` module for the code-level verification).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 
 def order_mod(q: int, n: int) -> int:
@@ -69,6 +69,7 @@ class CosetTable:
     cosets: tuple[Coset, ...]
     _id_of: tuple[int, ...]   # residue -> coset id
     _dual: tuple[int, ...]    # coset id -> id of the dual coset
+    _hermitian: tuple[int, ...] | None  # hermitian_image, when q = ell^2
 
     def __len__(self) -> int:
         return len(self.cosets)
@@ -134,8 +135,11 @@ def compute_cosets(q: int, n: int) -> CosetTable:
     if sum(c.size for c in cosets) != n:
         raise AssertionError("cosets do not partition Z_n")
     dual = tuple(id_of[(-c.min_rep) % n] for c in cosets)
+    ell = isqrt(q)
+    hermitian = (tuple(id_of[-c.min_rep * ell % n] for c in cosets)
+                 if ell * ell == q else None)
     return CosetTable(q=q, n=n, m=m, cosets=tuple(cosets),
-                      _id_of=tuple(id_of), _dual=dual)
+                      _id_of=tuple(id_of), _dual=dual, _hermitian=hermitian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,23 +207,45 @@ class CosetFamily:
         return "CosetFamily[" + ", ".join(repr(c) for c in self.cosets()) + "]"
 
 
+def hermitian_image(table: CosetTable, ell: int) -> tuple[int, ...]:
+    """Coset id -> id of dual(ell * coset), for q = ell^2 with ell >= 2; an
+    involution, as ell^2 = q fixes every coset.  Built once per table."""
+    if ell < 2 or ell * ell != table.q:
+        raise ValueError(f"need q = ell^2 with ell >= 2; got q={table.q}, ell={ell}")
+    return table._hermitian
+
+
+def check_dualizable(table: CosetTable) -> None:
+    """Reject tables where p = char(q) does not divide n+1: the zero coset's
+    row is a constant c, whose self-product (n+1)*c^2 must vanish for {0}
+    to lie in a family and its dual family.  Even q passes (n is odd)."""
+    if gcd(table.q, table.n + 1) == 1:  # for a prime power q: p does not divide n+1
+        raise ValueError(f"the characteristic of q={table.q} does not divide "
+                         f"n+1={table.n + 1}; dual families need it to")
+
+
 def euclidean_dual_family(family: CosetFamily) -> CosetFamily:
     """The family describing the Euclidean dual code: {0} plus every coset
     not in the member-wise dual of the input.  Requires {0} in the input."""
-    if not family.contains_zero:
-        raise ValueError("family must contain the coset {0}")
-    table = family.table
-    keep = set(range(len(table))) - set(family.dual().members)
-    keep.add(table.coset_of(0))
-    return CosetFamily(table, tuple(sorted(keep)))
+    return _dual_family(family, family.table._dual)
 
 
 def hermitian_dual_family(family: CosetFamily, ell: int) -> CosetFamily:
-    """The family describing the Hermitian dual code: by definition the
-    Euclidean dual family of the ell-scaled input, which is {0} plus every
-    coset not in the dual of ell*S.  Requires {0} in the input itself: an
-    ell sharing a factor with n could scale a nonzero coset onto {0}.
-    ``duality.hermitian_dual`` checks the identity on codes."""
+    """The family describing the Hermitian dual code for q = ell^2: {0}
+    plus every coset outside the :func:`hermitian_image` of the input.
+    Requires {0} in the input.  ``duality.hermitian_dual`` checks at the
+    code level that this is the Euclidean dual family of ell*S."""
+    return _dual_family(family, hermitian_image(family.table, ell))
+
+
+def _dual_family(family: CosetFamily, image: tuple[int, ...]) -> CosetFamily:
+    """{0} plus every coset outside image(S): dimension n+1-dim(S) needs {0}
+    in image(S).  -1 and ell (ell^2 = q, gcd(q, n) = 1) are units mod n, so
+    only {0} maps to {0}, and one check on S states that requirement."""
+    table = family.table
+    check_dualizable(table)
     if not family.contains_zero:
         raise ValueError("family must contain the coset {0}")
-    return euclidean_dual_family(family.scale(ell))
+    keep = set(range(len(table))) - {image[i] for i in family.members}
+    keep.add(table.coset_of(0))
+    return CosetFamily(table, tuple(sorted(keep)))

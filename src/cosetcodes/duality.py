@@ -8,14 +8,16 @@ two generator matrices must vanish, and the dual family's row space must
 equal the nullspace of the primal matrix.  Every dual is verified this
 way; a family-only answer is ``cosets.euclidean_dual_family`` or
 ``cosets.hermitian_dual_family``.  The Euclidean and Hermitian duals share
-one verification body.  ``cosets`` defines the Hermitian dual family as
-the Euclidean dual family of the ell-scaled family; the code-level check
-of that identity raises the primal matrix to the ell-th power entry-wise
-and verifies that the result spans the code of the ell-scaled family.
+one verification body.  ``cosets`` computes the Hermitian dual family
+from its image map B -> dual(ell*B); the code-level check that it is the
+Euclidean dual family of the ell-scaled family raises the primal matrix
+to the ell-th power entry-wise and verifies that the result spans the
+code of the ell-scaled family.
 
 Duality is only provided for even q; n is then odd and the block length
-n+1 even.  Odd characteristic is rejected rather than extrapolated, and
-:func:`check_q` is the one place that rule is written.
+n+1 even.  :func:`check_q` rejects odd characteristic rather than
+extrapolating it; the family rules (q = ell^2, p dividing n+1) live in
+``cosets``.
 """
 
 from __future__ import annotations
@@ -46,11 +48,8 @@ class DualityReport:
     matrix_dual: GeneratorMatrix
 
 
-def check_q(q: int, ell: int | None = None) -> None:
-    """Reject fields outside the dual and quantum constructions: odd q,
-    and, when ``ell`` is given, any ell other than q = ell^2 with ell >= 2."""
-    if ell is not None and (ell < 2 or ell * ell != q):
-        raise ValueError(f"need q = ell^2 with ell >= 2; got q={q}, ell={ell}")
+def check_q(q: int) -> None:
+    """Reject fields outside the dual and quantum constructions: odd q."""
     if q % 2:
         raise ValueError("dual and quantum constructions are only supported for even q")
 
@@ -64,13 +63,13 @@ def euclidean_dual(family: CosetFamily) -> DualityReport:
 def hermitian_dual(family: CosetFamily, ell: int) -> DualityReport:
     """Hermitian dual family of ``family`` for q = ell^2.
 
-    The family is the Euclidean dual family of the ell-scaled family, by
-    its definition in ``cosets``.  Beyond the Gram and nullspace checks
-    this verifies that reduction identity at the code level: the
-    entry-wise ell-th power of the primal code spans the code of the
-    scaled family.
+    ``cosets`` computes the family from its Hermitian image map, and it
+    is the Euclidean dual family of the ell-scaled family.  Beyond the
+    Gram and nullspace checks this verifies that reduction at the code
+    level: the entry-wise ell-th power of the primal code spans the code
+    of the scaled family.
     """
-    check_q(family.table.q, ell)
+    check_q(family.table.q)
     return _verified_dual(family, hermitian_dual_family(family, ell), ell)
 
 

@@ -5,12 +5,14 @@ quantum code with parameters [[n+1, n+1-2k, >= d]] whenever the attached
 code C_S lies inside its Hermitian dual C_T: k is the dimension of C_S
 and d is the degree bound n+1 - max_degree(T).  Containment S within T
 is equivalent to a purely combinatorial condition: no two chosen nonzero
-cosets A, B may satisfy A = dual(ell*B).  One pair scan states that rule
-for :func:`derive_quantum` and :meth:`CompatibilityGraph.is_admissible`
-alike.  The map B -> dual(ell*B) is an involution (ell^2 = q fixes every
-coset), so the conflicts form a matching: each coset's only conflict is
-its image, and a coset that is its own image can never be chosen.
-:class:`CompatibilityGraph` holds that image map.
+cosets A, B may satisfy A = dual(ell*B).  The map B -> dual(ell*B) and
+its rule q = ell^2 are :func:`~cosetcodes.cosets.hermitian_image`; the
+pair scan of :func:`derive_quantum` and
+:meth:`CompatibilityGraph.is_admissible` reads that map, and
+:func:`derive_quantum` checks the scan against containment in T.  The map
+is an involution, so the conflicts form a matching: each coset's only
+conflict is its image, and a coset that is its own image can never be
+chosen.  :class:`CompatibilityGraph` holds that image map.
 
 Derivation never enumerates codewords.  :func:`certify_dual` is the
 separate step that certifies d(C_T) exhaustively, for any report: C_T is
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosets import CosetFamily, CosetTable, hermitian_dual_family
+from .cosets import CosetFamily, CosetTable, hermitian_dual_family, hermitian_image
 from .codes import field_for_table, generator_matrix
 from .duality import VerificationError, check_q
 from .galois import Field
@@ -95,19 +97,14 @@ class QuantumCodeReport:
                 f"{self.ell} from S reps {list(self.family_s.reps())}")
 
 
-def _self_orthogonality_violations(family: CosetFamily, ell: int) -> list[tuple[int, int]]:
-    """Pairs (a, b) of member reps with S_a = dual(ell * S_b)."""
+def _self_orthogonality_violations(family: CosetFamily,
+                                   image: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Pairs (a, b) of nonzero member reps with S_a = image(S_b) = dual(ell * S_b)."""
     table = family.table
     zero_id = table.coset_of(0)
     members = set(family.members)
-    out = []
-    for b in family.members:
-        if b == zero_id:
-            continue
-        img = table.dual_coset(table.scaled_coset(b, ell))
-        if img in members and img != zero_id:
-            out.append((table.cosets[img].min_rep, table.cosets[b].min_rep))
-    return sorted(out)
+    return sorted((table.cosets[image[b]].min_rep, table.cosets[b].min_rep)
+                  for b in family.members if b != zero_id and image[b] in members)
 
 
 def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
@@ -123,9 +120,9 @@ def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
     ``self_orthogonal=False`` is returned for inspection.
     """
     table = family.table
-    check_q(table.q, ell)
+    check_q(table.q)
     t_family = hermitian_dual_family(family, ell)
-    violations = _self_orthogonality_violations(family, ell)
+    violations = _self_orthogonality_violations(family, hermitian_image(table, ell))
     self_orthogonal = not violations
     contained = set(family.members) <= set(t_family.members)
     if contained != self_orthogonal:
@@ -179,22 +176,21 @@ class CompatibilityGraph:
     """
 
     table: CosetTable
-    ell: int
     vertices: tuple[int, ...]      # choosable nonzero coset ids
     excluded: tuple[int, ...]      # self-loop ids, never choosable
-    image: tuple[int, ...]         # full map: coset id -> dual(ell * coset) id
+    image: tuple[int, ...]         # cosets.hermitian_image of the table
 
     def is_admissible(self, coset_ids) -> bool:
         family = CosetFamily(self.table, (self.table.coset_of(0), *coset_ids))
-        return not _self_orthogonality_violations(family, self.ell)
+        return not _self_orthogonality_violations(family, self.image)
 
 
 def build_compatibility_graph(table: CosetTable, ell: int) -> CompatibilityGraph:
-    check_q(table.q, ell)
+    check_q(table.q)
+    image = hermitian_image(table, ell)
     zero_id = table.coset_of(0)
-    image = tuple(table.dual_coset(table.scaled_coset(i, ell)) for i in range(len(table)))
     nonzero = [i for i in range(len(table)) if i != zero_id]
-    return CompatibilityGraph(table=table, ell=ell,
+    return CompatibilityGraph(table=table,
                               vertices=tuple(i for i in nonzero if image[i] != i),
                               excluded=tuple(i for i in nonzero if image[i] == i),
                               image=image)
@@ -310,26 +306,3 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     return SearchResult(reports=tuple(reports), complete=complete,
                         nodes=nodes, objective=objective)
 
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Dimension and length deltas against one reference triple (same d)."""
-
-    ours: tuple[int, int, int]
-    reference: tuple[int, int, int]
-    delta_k: int
-    delta_n: int
-
-
-def compare_with_reference(report: QuantumCodeReport,
-                           reference: tuple[tuple[int, int, int], ...]
-                           ) -> list[ComparisonRecord]:
-    """Compare a report against every same-distance triple in a reference table."""
-    ours = report.triple()
-    out = []
-    for ref in reference:
-        if ref[2] == report.d_lower:
-            out.append(ComparisonRecord(ours=ours, reference=ref,
-                                        delta_k=report.quantum_k - ref[1],
-                                        delta_n=report.block_length - ref[0]))
-    return out

@@ -163,14 +163,29 @@ def test_hermitian_dual_family_degree_n51(t51):
     assert 52 - tfam.max_degree() == 6
 
 
-def test_complement_families_require_zero(t51, t21):
+def test_complement_families_require_zero(t51, t21, t26q3):
     with pytest.raises(ValueError):
         euclidean_dual_family(t51.family([1]))
     with pytest.raises(ValueError):
         hermitian_dual_family(t51.family([1]), 2)
-    # 3 * 7 = 0 mod 21: the scaled family holds {0}, the input does not
+    # 3 * 7 = 0 mod 21 would scale {7} onto {0}, but ell = 3 is refused at
+    # q = 4 first: ell^2 = q with gcd(q, n) = 1 makes ell a unit mod n
     with pytest.raises(ValueError):
         hermitian_dual_family(t21.family([7]), 3)
+    # families that hold {0} get the refusal duality.hermitian_dual gives
+    for family, ell in ((t21.family([0, 1]), 3), (t26q3.family([0, 1]), 5)):
+        with pytest.raises(ValueError, match=r"need q = ell\^2"):
+            hermitian_dual_family(family, ell)
+
+
+@pytest.mark.parametrize("q,ell,n", [(9, 3, 10), (25, 5, 12)])
+def test_family_duals_need_the_characteristic_to_divide_n_plus_1(q, ell, n):
+    # the zero coset's row has self-product (n+1)*c^2, nonzero when p does not divide n+1
+    family = compute_cosets(q, n).family([0, 1])
+    with pytest.raises(ValueError, match="does not divide n\\+1"):
+        euclidean_dual_family(family)
+    with pytest.raises(ValueError, match="does not divide n\\+1"):
+        hermitian_dual_family(family, ell)
 
 
 def test_max_degree_trivial_and_empty(t51):

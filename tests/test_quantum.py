@@ -7,7 +7,7 @@ from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError, certify_dua
                         compute_cosets, derive_quantum, generator_matrix, search)
 from cosetcodes import quantum
 from cosetcodes.linalg import gram_is_zero, pow_entrywise
-from cosetcodes.quantum import build_compatibility_graph, compare_with_reference
+from cosetcodes.quantum import build_compatibility_graph
 from cosetcodes.fixtures import load_known_answers
 
 REFERENCE_CODES_8ARY = tuple(tuple(t) for t in load_known_answers()["reference_codes_8ary"])
@@ -266,25 +266,6 @@ def test_report_json_schema(t21):
     assert obj["ell"] == 2 and obj["q"] == 4
     assert obj["field"]["p"] == 2 and obj["field"]["e"] == 6
     assert certify_dual(rep).value == 6
-
-
-def test_compare_with_reference_records(t585):
-    res = search(t585, 8, min_quantum_k=560)
-    r576 = [r for r in res.reports if r.quantum_k == 576][0]
-    recs = compare_with_reference(r576, REFERENCE_CODES_8ARY)
-    assert [c.reference for c in recs] == [(589, 553, 4)]
-    assert recs[0].delta_k == 23 and recs[0].delta_n == -3
-    r568 = [r for r in res.reports if r.quantum_k == 568][0]
-    recs6 = compare_with_reference(r568, REFERENCE_CODES_8ARY)
-    assert {c.reference for c in recs6} == {(589, 513, 6), (627, 531, 6), (629, 557, 6)}
-    assert all(c.delta_k > 0 and c.delta_n < 0 for c in recs6)
-
-
-def test_comparison_against_own_triple_is_zero(t21):
-    rep = derive_quantum(t21.family([0, 1, 2, 3]), 2)
-    recs = compare_with_reference(rep, reference=(rep.triple(),))
-    assert len(recs) == 1
-    assert recs[0].delta_k == 0 and recs[0].delta_n == 0
 
 
 def test_reference_table_contents():
