@@ -30,10 +30,7 @@ from .linalg import GFMatrix, rank
 
 def field_for_table(table: CosetTable) -> Field:
     """The canonical parent field GF(q^m) for a coset table."""
-    factors = prime_factors(table.q)
-    if len(factors) != 1:
-        raise ValueError(f"q={table.q} is not a prime power")
-    p = factors[0]
+    p = prime_factors(table.q)[0]
     return make_field(p, degree_over_prime(table.q, p) * table.m)
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .galois import prime_factors
+
 
 def order_mod(q: int, n: int) -> int:
     """Multiplicative order of q modulo n."""
@@ -117,8 +119,11 @@ class CosetTable:
 
 
 def compute_cosets(q: int, n: int) -> CosetTable:
-    """Partition Z_n into q-cyclotomic cosets (requires gcd(q, n) = 1, n > 1)."""
-    m = order_mod(q, n)  # validates the preconditions
+    """Partition Z_n into q-cyclotomic cosets (requires a prime power q,
+    gcd(q, n) = 1 and n > 1)."""
+    if len(prime_factors(q)) != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    m = order_mod(q, n)  # validates the other preconditions
     id_of = [-1] * n
     cosets: list[Coset] = []
     for a in range(n):
@@ -219,7 +224,7 @@ def check_dualizable(table: CosetTable) -> None:
     """Reject tables where p = char(q) does not divide n+1: the zero coset's
     row is a constant c, whose self-product (n+1)*c^2 must vanish for {0}
     to lie in a family and its dual family.  Even q passes (n is odd)."""
-    if gcd(table.q, table.n + 1) == 1:  # for a prime power q: p does not divide n+1
+    if gcd(table.q, table.n + 1) == 1:
         raise ValueError(f"the characteristic of q={table.q} does not divide "
                          f"n+1={table.n + 1}; dual families need it to")
 

@@ -14,10 +14,10 @@ Euclidean dual family of the ell-scaled family raises the primal matrix
 to the ell-th power entry-wise and verifies that the result spans the
 code of the ell-scaled family.
 
-Duality is only provided for even q; n is then odd and the block length
-n+1 even.  :func:`check_q` rejects odd characteristic rather than
-extrapolating it; the family rules (q = ell^2, p dividing n+1) live in
-``cosets``.
+The table rules live in ``cosets``: ``compute_cosets`` needs q = p^f
+for a prime p, ``hermitian_image`` needs q = ell^2 with ell >= 2, and
+``check_dualizable`` needs p to divide n+1.  Every table that meets them
+is dualized, in odd characteristic too.
 """
 
 from __future__ import annotations
@@ -48,15 +48,8 @@ class DualityReport:
     matrix_dual: GeneratorMatrix
 
 
-def check_q(q: int) -> None:
-    """Reject fields outside the dual and quantum constructions: odd q."""
-    if q % 2:
-        raise ValueError("dual and quantum constructions are only supported for even q")
-
-
 def euclidean_dual(family: CosetFamily) -> DualityReport:
     """Euclidean dual family of ``family``, verified at the code level."""
-    check_q(family.table.q)
     return _verified_dual(family, euclidean_dual_family(family), None)
 
 
@@ -69,7 +62,6 @@ def hermitian_dual(family: CosetFamily, ell: int) -> DualityReport:
     level: the entry-wise ell-th power of the primal code spans the code
     of the scaled family.
     """
-    check_q(family.table.q)
     return _verified_dual(family, hermitian_dual_family(family, ell), ell)
 
 

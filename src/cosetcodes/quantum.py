@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosets import CosetFamily, CosetTable, hermitian_dual_family, hermitian_image
+from .cosets import (CosetFamily, CosetTable, check_dualizable, hermitian_dual_family,
+                     hermitian_image)
 from .codes import field_for_table, generator_matrix
-from .duality import VerificationError, check_q
+from .duality import VerificationError
 from .galois import Field
 from .linalg import (DEFAULT_BUDGET, DistanceCertificate, check_budget,
                      gram_is_zero, min_distance_exhaustive, pow_entrywise)
@@ -120,7 +121,6 @@ def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
     ``self_orthogonal=False`` is returned for inspection.
     """
     table = family.table
-    check_q(table.q)
     t_family = hermitian_dual_family(family, ell)
     violations = _self_orthogonality_violations(family, hermitian_image(table, ell))
     self_orthogonal = not violations
@@ -186,8 +186,8 @@ class CompatibilityGraph:
 
 
 def build_compatibility_graph(table: CosetTable, ell: int) -> CompatibilityGraph:
-    check_q(table.q)
     image = hermitian_image(table, ell)
+    check_dualizable(table)
     zero_id = table.coset_of(0)
     nonzero = [i for i in range(len(table)) if i != zero_id]
     return CompatibilityGraph(table=table,

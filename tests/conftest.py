@@ -73,6 +73,21 @@ def t80q9():
 
 
 @pytest.fixture(scope="session")
+def t8q9():
+    return compute_cosets(9, 8)
+
+
+@pytest.fixture(scope="session")
+def t26q9():
+    return compute_cosets(9, 26)
+
+
+@pytest.fixture(scope="session")
+def t24q25():
+    return compute_cosets(25, 24)
+
+
+@pytest.fixture(scope="session")
 def f4():
     return make_field(2, 2)
 

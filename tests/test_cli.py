@@ -76,6 +76,20 @@ def test_representative_outside_zero_to_n_minus_one_is_usage_error(capsys, argv)
     assert "residue" in err and "outside 0..20" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("cosets", "--q", "6", "--n", "7"), "q=6 is not a prime power"),
+    (("cosets", "--q", "1", "--n", "5"), "q=1 is not a prime power"),
+    (("cosets", "--q", "-3", "--n", "8"), "q=-3 is not a prime power"),
+    (("search", "--q", "9", "--ell", "3", "--n", "10"),
+     "the characteristic of q=9 does not divide n+1=11"),
+])
+def test_table_outside_the_rules_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("argv,codewords", [
     (("classical", "--q", "4", "--n", "21", "--family", "0,1,2,3", "--certify"),
      4**10 - 1),

@@ -39,6 +39,14 @@ def test_order_mod_rejects_non_coprime():
         order_mod(4, 1)
 
 
+@pytest.mark.parametrize("q,n", [(6, 7), (36, 35), (12, 5), (1, 5), (0, 5), (-3, 8)])
+def test_compute_cosets_refuses_q_that_is_not_a_prime_power(q, n):
+    # a table for such q describes no code, and check_dualizable reads
+    # gcd(q, n+1) as "p divides n+1", which needs a single prime p
+    with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+        compute_cosets(q, n)
+
+
 def test_coset_table_4_51(t51):
     assert sorted([list(c.elements) for c in t51.cosets]) == sorted(TABLE_4_51)
     assert len(t51) == 15

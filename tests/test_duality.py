@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import (compute_cosets, euclidean_dual, euclidean_dual_family,
-                        generator_matrix, hermitian_dual, hermitian_dual_family)
+from cosetcodes import (compute_cosets, derive_quantum, euclidean_dual,
+                        euclidean_dual_family, generator_matrix, hermitian_dual,
+                        hermitian_dual_family, search)
 from cosetcodes.linalg import (gram_is_zero, nullspace, pow_entrywise,
                                rank_and_rref, row_space_equal)
+from cosetcodes.quantum import build_compatibility_graph
 from conftest import coset_families
 
 
@@ -84,12 +86,26 @@ def test_dual_generator_row_space_equals_nullspace(t21):
     assert np.array_equal(canon_ns.entries, canon_dual.entries)
 
 
-def test_odd_q_is_rejected():
-    table = compute_cosets(3, 8)
-    with pytest.raises(ValueError):
-        euclidean_dual(table.family([0]))
-    with pytest.raises(ValueError):
-        hermitian_dual(table.family([0]), ell=2)
+def test_odd_q_is_refused_only_where_p_does_not_divide_n_plus_1():
+    # the zero coset's row is a constant c with self-product (n+1)*c^2
+    for q, ell, n in ((9, 3, 10), (25, 5, 12)):
+        table = compute_cosets(q, n)
+        family = table.family([0])
+        with pytest.raises(ValueError, match="does not divide n\\+1"):
+            euclidean_dual(family)
+        with pytest.raises(ValueError, match="does not divide n\\+1"):
+            hermitian_dual(family, ell)
+        with pytest.raises(ValueError, match="does not divide n\\+1"):
+            derive_quantum(family, ell)
+        # search refuses the table before it walks a node
+        with pytest.raises(ValueError, match="does not divide n\\+1"):
+            build_compatibility_graph(table, ell)
+        with pytest.raises(ValueError, match="does not divide n\\+1"):
+            search(table, ell)
+    # 3 divides n+1 = 9: the dual is verified in odd characteristic
+    rep = euclidean_dual(compute_cosets(3, 8).family([0, 1]))
+    assert (rep.dim_s, rep.dim_dual) == (3, 6)
+    assert rep.gram_verified and rep.nullspace_verified
 
 
 def test_zero_coset_is_required(t51):

@@ -116,11 +116,11 @@ def test_family_0_5_is_actually_self_orthogonal(t21):
     assert rep.triple() == (22, 14, 2)
 
 
-def test_gram_and_containment_agree_on_random_families(t21, t51q16):
+def test_gram_and_containment_agree_on_random_families(t21, t51q16, t80q9, t24q25):
     # three routes: Gram product, containment in T (derive_quantum) and the graph
     import numpy as np
     rng = np.random.default_rng(8)
-    for table, ell in ((t21, 2), (t51q16, 4)):
+    for table, ell in ((t21, 2), (t51q16, 4), (t80q9, 3), (t24q25, 5)):
         graph = build_compatibility_graph(table, ell)
         for _ in range(12):
             size = int(rng.integers(1, 5))
@@ -164,6 +164,27 @@ def test_search_matches_powerset_oracle_n51(t51):
     res = search(t51, 2)
     assert res.complete
     assert res.frontier() == _frontier_by_powerset(t51, 2)
+
+
+@pytest.mark.parametrize("name", ["t8q9", "t26q9"])
+def test_search_matches_powerset_oracle_odd_characteristic(request, name):
+    table = request.getfixturevalue(name)
+    res = search(table, 3)
+    assert res.complete
+    assert res.frontier() == _frontier_by_powerset(table, 3)
+
+
+@pytest.mark.parametrize("name,ell,frontier", [
+    ("t8q9", 3, [(7, 2), (5, 3)]),
+    ("t24q25", 5, [(23, 2), (21, 3), (19, 4), (17, 5)]),
+])
+def test_odd_characteristic_frontiers_are_quantum_mds(request, name, ell, frontier):
+    # the quantum Singleton bound k <= N - 2d + 2 (N = n+1) holds with
+    # equality, so every degree bound here is the exact distance
+    table = request.getfixturevalue(name)
+    assert search(table, ell).frontier() == frontier
+    for qk, d in frontier:
+        assert qk == table.n + 1 - 2 * d + 2
 
 
 def test_search_required_points_n63(t63):
