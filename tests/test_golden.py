@@ -8,11 +8,14 @@ before the field tables were rebuilt as F_p-linear maps, the next two
 (an ell = 4 quantum CSV and a conditional search objective) before the
 dual checks and the Hermitian pair rule were merged, the next four
 (budget refusals) before dual-code certification was split from quantum
-derivation, and the text coset table before the package root was cut to
-the pipeline's entry points.  A refactor that changes any printed byte
-(a frontier, a certificate witness, a field description, a JSON key
-order, a refusal) fails here.  Do not update a digest to make a change pass; a change of
-output has to be justified on its own.
+derivation, the text coset table before the package root was cut to
+the pipeline's entry points, and the last three (a ternary and a 5-ary
+frontier, and a ternary dual certificate) after odd characteristic was
+opened to every table whose characteristic divides n+1.  A refactor
+that changes any printed byte (a frontier, a certificate witness, a
+field description, a JSON key order, a refusal) fails here.  Do not
+update a digest to make a change pass; a change of output has to be
+justified on its own.
 """
 
 import hashlib
@@ -77,6 +80,13 @@ GOLDEN = [
      "dfcd7cf78b0192a2fec9f92499e925a8cf5296b9d5e6df09252c97754f57991b"),
     ("cosets --q 4 --n 21 --format text", 0,
      "f12cbd58602f00de3f50c86fa922b62035d031d1a02192c73763ab71af077675"),
+    # odd characteristic, p | n+1: quantum MDS frontiers and a certified d(C_T)
+    ("search --q 9 --ell 3 --n 26", 0,
+     "82cfc82d63cb9f6166d2b4a6d860c7b65f1588256d617646b574beee0b56a450"),
+    ("search --q 25 --ell 5 --n 24 --format json", 0,
+     "bb9b2990569dd98e72ec169290e577c24280a4d85d101073724d377cd36166d1"),
+    ("quantum --q 9 --ell 3 --n 8 --family 0,3 --certify-dual --format json", 0,
+     "56b25251d1596616d53698b77735385294222c2e914996d7998997b50fe5c87f"),
 ]
 
 
