@@ -24,13 +24,13 @@ import numpy as np
 
 from .cosets import CosetFamily, CosetTable
 from .galois import (Field, SubfieldBasis, degree_over_prime, make_field,
-                     nth_root_of_unity, prime_factors, subfield_power_basis)
+                     nth_root_of_unity, prime_power_base, subfield_power_basis)
 from .linalg import GFMatrix, rank
 
 
 def field_for_table(table: CosetTable) -> Field:
     """The canonical parent field GF(q^m) for a coset table."""
-    p = prime_factors(table.q)[0]
+    p = prime_power_base(table.q)
     return make_field(p, degree_over_prime(table.q, p) * table.m)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .galois import prime_factors
+from .galois import prime_power_base
 
 
 def order_mod(q: int, n: int) -> int:
@@ -121,7 +121,7 @@ class CosetTable:
 def compute_cosets(q: int, n: int) -> CosetTable:
     """Partition Z_n into q-cyclotomic cosets (requires a prime power q,
     gcd(q, n) = 1 and n > 1)."""
-    if len(prime_factors(q)) != 1:
+    if prime_power_base(q) is None:
         raise ValueError(f"q={q} is not a prime power")
     m = order_mod(q, n)  # validates the other preconditions
     id_of = [-1] * n

@@ -43,6 +43,11 @@ MAX_TABLE_FIELD_SIZE = 1 << 12
 # more left megabytes of freed temporaries in the resident set of the process
 EXP_CHUNK_ROWS = 1 << 8
 
+# Miller-Rabin at these bases decides primality exactly for every n below
+# MR_BOUND, the smallest strong pseudoprime to all of them
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_BOUND = 318665857834031151167461
+
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
@@ -57,6 +62,59 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; raises ValueError from MR_BOUND on."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is too large for the exact primality test (bound {MR_BOUND})")
+    if n < 2:
+        return False
+    for a in MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def prime_power_base(q: int) -> int | None:
+    """The prime p with q = p^f for some f >= 1, or None if q is no prime power.
+
+    The exponents f <= log2 q are tried from the largest down, so the
+    first exact integer root r is not itself a perfect power, and q is a
+    prime power exactly when r is prime.  This costs microseconds where
+    :func:`prime_factors`, trial division up to sqrt(q), takes seconds
+    for a prime q near 10^16.
+    """
+    if q < 2:
+        return None
+    for f in range(q.bit_length() - 1, 0, -1):
+        r = _integer_root(q, f)
+        if r**f == q:
+            return r if is_prime(r) else None
+    return None
 
 
 def degree_over_prime(q: int, p: int) -> int:
@@ -471,7 +529,7 @@ def make_field(p: int, e: int, modulus: tuple[int, ...] | list[int] | None = Non
     root, which need not be x: ``make_field(7, 1)`` has modulus x + 2, so
     x = 5, but generator 3.
     """
-    if prime_factors(p) != [p]:
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be positive")

@@ -24,8 +24,11 @@ times.
 The steps run in increasing Gray order and weigh the Gray-first member
 of each class, so the reported witness is still the first
 minimum-weight codeword in Gray order.  Certification can split the
-steps into contiguous chunks on a process pool; results, witness
-included, are identical to the sequential traversal.
+steps into contiguous chunks over the calling process and a forked pool;
+results, witness included, are identical to the sequential traversal.
+The split is made only when each worker gets at least
+``FORK_MIN_ENTRIES`` table entries to weigh, since on a smaller share a
+forked worker costs more than it saves.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 1 << 26
 TABLE_ROWS = 1 << 16  # span-table row cap of the enumeration kernel
+# span-table entries per worker from which splitting an enumeration over
+# forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
+FORK_MIN_ENTRIES = 1 << 25
 F32_EXACT = 1 << 24  # float32 holds every integer up to this one exactly
 GRAM_BLOCK_ROWS = 128  # g1 rows per block of gram_is_zero
 GRAM_FLOATS = 1 << 17  # float32 operands of one gram_is_zero product
@@ -413,9 +419,16 @@ class _SpanKernel:
         return best_w, best_t
 
 
-def _first_minimum_chunk(args) -> tuple[int, int]:
-    kernel, start, stop = args
-    return kernel.first_minimum(start, stop)
+_worker_kernel: _SpanKernel | None = None  # set only in pool workers
+
+
+def _init_worker(kernel: _SpanKernel) -> None:
+    global _worker_kernel
+    _worker_kernel = kernel
+
+
+def _first_minimum_chunk(bounds: tuple[int, int]) -> tuple[int, int]:
+    return _worker_kernel.first_minimum(*bounds)
 
 
 def check_budget(q: int, k: int, budget: int) -> None:
@@ -451,16 +464,32 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
     of messages, at every worker count.  Raises
     :class:`BudgetExceededError` when q^k - 1 exceeds ``budget`` (or
     does not fit int64 counts) and ValueError for rank-deficient input.
+
+    ``jobs`` caps the worker count.  The work is the number of span-table
+    entries the walk weighs, steps x table size, and the job runs on
+    min(jobs, steps, work // FORK_MIN_ENTRIES) workers, at least one.
+    With more than one, the calling process weighs the first chunk of
+    steps while a forked pool weighs the others; the workers inherit the
+    kernel by the fork, so only (start, stop) pairs are pickled.
+
+    Medians on a 2-vCPU VM, one worker against two forced ones: q=4 k=13
+    (22M entries) took 73 and 78 ms, q=2 k=25 (34M) 95 and 99 ms, while
+    q=16 k=7 (72M) went from 307 to 182 ms and q=4 k=14 (90M) from 280
+    to 177 ms; hence 2^25 entries per worker.  A table entry is one
+    uint64 word in characteristic 2 and one symbol in odd
+    characteristic, whose walk weighs more entries per second: q=3 k=15
+    (187M) went from 394 to 246 ms on two workers.
     """
     kernel = _enumerable_kernel(g, budget)
-    workers = min(jobs, kernel.steps)
-    if workers <= 1:
+    work = kernel.steps * kernel.table.size
+    workers = max(1, min(jobs, kernel.steps, work // FORK_MIN_ENTRIES))
+    if workers == 1:
         best_w, best_t = kernel.first_minimum(0, kernel.steps)
     else:
         cuts = [kernel.steps * i // workers for i in range(workers + 1)]
-        tasks = [(kernel, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        with get_context("fork").Pool(workers) as pool:
-            best_w, best_t = min(pool.map(_first_minimum_chunk, tasks))
+        with get_context("fork").Pool(workers - 1, _init_worker, (kernel,)) as pool:
+            rest = pool.map_async(_first_minimum_chunk, list(zip(cuts[1:-1], cuts[2:])))
+            best_w, best_t = min(kernel.first_minimum(cuts[0], cuts[1]), *rest.get())
     k = g.rows
     message = _gray_digits(best_t, k, g.q)
     witness = _codeword_for_message(g.field, g.entries, message)

@@ -1,10 +1,27 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from cosetcodes import compute_cosets, make_field
+from cosetcodes.fixtures import load_known_answers
 from cosetcodes.galois import SubfieldBasis, subfield_power_basis
 from cosetcodes.linalg import GFMatrix, rank
+
+# published coset tables by (q, n), transcribed set for set in known_answers.json
+COSET_TABLES = {(t["q"], t["n"]): t["cosets"] for t in load_known_answers()["coset_tables"]}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a multiprocessing child alive, after ending it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(10)
+    assert not left, f"child processes left running: {left}"
 
 
 def random_subfield_basis(ctx, q, s, rng):

@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from cosetcodes import (classical_params, compute_cosets, derive_quantum,
-                        euclidean_dual, generator_matrix, hermitian_dual,
+                        euclidean_dual, generator_matrix, hermitian_dual, linalg,
                         min_distance_exhaustive, search, truncated_family)
 from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import nullspace, rank, row_space_equal
 from cosetcodes.quantum import build_compatibility_graph
-from conftest import random_subfield_basis
-from test_cosets import TABLE_4_21, TABLE_4_51, TABLE_4_63
+from conftest import COSET_TABLES, random_subfield_basis
 from test_quantum import _frontier_by_powerset
 
 _searches = {}
@@ -42,9 +41,9 @@ def test_criterion_1_coset_fixtures():
         (4, 63): [list(c.elements) for c in compute_cosets(4, 63).cosets],
     }
     elapsed = time.perf_counter() - start
-    assert sorted(computed[(4, 51)]) == sorted(TABLE_4_51)
-    assert sorted(computed[(4, 21)]) == sorted(TABLE_4_21)
-    assert sorted(computed[(4, 63)]) == sorted(TABLE_4_63)
+    assert sorted(computed[(4, 51)]) == sorted(COSET_TABLES[4, 51])
+    assert sorted(computed[(4, 21)]) == sorted(COSET_TABLES[4, 21])
+    assert sorted(computed[(4, 63)]) == sorted(COSET_TABLES[4, 63])
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1 PASS: three coset tables reproduced exactly "
           f"({elapsed:.3f} s < 1 s)")
@@ -146,7 +145,8 @@ def test_criterion_4_search_finds_each_triple(ell, n, min_qk, point):
     print(f"\nACCEPTANCE 4 (search) PASS: [[{n + 1},{qk},>={d}]] on the frontier")
 
 
-def test_criterion_5_exhaustive_dual_distance(t21):
+def test_criterion_5_exhaustive_dual_distance(t21, monkeypatch):
+    monkeypatch.setattr(linalg, "FORK_MIN_ENTRIES", 1)  # jobs=8 forks 7 workers
     rep = derive_quantum(t21.family([0, 1, 2, 3]), 2)
     assert rep.t_family.dim() == 12
     g_t = generator_matrix(rep.t_family)

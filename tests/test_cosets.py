@@ -3,27 +3,9 @@ from math import gcd
 
 import pytest
 
-from cosetcodes import compute_cosets, euclidean_dual_family, hermitian_dual_family
+from cosetcodes import compute_cosets, euclidean_dual_family, galois, hermitian_dual_family
 from cosetcodes.cosets import CosetFamily, order_mod
-
-# Published 4-cyclotomic coset tables, transcribed set for set.
-TABLE_4_51 = [
-    [0], [1, 4, 13, 16], [2, 8, 26, 32], [3, 12, 39, 48], [5, 14, 20, 29],
-    [6, 24, 27, 45], [7, 10, 28, 40], [9, 15, 36, 42], [11, 23, 41, 44],
-    [17], [18, 21, 30, 33], [19, 25, 43, 49], [22, 31, 37, 46], [34],
-    [35, 38, 47, 50],
-]
-TABLE_4_21 = [
-    [0], [1, 4, 16], [2, 8, 11], [3, 6, 12], [5, 17, 20], [7],
-    [9, 15, 18], [10, 13, 19], [14],
-]
-TABLE_4_63 = [
-    [0], [1, 4, 16], [2, 8, 32], [3, 12, 48], [5, 17, 20], [6, 24, 33],
-    [7, 28, 49], [9, 18, 36], [10, 34, 40], [11, 44, 50], [13, 19, 52],
-    [14, 35, 56], [15, 51, 60], [21], [22, 25, 37], [23, 29, 53],
-    [26, 38, 41], [27, 45, 54], [30, 39, 57], [31, 55, 61], [42],
-    [43, 46, 58], [47, 59, 62],
-]
+from conftest import COSET_TABLES
 
 
 @pytest.mark.parametrize("q,n,expected", [(4, 51, 4), (16, 51, 2), (64, 585, 2),
@@ -47,17 +29,28 @@ def test_compute_cosets_refuses_q_that_is_not_a_prime_power(q, n):
         compute_cosets(q, n)
 
 
+def test_compute_cosets_tests_large_q_without_trial_division(monkeypatch):
+    def trial_division(n):
+        raise AssertionError("trial division up to sqrt(q)")
+
+    monkeypatch.setattr(galois, "prime_factors", trial_division)
+    assert galois.is_prime(10**16 + 61)  # Miller-Rabin at the 12 prime bases up to 37
+    assert compute_cosets(10**16 + 61, 5).m == 1
+    with pytest.raises(ValueError, match="q=10000004400000259 is not a prime power"):
+        compute_cosets((10**8 + 7) * (10**8 + 37), 5)
+
+
 def test_coset_table_4_51(t51):
-    assert sorted([list(c.elements) for c in t51.cosets]) == sorted(TABLE_4_51)
+    assert sorted([list(c.elements) for c in t51.cosets]) == sorted(COSET_TABLES[4, 51])
     assert len(t51) == 15
 
 
 def test_coset_table_4_21(t21):
-    assert sorted([list(c.elements) for c in t21.cosets]) == sorted(TABLE_4_21)
+    assert sorted([list(c.elements) for c in t21.cosets]) == sorted(COSET_TABLES[4, 21])
 
 
 def test_coset_table_4_63(t63):
-    assert sorted([list(c.elements) for c in t63.cosets]) == sorted(TABLE_4_63)
+    assert sorted([list(c.elements) for c in t63.cosets]) == sorted(COSET_TABLES[4, 63])
     assert sum(c.size for c in t63.cosets) == 63
 
 
@@ -217,4 +210,4 @@ def test_text_layout_has_three_columns(t51):
 def test_json_export_shape(t21):
     obj = t21.to_json_obj()
     assert obj["q"] == 4 and obj["n"] == 21 and obj["m"] == 3
-    assert obj["cosets"] == TABLE_4_21
+    assert obj["cosets"] == COSET_TABLES[4, 21]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cosetcodes import make_field
-from cosetcodes.galois import (SubfieldBasis, _int_to_digits, _poly_mulmod,
-                               _poly_powmod, nth_root_of_unity, prime_factors,
-                               subfield_power_basis)
+from cosetcodes.galois import (MR_BOUND, SubfieldBasis, _int_to_digits, _poly_mulmod,
+                               _poly_powmod, is_prime, nth_root_of_unity, prime_factors,
+                               prime_power_base, subfield_power_basis)
 
 SMALL_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 11) if p**e <= 1024]
 IMPRIMITIVE_X = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8+x^4+x^3+x+1: x has order 51
@@ -51,6 +51,19 @@ def test_make_field_rejects_bad_inputs():
     for modulus in ((1.5, 1, 1), (True, 1, 1), ("1", 1, 1), (None, 1, 1)):
         with pytest.raises(ValueError, match="must be ints"):
             make_field(2, 2, modulus)  # int(c) would build GF(4) from x^2+x+1
+
+
+def test_prime_power_base_agrees_with_trial_division():
+    for q in range(-3, 1 << 12):
+        factors = prime_factors(q)
+        assert prime_power_base(q) == (factors[0] if len(factors) == 1 else None), q
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # ... to the 9 prime bases up to 23
+    with pytest.raises(ValueError, match="too large for the exact primality test"):
+        is_prime(MR_BOUND)  # strong pseudoprime to all 12 bases
 
 
 def assert_order(f, a, order):

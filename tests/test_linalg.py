@@ -1,11 +1,12 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import BudgetExceededError, make_field, min_distance_exhaustive
+from cosetcodes import BudgetExceededError, linalg, make_field, min_distance_exhaustive
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _codeword_for_message,
                                _gray_digits, _SpanKernel, check_budget, gf_matrix,
                                gram_is_zero, nullspace, pow_entrywise, rank,
@@ -335,7 +336,13 @@ def test_distance_invariant_under_column_permutation_and_rref(f4):
     assert min_distance_exhaustive(rr).value == d
 
 
-def test_parallel_enumeration_matches_sequential(f4):
+def test_parallel_enumeration_matches_sequential(f4, monkeypatch):
+    monkeypatch.setattr(linalg, "FORK_MIN_ENTRIES", 1)  # fork even these small jobs
+
+    def no_pickle(self, protocol):
+        raise AssertionError("the kernel reaches workers by fork, not by pickle")
+
+    monkeypatch.setattr(_SpanKernel, "__reduce_ex__", no_pickle)
     g = random_full_rank(f4, 9, 20, np.random.default_rng(11))
     assert g.q**g.rows > TABLE_ROWS  # several high steps to split between workers
     seq = min_distance_exhaustive(g, jobs=1)
@@ -344,11 +351,42 @@ def test_parallel_enumeration_matches_sequential(f4):
         assert seq.value == par.value
         assert seq.witness == par.witness
         assert seq.enumerated == par.enumerated
+        assert not multiprocessing.active_children()
     g = random_full_rank(make_field(3, 1), 13, 22, np.random.default_rng(13))
     seq = min_distance_exhaustive(g, jobs=1)
     for jobs in (2, 3):  # odd characteristic, 14 steps
         par = min_distance_exhaustive(g, jobs=jobs)
-        assert (seq.value, seq.witness) == (par.value, par.witness)
+        assert (seq.value, seq.witness, seq.enumerated) == (par.value, par.witness, par.enumerated)
+        assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("q_e,k,n", [((2, 2), 12, 21), ((2, 4), 6, 51)])
+def test_small_job_runs_in_process(monkeypatch, q_e, k, n):
+    # the sizes of the certify benchmark codes: each weighs under 2^23
+    # table entries, far from FORK_MIN_ENTRIES, so jobs=2 starts no pool
+    g = random_full_rank(make_field(*q_e), k, n, np.random.default_rng(17))
+
+    def no_fork(method):
+        raise AssertionError(f"{method} pool started for a job that cannot pay for it")
+
+    monkeypatch.setattr(linalg, "get_context", no_fork)
+    assert min_distance_exhaustive(g, jobs=2) == min_distance_exhaustive(g, jobs=1)
+
+
+def test_failing_caller_chunk_leaves_no_child(f4, monkeypatch):
+    monkeypatch.setattr(linalg, "FORK_MIN_ENTRIES", 1)
+    first_minimum = _SpanKernel.first_minimum
+
+    def caller_chunk_fails(self, start, stop):
+        if start == 0:  # the chunk the calling process weighs itself
+            raise RuntimeError("caller chunk failed")
+        return first_minimum(self, start, stop)
+
+    monkeypatch.setattr(_SpanKernel, "first_minimum", caller_chunk_fails)
+    g = random_full_rank(f4, 9, 20, np.random.default_rng(11))
+    with pytest.raises(RuntimeError, match="caller chunk failed"):
+        min_distance_exhaustive(g, jobs=3)
+    assert not multiprocessing.active_children()
 
 
 def test_budget_and_rank_errors(f16, f4):
