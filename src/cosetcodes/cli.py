@@ -65,14 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    def add_enumeration(p):
+    def add_budget(p):
         # argparse converts a string default with type, so a bad env value is a usage error
         p.add_argument("--budget", type=_budget,
                        default=os.environ.get(BUDGET_ENV) or str(DEFAULT_BUDGET),
                        help="enumeration budget for exhaustive certification "
                             f"(default {DEFAULT_BUDGET}, env {BUDGET_ENV})")
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel workers for exhaustive enumeration")
 
     p = sub.add_parser("cosets", help="print the q-cyclotomic coset table mod n")
     p.add_argument("--q", type=int, required=True)
@@ -89,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true",
                    help="certify the exact minimum distance exhaustively")
     add_format(p)
-    add_enumeration(p)
+    add_budget(p)
 
     p = sub.add_parser("matrix", help="export a generator matrix")
     p.add_argument("--q", type=int, required=True)
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify-dual", action="store_true",
                    help="attach an exhaustive distance certificate for the dual code")
     add_format(p)
-    add_enumeration(p)
+    add_budget(p)
 
     p = sub.add_parser("search", help="search families for the (quantum_k, d) frontier")
     p.add_argument("--q", type=int, required=True)
@@ -127,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the bundled known-answer suite")
     p.add_argument("--skip-certify", action="store_true",
                    help="skip the exhaustive distance certifications")
-    add_enumeration(p)
+    add_budget(p)
 
     return parser
 
@@ -178,7 +176,7 @@ def cmd_classical(args) -> int:
     budget_note = None
     if args.certify:
         try:
-            cert = min_distance_exhaustive(g.mat, budget=args.budget, jobs=args.jobs)
+            cert = min_distance_exhaustive(g.mat, budget=args.budget)
         except BudgetExceededError as exc:
             budget_note = str(exc)
     d_exact = cert.value if cert else None
@@ -237,7 +235,7 @@ def cmd_quantum(args) -> int:
     budget_note = None
     if args.certify_dual:
         try:
-            cert = certify_dual(report, budget=args.budget, jobs=args.jobs)
+            cert = certify_dual(report, budget=args.budget)
         except BudgetExceededError as exc:
             budget_note = str(exc)
     if args.format == "json":
@@ -291,8 +289,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = fixtures.run_all(certify=not args.skip_certify,
-                               budget=args.budget, jobs=args.jobs)
+    results = fixtures.run_all(certify=not args.skip_certify, budget=args.budget)
     for r in results:
         print(r.line())
     failed = fixtures.failures(results)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import CosetFamily, CosetTable
+from .cosets import CosetFamily, CosetTable, compute_cosets
 from .galois import (Field, SubfieldBasis, degree_over_prime, make_field,
                      nth_root_of_unity, prime_power_base, subfield_power_basis)
 from .linalg import GFMatrix, rank
@@ -81,11 +81,13 @@ def load_matrix_json(text: str) -> GeneratorMatrix:
         raise ValueError("\"field\" field \"modulus\" must hold ints")
     if not all(_is_int(v) and 0 <= v < obj["q"] for v in obj["entries"]):
         raise ValueError("export field \"entries\" must hold ints in 0..q-1")
-    table = _table_from_json(obj)
-    family = table.family(c[0] for c in obj["family"])
+    # n must divide the field's group order (below 2^20): check before the O(n) table
     ctx = make_field(fdesc["p"], fdesc["e"], tuple(fdesc["modulus"]))
     if ctx.generator != fdesc["generator"]:
         raise ValueError("field generator mismatch; incompatible export")
+    nth_root_of_unity(ctx, obj["n"])
+    table = _table_from_json(obj)
+    family = table.family(c[0] for c in obj["family"])
     rebuilt = generator_matrix(family, ctx)
     shape = rebuilt.mat.entries.shape
     if (obj["rows"], obj["cols"]) != shape:
@@ -113,8 +115,6 @@ def _is_int(v) -> bool:
 
 
 def _table_from_json(obj: dict) -> CosetTable:
-    from .cosets import compute_cosets
-
     table = compute_cosets(obj["q"], obj["n"])
     if not all(isinstance(c, list) and c and all(_is_int(v) for v in c)
                for c in obj["family"]):

@@ -55,8 +55,7 @@ def _bound_only(name: str, expected, refusal: BudgetExceededError) -> FixtureRes
                          computed=f"bound only: {refusal}")
 
 
-def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET,
-            jobs: int = 1) -> list[FixtureResult]:
+def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET) -> list[FixtureResult]:
     """Recompute every bundled known answer; returns one result per check."""
     data = load_known_answers()
     results: list[FixtureResult] = []
@@ -92,7 +91,7 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET,
             name = f"certified d q={fix['q']} n={fix['n']} r={fix['r']}"
             g = generator_matrix(fam)
             try:
-                cert = min_distance_exhaustive(g.mat, budget=budget, jobs=jobs)
+                cert = min_distance_exhaustive(g.mat, budget=budget)
             except BudgetExceededError as exc:
                 results.append(_bound_only(name, fix["d_exact"], exc))
             else:
@@ -182,7 +181,7 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET,
         t = table(fix["ell"] ** 2, fix["n"])
         rep = quantum.derive_quantum(t.family(fix["family"]), fix["ell"])
         try:
-            cert = quantum.certify_dual(rep, budget=budget, jobs=jobs)
+            cert = quantum.certify_dual(rep, budget=budget)
         except BudgetExceededError as exc:
             results.append(_bound_only(name, expected, exc))
         else:

@@ -28,11 +28,13 @@ steps into contiguous chunks over the calling process and a forked pool;
 results, witness included, are identical to the sequential traversal.
 The split is made only when each worker gets at least
 ``FORK_MIN_ENTRIES`` table entries to weigh, since on a smaller share a
-forked worker costs more than it saves.
+forked worker costs more than it saves, and by default over no more
+workers than the CPUs this process may run on.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import TYPE_CHECKING
@@ -456,7 +458,7 @@ def _enumerable_kernel(g: GFMatrix, budget: int) -> _SpanKernel:
 
 
 def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
-                            jobs: int = 1) -> DistanceCertificate:
+                            jobs: int | None = None) -> DistanceCertificate:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
     One codeword of each scalar class is weighed.  The witness is the
@@ -465,7 +467,8 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
     :class:`BudgetExceededError` when q^k - 1 exceeds ``budget`` (or
     does not fit int64 counts) and ValueError for rank-deficient input.
 
-    ``jobs`` caps the worker count.  The work is the number of span-table
+    ``jobs`` caps the worker count; by default it is the number of CPUs
+    this process may run on.  The work is the number of span-table
     entries the walk weighs, steps x table size, and the job runs on
     min(jobs, steps, work // FORK_MIN_ENTRIES) workers, at least one.
     With more than one, the calling process weighs the first chunk of
@@ -481,6 +484,9 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
     (187M) went from 394 to 246 ms on two workers.
     """
     kernel = _enumerable_kernel(g, budget)
+    if jobs is None:  # the CPUs this process may run on; taskset narrows them
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     work = kernel.steps * kernel.table.size
     workers = max(1, min(jobs, kernel.steps, work // FORK_MIN_ENTRIES))
     if workers == 1:

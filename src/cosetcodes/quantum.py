@@ -108,17 +108,17 @@ def _self_orthogonality_violations(family: CosetFamily,
                   for b in family.members if b != zero_id and image[b] in members)
 
 
-def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
+def derive_quantum(family: CosetFamily, ell: int,
                    require_self_orthogonal: bool = True) -> QuantumCodeReport:
     """Derive the [[n+1, n+1-2k, >= d]] parameters for a coset family.
 
     Containment of the family in its Hermitian dual family is checked
-    combinatorially and, when ``verify_gram`` is set, also by the
-    Hermitian Gram product of the generator matrix with itself; any
-    disagreement between the two routes raises.  Families that fail
-    self-orthogonality raise :class:`NotSelfOrthogonalError` unless
-    ``require_self_orthogonal`` is false, in which case a report with
-    ``self_orthogonal=False`` is returned for inspection.
+    combinatorially and by the Hermitian Gram product of the generator
+    matrix with itself; any disagreement between the two routes raises.
+    Families that fail self-orthogonality raise
+    :class:`NotSelfOrthogonalError` unless ``require_self_orthogonal`` is
+    false, in which case a report with ``self_orthogonal=False`` is
+    returned for inspection.
     """
     table = family.table
     t_family = hermitian_dual_family(family, ell)
@@ -129,12 +129,10 @@ def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
         raise VerificationError("containment check disagrees with pair scan")
     if not self_orthogonal and require_self_orthogonal:
         raise NotSelfOrthogonalError(violations)
-    if verify_gram:
-        g_s = generator_matrix(family)
-        gram_zero = gram_is_zero(pow_entrywise(g_s.mat, ell), g_s.mat)
-        if gram_zero != self_orthogonal:
-            raise VerificationError(
-                "Hermitian Gram disagrees with the combinatorial containment")
+    g_s = generator_matrix(family)
+    if gram_is_zero(pow_entrywise(g_s.mat, ell), g_s.mat) != self_orthogonal:
+        raise VerificationError(
+            "Hermitian Gram disagrees with the combinatorial containment")
     k = family.dim()
     quantum_k = table.n + 1 - 2 * k
     if self_orthogonal and quantum_k < 0:
@@ -146,8 +144,8 @@ def derive_quantum(family: CosetFamily, ell: int, verify_gram: bool = True,
                              parent=field_for_table(table))
 
 
-def certify_dual(report: QuantumCodeReport, budget: int = DEFAULT_BUDGET,
-                 jobs: int = 1) -> DistanceCertificate:
+def certify_dual(report: QuantumCodeReport,
+                 budget: int = DEFAULT_BUDGET) -> DistanceCertificate:
     """Certify the minimum distance of the report's dual code C_T exhaustively.
 
     The budget is checked on q^dim(C_T) - 1 codewords before C_T's
@@ -157,8 +155,7 @@ def certify_dual(report: QuantumCodeReport, budget: int = DEFAULT_BUDGET,
     certified too: C_T is a code either way.
     """
     check_budget(report.q, report.t_family.dim(), budget)
-    return min_distance_exhaustive(generator_matrix(report.t_family).mat,
-                                   budget=budget, jobs=jobs)
+    return min_distance_exhaustive(generator_matrix(report.t_family).mat, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +211,7 @@ class SearchResult:
 
 def search(table: CosetTable, ell: int, objective: str = "pareto",
            target: int | None = None, min_quantum_k: int = 0,
-           node_budget: int = 1_000_000, verify: bool = True) -> SearchResult:
+           node_budget: int = 1_000_000) -> SearchResult:
     """Enumerate admissible families and return the (quantum_k, d) frontier.
 
     Vertices are processed in descending order of the degree their dual
@@ -292,7 +289,7 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     reports = []
     for qk, d, chosen in frontier:
         family = CosetFamily(table, tuple(sorted((zero_id,) + chosen)))
-        report = derive_quantum(family, ell, verify_gram=verify)
+        report = derive_quantum(family, ell)
         if (report.quantum_k, report.d_lower) != (qk, d):
             raise VerificationError("frontier bookkeeping disagrees with derivation")
         reports.append(report)

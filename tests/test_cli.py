@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from cosetcodes import cli
+from cosetcodes import cli, codes
 from cosetcodes.cli import main
 
 
@@ -107,9 +108,9 @@ def test_csv_names_a_refusal_on_stderr(capsys, argv, codewords):
 
 @pytest.mark.parametrize("env,argv", [
     ("abc", []), ("0", []), ("-5", []),
-    (None, ["--budget", "0"]), (None, ["--jobs", "0"]), (None, ["--jobs", "-2"]),
+    (None, ["--budget", "0"]),
 ])
-def test_bad_budget_or_jobs_is_usage_error(capsys, monkeypatch, env, argv):
+def test_bad_budget_is_usage_error(capsys, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("COSETCODES_BUDGET", env)
     with pytest.raises(SystemExit) as exc:
@@ -218,11 +219,19 @@ def test_search_text_and_exit(capsys):
 
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--budget", "5"]])
 def test_search_rejects_enumeration_flags(capsys, flag):
-    # search never enumerates codewords, so it takes neither flag
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--q", "4", "--ell", "2", "--n", "21", *flag])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # search never enumerates codewords, so it takes no budget; and no
+    # command takes a worker count, which the enumeration measures itself
+    argvs = [["search", "--q", "4", "--ell", "2", "--n", "21"]]
+    if flag[0] == "--jobs":
+        argvs += [["classical", "--q", "4", "--n", "21", "--r", "5", "--certify"],
+                  ["quantum", "--q", "4", "--ell", "2", "--n", "21", "--family", "0,1",
+                   "--certify-dual"],
+                  ["verify"]]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_search_objective_requires_target(capsys):
@@ -305,6 +314,24 @@ def test_recheck_of_malformed_export_is_an_error(tmp_path, capsys, mangle, named
     assert out == ""
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+def test_recheck_checks_the_field_before_it_builds_the_table(tmp_path, capsys, monkeypatch):
+    # the coset table of n takes O(n) time and memory; n must divide the
+    # export field's group order, which bounds n before the table is built
+    path = tmp_path / "m.json"
+    run(capsys, "matrix", "--q", "4", "--n", "3", "--family", "0,1", "-o", str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n": 4000001}))
+
+    def no_table(q, n):
+        raise AssertionError(f"coset table of n={n} built before the field check")
+
+    monkeypatch.setattr(codes, "compute_cosets", no_table)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "recheck", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: 4000001 does not divide the multiplicative group order 3\n"
 
 
 def test_outputs_are_deterministic(capsys):

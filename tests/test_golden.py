@@ -2,7 +2,7 @@
 
 Each case runs ``cli.main`` in-process and compares the exit code and the
 sha256 of stdout against values recorded before the refactors they
-guard: the first fourteen before the package's dead and duplicate API
+guard: the first thirteen before the package's dead and duplicate API
 was removed, the odd-characteristic and GF(2^16) cases after them
 before the field tables were rebuilt as F_p-linear maps, the next two
 (an ell = 4 quantum CSV and a conditional search objective) before the
@@ -26,8 +26,6 @@ from cosetcodes.cli import main
 
 GOLDEN = [
     ("verify", 0,
-     "9522b96fa9dd0774510573b36b816d3102d9afc8dc912368a46a4b86b2835ef2"),
-    ("verify --jobs 2", 0,
      "9522b96fa9dd0774510573b36b816d3102d9afc8dc912368a46a4b86b2835ef2"),
     ("cosets --q 4 --n 51 --format json", 0,
      "89ea146ceb27d9f5cc603a4267bc351dda715578fb1447eed84ed162e7a2b609"),

@@ -363,14 +363,47 @@ def test_parallel_enumeration_matches_sequential(f4, monkeypatch):
 @pytest.mark.parametrize("q_e,k,n", [((2, 2), 12, 21), ((2, 4), 6, 51)])
 def test_small_job_runs_in_process(monkeypatch, q_e, k, n):
     # the sizes of the certify benchmark codes: each weighs under 2^23
-    # table entries, far from FORK_MIN_ENTRIES, so jobs=2 starts no pool
+    # table entries, far from FORK_MIN_ENTRIES, so neither jobs=2 nor the
+    # default worker count starts a pool
     g = random_full_rank(make_field(*q_e), k, n, np.random.default_rng(17))
 
     def no_fork(method):
         raise AssertionError(f"{method} pool started for a job that cannot pay for it")
 
     monkeypatch.setattr(linalg, "get_context", no_fork)
-    assert min_distance_exhaustive(g, jobs=2) == min_distance_exhaustive(g, jobs=1)
+    seq = min_distance_exhaustive(g, jobs=1)
+    assert min_distance_exhaustive(g, jobs=2) == seq
+    assert min_distance_exhaustive(g) == seq
+
+
+@pytest.mark.parametrize("route", ["affinity", "cpu_count"])
+def test_default_worker_count_is_the_usable_cpus(f4, monkeypatch, route):
+    monkeypatch.setattr(linalg, "FORK_MIN_ENTRIES", 1)
+    if route == "affinity":
+        monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+    else:  # a platform without an affinity mask
+        monkeypatch.delattr(linalg.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(linalg.os, "cpu_count", lambda: 3)
+    real_context = linalg.get_context
+    pools = []
+
+    class RecordingContext:
+        def __init__(self, method):
+            self.context = real_context(method)
+
+        def Pool(self, processes, *args):
+            pools.append(processes)
+            return self.context.Pool(processes, *args)
+
+    monkeypatch.setattr(linalg, "get_context", RecordingContext)
+    g = random_full_rank(f4, 10, 20, np.random.default_rng(19))  # 6 high steps
+    seq = min_distance_exhaustive(g, jobs=1)
+    assert pools == []
+    par = min_distance_exhaustive(g)
+    assert pools == [2]  # 3 workers: the calling process and a pool of 2
+    assert (seq.value, seq.witness, seq.enumerated) == (par.value, par.witness, par.enumerated)
+    assert not multiprocessing.active_children()
 
 
 def test_failing_caller_chunk_leaves_no_child(f4, monkeypatch):

@@ -1,12 +1,15 @@
 import itertools
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError, certify_dual,
                         compute_cosets, derive_quantum, generator_matrix, search)
 from cosetcodes import quantum
-from cosetcodes.linalg import gram_is_zero, pow_entrywise
+from cosetcodes.codes import field_for_table
+from cosetcodes.linalg import GFMatrix, gram_is_zero, pow_entrywise
 from cosetcodes.quantum import build_compatibility_graph
 from cosetcodes.fixtures import load_known_answers
 
@@ -71,7 +74,6 @@ def test_derive_quantum_16ary_and_64ary(t51q16, t585):
 
 def test_distance_window_formula_agrees(t21, t51, t63):
     # the largest d whose top window is fully covered equals the degree bound
-    import numpy as np
     rng = np.random.default_rng(3)
     for table in (t21, t51, t63):
         graph = build_compatibility_graph(table, 2)
@@ -118,7 +120,6 @@ def test_family_0_5_is_actually_self_orthogonal(t21):
 
 def test_gram_and_containment_agree_on_random_families(t21, t51q16, t80q9, t24q25):
     # three routes: Gram product, containment in T (derive_quantum) and the graph
-    import numpy as np
     rng = np.random.default_rng(8)
     for table, ell in ((t21, 2), (t51q16, 4), (t80q9, 3), (t24q25, 5)):
         graph = build_compatibility_graph(table, ell)
@@ -227,9 +228,18 @@ def test_search_min_quantum_k_floor(t51q16):
     assert (30, 7) in res.frontier()
 
 
-def test_search_leaves_the_recursion_limit_alone():
+def test_search_leaves_the_recursion_limit_alone(monkeypatch):
+    table = compute_cosets(64, 4095)
+    # this test pins the traversal, not the 427 Gram checks of its reports,
+    # which would build 4096-column generator matrices over GF(64^m); the
+    # Gram route is pinned by test_gram_and_containment_agree_on_random_families
+    # and the frontier golden digests
+    symbols = field_for_table(table).subfield_view(64).field
+    zero = GFMatrix(symbols, np.zeros((1, 1), dtype=np.uint16))
+    monkeypatch.setattr(quantum, "generator_matrix",
+                        lambda family: SimpleNamespace(mat=zero))
     limit = sys.getrecursionlimit()
-    res = search(compute_cosets(64, 4095), 8, node_budget=3000, verify=False)
+    res = search(table, 8, node_budget=3000)
     assert sys.getrecursionlimit() == limit
     # counts recorded from the recursive formulation of the same traversal
     assert res.complete and res.nodes == 853 and len(res.reports) == 427
