@@ -9,9 +9,12 @@ before the field tables were rebuilt as F_p-linear maps, the next two
 dual checks and the Hermitian pair rule were merged, the next four
 (budget refusals) before dual-code certification was split from quantum
 derivation, the text coset table before the package root was cut to
-the pipeline's entry points, and the last three (a ternary and a 5-ary
+the pipeline's entry points, the next three (a ternary and a 5-ary
 frontier, and a ternary dual certificate) after odd characteristic was
-opened to every table whose characteristic divides n+1.  A refactor
+opened to every table whose characteristic divides n+1, and the last
+three (ternary, 9-ary and 25-ary certificates whose rows span one to
+six words of packed symbols) before the odd-characteristic span table
+was packed into words like the binary one.  A refactor
 that changes any printed byte (a frontier, a certificate witness, a
 field description, a JSON key order, a refusal) fails here.  Do not
 update a digest to make a change pass; a change of output has to be
@@ -85,6 +88,14 @@ GOLDEN = [
      "bb9b2990569dd98e72ec169290e577c24280a4d85d101073724d377cd36166d1"),
     ("quantum --q 9 --ell 3 --n 8 --family 0,3 --certify-dual --format json", 0,
      "56b25251d1596616d53698b77735385294222c2e914996d7998997b50fe5c87f"),
+    # odd-characteristic certificates: 365 steps of 3^10 rows, 11 steps of
+    # rows of 81 symbols of 4 bits, and 27 steps of 25^3 rows
+    ("classical --q 3 --n 26 --family 0,1,2,4,5,7 --certify --format json", 0,
+     "26cbb12253ecdc30cfee41bc1db2663a18a3321f2ed2a89c008048739035cfc6"),
+    ("classical --q 9 --n 80 --family 0,1,2,3 --certify --format json", 0,
+     "832ff96a0c5f2eb696c06b7018b6c06b729891ad115006b4e18554d7f3acead7"),
+    ("classical --q 25 --n 24 --family 0,1,2,3,4 --certify --format json", 0,
+     "a0d5f96bff305d037d0f71a226f770774631578b59b01a9850c3dcf97c7b3ee4"),
 ]
 
 
