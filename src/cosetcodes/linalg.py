@@ -16,10 +16,9 @@ split-table kernel serves every characteristic: it holds the span of the
 low generator rows (at most ``TABLE_ROWS`` codewords) and, for the zero
 high part and each high Gray index whose leading base-q digit is 1, adds
 one high-part vector onto the whole table and counts nonzero symbols per
-row.  Characteristic 2 works on bit-packed uint64 words, odd
-characteristic on one byte per symbol.  The same step loop yields the
-full weight distribution, each class outside the table counted q - 1
-times.
+row, on rows packed into uint64 words of (q - 1).bit_length()-bit
+symbol slots.  The same step loop yields the full weight distribution,
+each class outside the table counted q - 1 times.
 
 The steps run in increasing Gray order and weigh the Gray-first member
 of each class, so the reported witness is still the first
@@ -27,9 +26,9 @@ minimum-weight codeword in Gray order.  Certification can split the
 steps into contiguous chunks over the calling process and a forked pool;
 results, witness included, are identical to the sequential traversal.
 The split is made only when each worker gets at least
-``FORK_MIN_ENTRIES`` table entries to weigh, since on a smaller share a
-forked worker costs more than it saves, and by default over no more
-workers than the CPUs this process may run on.
+``FORK_MIN_ENTRIES`` packed table words to weigh, since on a smaller
+share a forked worker costs more than it saves, and by default over no
+more workers than the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 1 << 26
 TABLE_ROWS = 1 << 16  # span-table row cap of the enumeration kernel
-# span-table entries per worker from which splitting an enumeration over
-# forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
+# packed span-table words per worker from which splitting an enumeration
+# over forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
 FORK_MIN_ENTRIES = 1 << 25
 F32_EXACT = 1 << 24  # float32 holds every integer up to this one exactly
 GRAM_BLOCK_ROWS = 128  # g1 rows per block of gram_is_zero
@@ -264,20 +263,21 @@ def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray
     return out
 
 
-def _pack_rows(rows: np.ndarray, f: int) -> np.ndarray:
-    """Pack symbol rows into uint64 words, 64//f symbols per word.
+def _pack_rows(symbols: np.ndarray, f: int) -> np.ndarray:
+    """Pack symbol-major rows into word-major uint64 words.
 
-    Symbols never straddle word boundaries, so per-word bit tricks can
-    count nonzero symbols exactly.
+    ``symbols[j, r]`` is symbol j of row r, and ``len(symbols)`` is a
+    multiple of 64 // f.  Word w of a row holds its symbols w * (64 // f)
+    onwards, one per f-bit slot from bit 0 up; no symbol straddles a word
+    boundary, so per-word bit tricks count symbols exactly.  The slots
+    are disjoint, so a word is the sum of its symbols times 2^(f * slot),
+    which einsum forms in its own small buffers: no uint64 transient
+    grows with the row length.
     """
-    n = rows.shape[1]
-    sw = 64 // f
-    nwords = -(-n // sw)
-    packed = np.zeros((rows.shape[0], nwords), dtype=np.uint64)
-    for j in range(n):
-        word, slot = divmod(j, sw)
-        packed[:, word] |= rows[:, j].astype(np.uint64) << np.uint64(slot * f)
-    return packed
+    slots = 64 // f
+    place = np.uint64(1) << np.arange(0, slots * f, f, dtype=np.uint64)
+    words = symbols.reshape(-1, slots, symbols.shape[1])
+    return np.einsum("wsr,s->wr", words, place, dtype=np.uint64)
 
 
 class _SpanKernel:
@@ -300,11 +300,15 @@ class _SpanKernel:
     steps instead of q^h, still in Gray order, so the first minimum they
     meet is the first of the whole code.
 
-    Characteristic 2 keeps table rows as packed uint64 words (word-major,
-    shape (words, q^b)) and adds by XOR.  Odd characteristic keeps one
-    symbol per entry (shape (q^b, n), uint8 up to q = 256): a symbol of
-    row + h is zero exactly where the row equals -h, so no addition is
-    needed per step.
+    The table is word-major packed uint64 (shape (words, q^b)) for every
+    characteristic, in slots of f = bit length of q - 1 bits; the rows
+    are padded with zero symbols to whole words.  A symbol of row + high
+    part is zero exactly where the row equals minus the high part, so a
+    step packs -h and counts the slots where the row differs from it.
+    The characteristic only decides how the table and -h are formed: in
+    characteristic 2, -h = h and packing commutes with addition, so the
+    scaled rows are packed first and added by XOR; in odd characteristic
+    the symbols are added through the add table and packed afterwards.
     """
 
     def __init__(self, g: GFMatrix):
@@ -315,29 +319,28 @@ class _SpanKernel:
             b += 1
         self.q, self.n, self.b, self.high = q, n, b, k - b
         self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
-        # scaled[i, v] = v * row_i
-        scaled = field.mul_table[np.arange(q)[None, :, None], g.entries[:, None, :]]
-        if field.p == 2:
-            f = field.e
-            scaled = np.stack([_pack_rows(s, f) for s in scaled])
-            table = np.zeros((1, scaled.shape[2]), dtype=np.uint64)
-            for i in range(b):
-                table = (scaled[i][:, None, :] ^ table[None, :, :]).reshape(-1, table.shape[1])
-            self.table = np.ascontiguousarray(table.T)
-            slot_lo = (1 << (f - 1)) - 1
-            self.lo = np.uint64(sum(slot_lo << (f * s) for s in range(64 // f)))
-            self.hi = np.uint64(sum((slot_lo + 1) << (f * s) for s in range(64 // f)))
-            self.f = f
-        else:
-            add = field.add_table.astype(np.min_scalar_type(q - 1))
-            scaled = scaled.astype(add.dtype)
-            table = np.zeros((1, n), dtype=add.dtype)
-            for i in range(b):
-                table = add[scaled[i][:, None, :], table[None, :, :]].reshape(-1, n)
-            self.table = table
-            self.add, self.neg = add, field.neg_table.astype(add.dtype)
-        self.scaled_high = scaled[b:]
+        f = (q - 1).bit_length()
+        slots = 64 // f
+        entries = np.pad(g.entries, ((0, 0), (0, -n % slots)))  # zero symbols to whole words
+        # scaled[i, j, v] = v * symbol j of row i
+        scaled = field.mul_table[np.arange(q), entries[:, :, None]]
         self.char2 = field.p == 2
+        if self.char2:
+            scaled = np.stack([_pack_rows(s, f) for s in scaled])
+        else:
+            self.add = field.add_table.astype(np.min_scalar_type(q - 1))
+            self.neg = field.neg_table.astype(self.add.dtype)
+            scaled = scaled.astype(self.add.dtype)
+        table = np.zeros((scaled.shape[1], 1), dtype=scaled.dtype)
+        for i in range(b):
+            x, y = scaled[i][:, :, None], table[:, None, :]
+            table = (x ^ y if self.char2 else self.add[x, y]).reshape(len(table), -1)
+        self.table = table if self.char2 else _pack_rows(table, f)
+        self.scaled_high = scaled[b:]
+        slot_lo = (1 << (f - 1)) - 1
+        self.lo = np.uint64(sum(slot_lo << (f * s) for s in range(slots)))
+        self.hi = np.uint64(sum((slot_lo + 1) << (f * s) for s in range(slots)))
+        self.f = f
 
     def _high_index(self, step: int) -> int:
         """T of a step: 0, then the integers whose leading base-q digit is 1."""
@@ -350,15 +353,15 @@ class _SpanKernel:
         return lead + rest
 
     def _minus_high_part(self, t_high: int) -> np.ndarray:
-        """-(sum of the high rows scaled by the Gray digits of t_high)."""
+        """-(sum of the high rows scaled by the Gray digits of t_high), packed."""
         digits = _gray_digits(t_high, self.high, self.q)
-        parts = self.scaled_high[np.arange(self.high), digits]
+        parts = self.scaled_high[np.arange(self.high), :, digits]
         if self.char2:
             return np.bitwise_xor.reduce(parts, axis=0)
-        h = np.zeros(self.n, dtype=self.add.dtype)
+        h = np.zeros(self.scaled_high.shape[1], dtype=self.add.dtype)
         for part in parts:
             h = self.add[h, part]
-        return self.neg[h]
+        return _pack_rows(self.neg[h][:, None], self.f)[:, 0]
 
     def weights(self, start: int, stop: int):
         """Yield (T, weights) for the steps in [start, stop).
@@ -367,20 +370,13 @@ class _SpanKernel:
         part of T; row 0 of step 0 is the zero codeword.  The array may
         be reused between steps.
         """
-        if self.char2:
-            x, y = np.empty_like(self.table), np.empty_like(self.table)
-        else:
-            ne = np.empty(self.table.shape, dtype=bool)
+        x, y = np.empty_like(self.table), np.empty_like(self.table)
         for step in range(start, stop):
             t_high = self._high_index(step)
-            h = self._minus_high_part(t_high)
-            if self.char2:
-                yield t_high, self._packed_weights(h, x, y)
-            else:
-                yield t_high, np.count_nonzero(np.not_equal(self.table, h, out=ne), axis=1)
+            yield t_high, self._packed_weights(self._minus_high_part(t_high), x, y)
 
     def _packed_weights(self, h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Nonzero symbols per row of table + h, using x and y as scratch."""
+        """Slots per table row that differ from the packed -h, using x and y as scratch."""
         np.bitwise_xor(self.table, h[:, None], out=x)
         # ((x & lo) + lo | x) & hi sets bit f-1 of a slot iff its symbol is nonzero
         np.bitwise_and(x, self.lo, out=y)
@@ -468,20 +464,17 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
     does not fit int64 counts) and ValueError for rank-deficient input.
 
     ``jobs`` caps the worker count; by default it is the number of CPUs
-    this process may run on.  The work is the number of span-table
-    entries the walk weighs, steps x table size, and the job runs on
+    this process may run on.  The work is the number of packed uint64
+    table words the walk weighs, steps x table size, and the job runs on
     min(jobs, steps, work // FORK_MIN_ENTRIES) workers, at least one.
     With more than one, the calling process weighs the first chunk of
     steps while a forked pool weighs the others; the workers inherit the
     kernel by the fork, so only (start, stop) pairs are pickled.
 
     Medians on a 2-vCPU VM, one worker against two forced ones: q=4 k=13
-    (22M entries) took 73 and 78 ms, q=2 k=25 (34M) 95 and 99 ms, while
+    (22M words) took 73 and 78 ms, q=2 k=25 (34M) 95 and 99 ms, while
     q=16 k=7 (72M) went from 307 to 182 ms and q=4 k=14 (90M) from 280
-    to 177 ms; hence 2^25 entries per worker.  A table entry is one
-    uint64 word in characteristic 2 and one symbol in odd
-    characteristic, whose walk weighs more entries per second: q=3 k=15
-    (187M) went from 394 to 246 ms on two workers.
+    to 177 ms; hence 2^25 words per worker.
     """
     kernel = _enumerable_kernel(g, budget)
     if jobs is None:  # the CPUs this process may run on; taskset narrows them

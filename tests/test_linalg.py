@@ -254,7 +254,11 @@ def assert_matches_gray_oracle(g):
 
 @pytest.mark.parametrize("p,e,k,n", [(2, 1, 18, 24), (2, 1, 18, 66), (3, 1, 11, 20),
                                      (2, 2, 9, 30), (2, 2, 9, 70), (2, 3, 6, 30),
-                                     (7, 1, 7, 10), (3, 1, 12, 16)])
+                                     (7, 1, 7, 10), (3, 1, 12, 16),
+                                     # odd rows over several packed words: 2-bit,
+                                     # 3-bit, 4-bit, 5-bit and 10-bit (uint16) slots
+                                     (3, 1, 11, 70), (5, 1, 8, 30), (3, 2, 6, 40),
+                                     (5, 2, 4, 30), (3, 6, 2, 10)])
 def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
     field = make_field(p, e)
     g = random_full_rank(field, k, n, np.random.default_rng(k * n))
@@ -360,11 +364,13 @@ def test_parallel_enumeration_matches_sequential(f4, monkeypatch):
         assert not multiprocessing.active_children()
 
 
-@pytest.mark.parametrize("q_e,k,n", [((2, 2), 12, 21), ((2, 4), 6, 51)])
+@pytest.mark.parametrize("q_e,k,n", [((2, 2), 12, 21), ((2, 4), 6, 51), ((3, 1), 10, 27),
+                                     ((3, 1), 16, 27)])
 def test_small_job_runs_in_process(monkeypatch, q_e, k, n):
-    # the sizes of the certify benchmark codes: each weighs under 2^23
-    # table entries, far from FORK_MIN_ENTRIES, so neither jobs=2 nor the
-    # default worker count starts a pool
+    # the sizes of the certify benchmark codes, and a ternary k = 16 code:
+    # each weighs at most 21.5M table words (365 steps of 3^10 one-word
+    # rows), under FORK_MIN_ENTRIES, so neither jobs=2 nor the default
+    # worker count starts a pool
     g = random_full_rank(make_field(*q_e), k, n, np.random.default_rng(17))
 
     def no_fork(method):
