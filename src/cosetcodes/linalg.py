@@ -10,15 +10,13 @@ matrix products over F_p (BLAS), exact by construction; see
 
 The module also houses the exhaustive minimum-distance certifier, the
 performance-critical piece of the package.  Messages are indexed in
-q-ary modular Gray order.  Scalar multiples of a codeword share its
-weight, so the certifier weighs one codeword of each scalar class.  One
-split-table kernel serves every characteristic: it holds the span of the
-low generator rows (at most ``TABLE_ROWS`` codewords) and, for the zero
-high part and each high Gray index whose leading base-q digit is 1, adds
-one high-part vector onto the whole table and counts nonzero symbols per
-row, on rows packed into uint64 words of (q - 1).bit_length()-bit
-symbol slots.  The same step loop yields the full weight distribution,
-each class outside the table counted q - 1 times.
+q-ary modular Gray order, and one codeword of each scalar class is
+weighed.  One split-table kernel serves every q: it packs the span of the
+low generator rows (at most ``TABLE_ROWS`` codewords) into uint64 words
+of (q - 1).bit_length()-bit symbol slots, and for the zero high part and
+each high Gray index whose leading base-q digit is 1 it adds one vector
+onto the whole table and counts nonzero symbols per row.  The same steps
+yield the weight distribution, each class outside the table q - 1 times.
 
 The steps run in increasing Gray order and weigh the Gray-first member
 of each class, so the reported witness is still the first
@@ -264,16 +262,11 @@ def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray
 
 
 def _pack_rows(symbols: np.ndarray, f: int) -> np.ndarray:
-    """Pack symbol-major rows into word-major uint64 words.
-
-    ``symbols[j, r]`` is symbol j of row r, and ``len(symbols)`` is a
-    multiple of 64 // f.  Word w of a row holds its symbols w * (64 // f)
-    onwards, one per f-bit slot from bit 0 up; no symbol straddles a word
-    boundary, so per-word bit tricks count symbols exactly.  The slots
-    are disjoint, so a word is the sum of its symbols times 2^(f * slot),
-    which einsum forms in its own small buffers: no uint64 transient
-    grows with the row length.
-    """
+    """Pack symbol-major rows (``symbols[j, r]`` is symbol j of row r, and
+    ``len(symbols)`` a multiple of 64 // f) into word-major uint64 words of
+    64 // f f-bit slots from bit 0 up, so no symbol straddles a word.  A
+    word is the sum of its symbols times 2^(f * slot), which einsum forms in
+    small buffers of its own: no uint64 transient grows with the rows."""
     slots = 64 // f
     place = np.uint64(1) << np.arange(0, slots * f, f, dtype=np.uint64)
     words = symbols.reshape(-1, slots, symbols.shape[1])
@@ -300,15 +293,12 @@ class _SpanKernel:
     steps instead of q^h, still in Gray order, so the first minimum they
     meet is the first of the whole code.
 
-    The table is word-major packed uint64 (shape (words, q^b)) for every
-    characteristic, in slots of f = bit length of q - 1 bits; the rows
-    are padded with zero symbols to whole words.  A symbol of row + high
-    part is zero exactly where the row equals minus the high part, so a
-    step packs -h and counts the slots where the row differs from it.
-    The characteristic only decides how the table and -h are formed: in
-    characteristic 2, -h = h and packing commutes with addition, so the
-    scaled rows are packed first and added by XOR; in odd characteristic
-    the symbols are added through the add table and packed afterwards.
+    The table is word-major packed uint64, shape (words, q^b), its rows
+    padded with zero symbols to whole words.  Row + high part h has a zero
+    symbol exactly where the row equals -h, so a step counts the slots
+    where a row differs from the packed -h.  In characteristic 2, -h = h
+    and packing commutes with addition, so rows are packed first and added
+    by XOR; odd symbols are added through the add table, then packed.
     """
 
     def __init__(self, g: GFMatrix):
@@ -317,9 +307,9 @@ class _SpanKernel:
         b = 1
         while b < k and q ** (b + 1) <= TABLE_ROWS:
             b += 1
-        self.q, self.n, self.b, self.high = q, n, b, k - b
-        self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
         f = (q - 1).bit_length()
+        self.q, self.n, self.b, self.high, self.f = q, n, b, k - b, f
+        self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
         slots = 64 // f
         entries = np.pad(g.entries, ((0, 0), (0, -n % slots)))  # zero symbols to whole words
         # scaled[i, j, v] = v * symbol j of row i
@@ -337,10 +327,8 @@ class _SpanKernel:
             table = (x ^ y if self.char2 else self.add[x, y]).reshape(len(table), -1)
         self.table = table if self.char2 else _pack_rows(table, f)
         self.scaled_high = scaled[b:]
-        slot_lo = (1 << (f - 1)) - 1
-        self.lo = np.uint64(sum(slot_lo << (f * s) for s in range(slots)))
-        self.hi = np.uint64(sum((slot_lo + 1) << (f * s) for s in range(slots)))
-        self.f = f
+        ones = sum(1 << (f * s) for s in range(slots))  # bit 0 of every slot
+        self.lo, self.hi = np.uint64(ones * ((1 << (f - 1)) - 1)), np.uint64(ones << (f - 1))
 
     def _high_index(self, step: int) -> int:
         """T of a step: 0, then the integers whose leading base-q digit is 1."""
