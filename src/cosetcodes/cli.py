@@ -21,8 +21,8 @@ import sys
 
 from . import fixtures
 from .cosets import compute_cosets
-from .codes import (classical_params, generator_matrix, load_matrix_json,
-                    truncated_family)
+from .codes import (check_field_size, classical_params, generator_matrix,
+                    load_matrix_json, truncated_family)
 from .duality import VerificationError
 from .linalg import DEFAULT_BUDGET, BudgetExceededError, min_distance_exhaustive
 from .quantum import (OBJECTIVES, NotSelfOrthogonalError, certify_dual,
@@ -168,6 +168,7 @@ def cmd_cosets(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    check_field_size(args.q, args.n)
     table = compute_cosets(args.q, args.n)
     family = _family_for(args, table)
     g = generator_matrix(family)
@@ -205,6 +206,7 @@ def cmd_classical(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    check_field_size(args.q, args.n)
     table = compute_cosets(args.q, args.n)
     family = _family_for(args, table)
     g = generator_matrix(family)
@@ -228,6 +230,7 @@ def cmd_recheck(args) -> int:
 
 
 def cmd_quantum(args) -> int:
+    check_field_size(args.q, args.n)
     table = compute_cosets(args.q, args.n)
     family = table.family(args.family)
     report = derive_quantum(family, args.ell)
@@ -265,6 +268,7 @@ def cmd_quantum(args) -> int:
 
 
 def cmd_search(args) -> int:
+    check_field_size(args.q, args.n)
     table = compute_cosets(args.q, args.n)
     result = search(table, args.ell, objective=args.objective, target=args.target,
                     min_quantum_k=args.min_quantum_k, node_budget=args.node_budget)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import CosetFamily, CosetTable, compute_cosets
-from .galois import (Field, SubfieldBasis, degree_over_prime, make_field,
+from .cosets import CosetFamily, CosetTable, compute_cosets, order_mod
+from .galois import (MAX_FIELD_SIZE, Field, SubfieldBasis, degree_over_prime, make_field,
                      nth_root_of_unity, prime_power_base, subfield_power_basis)
 from .linalg import GFMatrix, rank
 
@@ -32,6 +32,19 @@ def field_for_table(table: CosetTable) -> Field:
     """The canonical parent field GF(q^m) for a coset table."""
     p = prime_power_base(table.q)
     return make_field(p, degree_over_prime(table.q, p) * table.m)
+
+
+def check_field_size(q: int, n: int) -> None:
+    """Refuse a parent field GF(q^m) above 2^20 before the O(n) coset table:
+    n divides q^m - 1, so an n >= 2^20 is refused without computing m."""
+    p = prime_power_base(q)
+    if p is None:  # compute_cosets refuses q
+        return
+    if n >= MAX_FIELD_SIZE:
+        raise ValueError(f"field size above n={n} exceeds the supported maximum 2^20")
+    e = degree_over_prime(q, p) * order_mod(q, n)
+    if p**e > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {p}^{e} exceeds the supported maximum 2^20")
 
 
 @dataclass(frozen=True, eq=False)

@@ -334,6 +334,26 @@ def test_recheck_checks_the_field_before_it_builds_the_table(tmp_path, capsys, m
     assert err == "error: 4000001 does not divide the multiplicative group order 3\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("classical --q 4 --n 4000001 --r 3", "field size above n=4000001 exceeds"),
+    ("matrix --q 4 --n 4000001 --r 3", "field size above n=4000001 exceeds"),
+    ("quantum --q 4 --ell 2 --n 4000001 --family 0", "field size above n=4000001 exceeds"),
+    ("search --q 4 --ell 2 --n 4000001", "field size above n=4000001 exceeds"),
+    # below 2^20 the order of q mod n sizes the field, as make_field words it
+    ("classical --q 4 --n 1000001 --r 3", "field size 2^9900 exceeds"),
+    ("quantum --q 4 --ell 2 --n 999999 --family 0", "field size 2^180 exceeds"),
+])
+def test_oversized_field_is_refused_before_the_coset_table(capsys, monkeypatch, argv, message):
+    # n divides q^m - 1 < 2^20, so the field size is known before the O(n) table
+    def no_table(q, n):
+        raise AssertionError(f"coset table of n={n} built before the field check")
+
+    monkeypatch.setattr(cli, "compute_cosets", no_table)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and "maximum 2^20" in err
+
+
 def test_outputs_are_deterministic(capsys):
     _, out1, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "51",
                      "--family", "0,1,2,6", "--format", "json")
