@@ -263,10 +263,10 @@ def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray
 
 def _pack_rows(symbols: np.ndarray, f: int) -> np.ndarray:
     """Pack symbol-major rows (``symbols[j, r]`` is symbol j of row r, and
-    ``len(symbols)`` a multiple of 64 // f) into word-major uint64 words of
-    64 // f f-bit slots from bit 0 up, so no symbol straddles a word.  A
-    word is the sum of its symbols times 2^(f * slot), which einsum forms in
-    small buffers of its own: no uint64 transient grows with the rows."""
+    ``len(symbols)`` a multiple of 64 // f) into word-major uint64 words,
+    each of 64 // f slots of f bits from bit 0 up: no symbol straddles a
+    word.  A word is the sum of its symbols times 2^(f * slot), which einsum
+    forms in small buffers of its own, so no uint64 transient grows with n."""
     slots = 64 // f
     place = np.uint64(1) << np.arange(0, slots * f, f, dtype=np.uint64)
     words = symbols.reshape(-1, slots, symbols.shape[1])
