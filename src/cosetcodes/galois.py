@@ -404,48 +404,29 @@ class Field:
         {1, w, ..., w^(f-1)} of F_q inside this field, packed in base p,
         where w = gamma^((p^e-1)/(q-1)).  The returned view bundles a
         :class:`Field` for symbol arithmetic (modulus = minimal polynomial
-        of w), plus lookup tables between parent values and symbols.
+        of w, read from the symbol of w^f), plus lookup tables between
+        parent values and symbols.
         """
         view = self._views.get(q)
         if view is not None:
             return view
         f = self._subfield_degree(q)
         w = self._subfield_generator(q)
-        minpoly = self._minimal_polynomial_over_prime(w, f)
-        symbol_field = make_field(self.p, f, minpoly)
         # symbol sum_j c_j p^j is sum_j c_j w^j; c_j w^j has log log(c_j) + j log(w)
-        digits = np.arange(q)[:, None] // np.asarray(symbol_field._powers) % self.p
+        digits = np.arange(q)[:, None] // self.p ** np.arange(f) % self.p
         logs = self.log_np[digits] + np.arange(f) * self.log_np[w]
         terms = np.where(digits > 0, self.exp_np[logs % (self.order - 1)], 0)
         embed = reduce(self.add, terms.T)
+        if len(np.unique(embed)) != q:
+            raise ValueError(f"the powers of w do not span F_{q}")
         project = np.full(self.order, -1, dtype=np.int64)
         project[embed] = np.arange(q)
+        # w^f = sum_j c_j w^j, so the modulus is x^f - sum_j c_j x^j
+        tail = _int_to_digits(int(project[self.pow(w, f)]), self.p, f)
+        symbol_field = make_field(self.p, f, [-c % self.p for c in tail] + [1])
         view = SubfieldView(field=symbol_field, embed=embed, project=project)
         self._views[q] = view
         return view
-
-    def _minimal_polynomial_over_prime(self, a: int, expected_degree: int) -> tuple[int, ...]:
-        """Product of (x - a^(p^i)) over the Frobenius orbit of a."""
-        conjugates = []
-        v = a
-        while v not in conjugates:
-            conjugates.append(v)
-            v = self.pow(v, self.p)
-        if len(conjugates) != expected_degree:
-            raise ValueError("element degree does not match requested subfield")
-        # expand the product with coefficients in the big field
-        coeffs = [1]
-        for c in conjugates:
-            nxt = [0] * (len(coeffs) + 1)
-            for i, cf in enumerate(coeffs):
-                nxt[i + 1] = self.add(nxt[i + 1], cf)
-                nxt[i] = self.add(nxt[i], self.mul(cf, self.neg(c)))
-            coeffs = nxt
-        # coefficients must land in the prime subfield (integer codes 0..p-1)
-        for cf in coeffs:
-            if cf >= self.p:
-                raise AssertionError("minimal polynomial coefficient outside F_p")
-        return tuple(coeffs)
 
     # -- serialization -----------------------------------------------------
 
