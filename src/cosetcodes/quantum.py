@@ -18,12 +18,12 @@ Derivation never enumerates codewords.  :func:`certify_dual` is the
 separate step that certifies d(C_T) exhaustively, for any report: C_T is
 a code whether or not S is self-orthogonal.
 
-The search walks admissible families depth-first with vertices ordered by
-the degree their dual image removes (largest first), pruning branches
-whose optimistic (quantum_k, d) pair is already dominated, and returns
-the exact Pareto frontier.  Every emitted report re-verifies
-self-orthogonality both combinatorially and by a Hermitian Gram product
-of the generator matrix with itself; disagreement is a hard failure.
+Over that matching the Pareto frontier is a chain: :func:`search` sorts
+the matched pairs by their higher-degree end and walks the prefixes of
+that list once, with no tree and no budget.  Every emitted report
+re-verifies self-orthogonality both combinatorially and by a Hermitian
+Gram product of the generator matrix with itself; disagreement is a hard
+failure.
 """
 
 from __future__ import annotations
@@ -198,7 +198,12 @@ OBJECTIVES = ("pareto", "max_d_given_k", "max_k_given_d")
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Frontier search outcome; ``complete`` is false when the node budget ran out."""
+    """Frontier search outcome.
+
+    ``nodes`` counts the prefixes the walk weighed, the frontier size
+    before the objective filter.  ``complete`` is always true, since the
+    walk is exact; it is kept for the benchmark reader.
+    """
 
     reports: tuple[QuantumCodeReport, ...]
     complete: bool
@@ -210,17 +215,30 @@ class SearchResult:
 
 
 def search(table: CosetTable, ell: int, objective: str = "pareto",
-           target: int | None = None, min_quantum_k: int = 0,
-           node_budget: int = 1_000_000) -> SearchResult:
-    """Enumerate admissible families and return the (quantum_k, d) frontier.
+           target: int | None = None, min_quantum_k: int = 0) -> SearchResult:
+    """Return the (quantum_k, d) frontier of the admissible families.
 
-    Vertices are processed in descending order of the degree their dual
-    image removes from the dual family, so the first depth-first dive
-    already walks the chain of minimal window covers; dominated branches
-    are pruned against the growing frontier, which keeps the search exact
-    and fast.  ``min_quantum_k`` floors the dimension (prunes deep
-    inclusions), ``node_budget`` caps the traversal (a partial frontier
-    is returned flagged as incomplete).
+    The frontier is one sorted walk over the matched pairs of
+    :class:`CompatibilityGraph`, and it is exact:
+
+    - The two ends of a matched pair are cosets of one size, because
+      x -> -ell*x is a unit of Z_n that commutes with x -> q*x.
+    - Choosing one end drops the other end from T and keeps the chosen
+      one, so only the end of lower degree is ever worth choosing.
+    - A family's d is n+1 minus the largest degree left in T: the largest
+      of the self-paired cosets (``graph.excluded``), the chosen ends and
+      the higher ends of the unchosen pairs.
+    - So for each target d, the smallest family chooses exactly the pairs
+      whose higher end exceeds n+1-d.
+    - With the pairs sorted by their higher end, descending, the
+      candidates are the prefixes of that list.  Along the prefixes
+      quantum_k strictly falls and d strictly rises, until the next
+      pair's higher end is no longer above the largest degree T keeps;
+      from there on d cannot rise.
+
+    The frontier is that chain of prefixes: the walk stops at the
+    ``min_quantum_k`` floor or at the first prefix where d can no longer
+    rise.
 
     Objectives (:data:`OBJECTIVES`): ``pareto`` returns the full frontier
     and takes no target; ``max_d_given_k`` returns the best-distance report
@@ -236,60 +254,29 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     graph = build_compatibility_graph(table, ell)
     n = table.n
     zero_id = table.coset_of(0)
-    w = {v: table.cosets[graph.image[v]].max_elem for v in graph.vertices}
-    order = sorted(graph.vertices, key=lambda v: -w[v])
-    sizes = [table.cosets[v].size for v in order]
+    deg = [c.max_elem for c in table.cosets]
+    # each matched pair once, as (lower end, higher end)
+    pairs = sorted(((v, graph.image[v]) for v in graph.vertices
+                    if deg[v] < deg[graph.image[v]]), key=lambda pair: -deg[pair[1]])
     floor = max(0, min_quantum_k)
-
-    # images of self-loop cosets can never be covered: hard distance cap
-    base_skip = max((table.cosets[graph.image[v]].max_elem for v in graph.excluded),
-                    default=0)
-
-    frontier: list[tuple[int, int, tuple[int, ...]]] = []  # (qk, d, chosen ids)
-
-    def dominated(qk: int, d: int) -> bool:
-        return any(fq >= qk and fd >= d for fq, fd, _ in frontier)
-
-    def emit(qk: int, d: int, chosen: tuple[int, ...]) -> None:
-        if dominated(qk, d):
-            return
-        frontier[:] = [(fq, fd, fam) for fq, fd, fam in frontier
-                       if not (qk >= fq and d >= fd)]
-        frontier.append((qk, d, chosen))
-
-    # depth-first on an explicit stack: the skip branch is pushed first, so
-    # the include branch is explored first
-    nodes, complete = 0, True
-    stack = [(0, (), 1, base_skip)]
-    while stack:
-        if nodes >= node_budget:
-            complete = False
+    chosen, k = [zero_id], 1
+    kept = max((deg[v] for v in graph.excluded), default=0)
+    chain = []  # (quantum_k, d, chosen ids) per prefix
+    # the zero coset (degree 0) closes the list: the prefix of all pairs
+    for low, high in [*pairs, (None, zero_id)]:
+        qk = n + 1 - 2 * k
+        if qk < floor:
             break
-        idx, chosen, k_now, skip_max = stack.pop()
-        nodes += 1
-        qk_now = n + 1 - 2 * k_now
-        if qk_now < floor:
-            continue
-        if idx < len(order):
-            d_here = n + 1 - max(skip_max, w[order[idx]])
-        else:
-            d_here = n + 1 - skip_max
-        emit(qk_now, d_here, chosen)
-        if idx == len(order):
-            continue
-        if dominated(qk_now, n + 1 - skip_max):
-            continue
-        v = order[idx]
-        stack.append((idx + 1, chosen, k_now, max(skip_max, w[v])))
-        # the matching leaves image[v] as v's only conflict
-        if graph.image[v] not in chosen:
-            stack.append((idx + 1, chosen + (v,), k_now + sizes[idx], skip_max))
+        chain.append((qk, n + 1 - max(kept, deg[high]), tuple(sorted(chosen))))
+        if deg[high] <= kept:
+            break
+        chosen.append(low)
+        k += table.cosets[low].size
+        kept = max(kept, deg[low])
 
-    frontier.sort(key=lambda t: -t[0])
     reports = []
-    for qk, d, chosen in frontier:
-        family = CosetFamily(table, tuple(sorted((zero_id,) + chosen)))
-        report = derive_quantum(family, ell)
+    for qk, d, ids in chain:
+        report = derive_quantum(CosetFamily(table, ids), ell)
         if (report.quantum_k, report.d_lower) != (qk, d):
             raise VerificationError("frontier bookkeeping disagrees with derivation")
         reports.append(report)
@@ -300,6 +287,5 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     elif objective == "max_k_given_d":
         eligible = [r for r in reports if r.d_lower >= target]
         reports = [max(eligible, key=lambda r: (r.quantum_k, r.d_lower))] if eligible else []
-    return SearchResult(reports=tuple(reports), complete=complete,
-                        nodes=nodes, objective=objective)
-
+    return SearchResult(reports=tuple(reports), complete=True,
+                        nodes=len(chain), objective=objective)

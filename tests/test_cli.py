@@ -119,21 +119,6 @@ def test_bad_budget_is_usage_error(capsys, monkeypatch, env, argv):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5"])
-def test_bad_node_budget_is_usage_error(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--q", "4", "--ell", "2", "--n", "21", "--node-budget", value])
-    assert exc.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
-
-
-def test_small_node_budget_reports_incomplete_frontier(capsys):
-    code, out, _ = run(capsys, "search", "--q", "4", "--ell", "2", "--n", "21",
-                       "--node-budget", "3")
-    assert code == 1
-    assert "INCOMPLETE" in out
-
-
 def test_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("COSETCODES_BUDGET", "abc")
     code, out, _ = run(capsys, "classical", "--q", "4", "--n", "51", "--r", "16",

@@ -167,12 +167,14 @@ def test_search_matches_powerset_oracle_n51(t51):
     assert res.frontier() == _frontier_by_powerset(t51, 2)
 
 
-@pytest.mark.parametrize("name", ["t8q9", "t26q9"])
-def test_search_matches_powerset_oracle_odd_characteristic(request, name):
-    table = request.getfixturevalue(name)
-    res = search(table, 3)
+@pytest.mark.parametrize("q,n,ell", [
+    (9, 8, 3), (9, 26, 3), (16, 15, 4), (16, 17, 4), (64, 13, 8),
+])
+def test_search_matches_powerset_oracle_across_ell(q, n, ell):
+    table = compute_cosets(q, n)
+    res = search(table, ell)
     assert res.complete
-    assert res.frontier() == _frontier_by_powerset(table, 3)
+    assert res.frontier() == _frontier_by_powerset(table, ell)
 
 
 @pytest.mark.parametrize("name,ell,frontier", [
@@ -239,15 +241,10 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch):
     monkeypatch.setattr(quantum, "generator_matrix",
                         lambda family: SimpleNamespace(mat=zero))
     limit = sys.getrecursionlimit()
-    res = search(table, 8, node_budget=3000)
+    res = search(table, 8)
     assert sys.getrecursionlimit() == limit
-    # counts recorded from the recursive formulation of the same traversal
-    assert res.complete and res.nodes == 853 and len(res.reports) == 427
-
-
-def test_search_node_budget_flags_incomplete(t51):
-    res = search(t51, 2, node_budget=3)
-    assert not res.complete
+    # the walk weighs one prefix per frontier point: 427 of them at q=64, n=4095
+    assert res.complete and res.nodes == len(res.reports) == 427
 
 
 def test_emitted_reports_are_self_orthogonal_with_even_deficit(t21, t63):
