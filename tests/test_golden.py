@@ -14,7 +14,10 @@ frontier, and a ternary dual certificate) after odd characteristic was
 opened to every table whose characteristic divides n+1, and the last
 three (ternary, 9-ary and 25-ary certificates whose rows span one to
 six words of packed symbols) before the odd-characteristic span table
-was packed into words like the binary one.  A refactor
+was packed into words like the binary one.  Three JSON search digests
+were recorded again when the branch-and-bound search became one sorted
+walk over the Hermitian matching: its output differs only in ``nodes``,
+which now counts the frontier's prefixes, not tree nodes.  A refactor
 that changes any printed byte (a frontier, a certificate witness, a
 field description, a JSON key order, a refusal) fails here.  Do not
 update a digest to make a change pass; a change of output has to be
@@ -47,9 +50,9 @@ GOLDEN = [
     ("quantum --q 4 --ell 2 --n 51 --family 0,1,2,6", 0,
      "c977e2ae988037f0b6574e944dceb99fbf74508f699bdeb7750e624dd2f9ad8f"),
     ("search --q 64 --ell 8 --n 585 --min-quantum-k 532 --format json", 0,
-     "424047ddf83b1841edfd98e935e4bcddcb967376abb74d637402230796faa79d"),
+     "866dd9397fceb6a4144f096e99393747479a90f9d4ded640aad73cdc5151b06d"),
     ("search --q 16 --ell 4 --n 51 --format json", 0,
-     "f9b1a6c88692d65e1005f232a91b12736345d232fc70077ad6986fe4c272c348"),
+     "8ffeeced5da4b82292c19cd0a7c8eb4ae8e0fc0c7cd101e96e9ce1de3509b33a"),
     ("search --q 4 --ell 2 --n 51 --format csv", 0,
      "fc9e5e1ba8104127be893f35c50875193b0994d2cbfb2e58175aad09ae1f67f2"),
     ("search --q 4 --ell 2 --n 21", 0,
@@ -85,7 +88,7 @@ GOLDEN = [
     ("search --q 9 --ell 3 --n 26", 0,
      "82cfc82d63cb9f6166d2b4a6d860c7b65f1588256d617646b574beee0b56a450"),
     ("search --q 25 --ell 5 --n 24 --format json", 0,
-     "bb9b2990569dd98e72ec169290e577c24280a4d85d101073724d377cd36166d1"),
+     "f79575ecf6612c76b6a750bcedeae8cb1499dfbe0823a0f0615e770f004d08dd"),
     ("quantum --q 9 --ell 3 --n 8 --family 0,3 --certify-dual --format json", 0,
      "56b25251d1596616d53698b77735385294222c2e914996d7998997b50fe5c87f"),
     # odd-characteristic certificates: 365 steps of 3^10 rows, 11 steps of
