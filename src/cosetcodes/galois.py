@@ -417,10 +417,11 @@ class Field:
         logs = self.log_np[digits] + np.arange(f) * self.log_np[w]
         terms = np.where(digits > 0, self.exp_np[logs % (self.order - 1)], 0)
         embed = reduce(self.add, terms.T)
-        if len(np.unique(embed)) != q:
-            raise ValueError(f"the powers of w do not span F_{q}")
         project = np.full(self.order, -1, dtype=np.int64)
         project[embed] = np.arange(q)
+        # a repeated value of embed maps back to only one of its symbols
+        if (project[embed] != np.arange(q)).any():
+            raise ValueError(f"the powers of w do not span F_{q}")
         # w^f = sum_j c_j w^j, so the modulus is x^f - sum_j c_j x^j
         tail = _int_to_digits(int(project[self.pow(w, f)]), self.p, f)
         symbol_field = make_field(self.p, f, [-c % self.p for c in tail] + [1])
