@@ -95,11 +95,6 @@ def t8q9():
 
 
 @pytest.fixture(scope="session")
-def t26q9():
-    return compute_cosets(9, 26)
-
-
-@pytest.fixture(scope="session")
 def t24q25():
     return compute_cosets(25, 24)
 
