@@ -157,7 +157,9 @@ def nullspace(m: GFMatrix) -> GFMatrix:
     """Rows spanning {v : M v = 0} under the dot product."""
     ent = rank_and_rref(m)[1].entries
     pivots = [int(np.flatnonzero(row)[0]) for row in ent]
-    free = np.setdiff1d(np.arange(m.cols), pivots)
+    is_pivot = np.zeros(m.cols, dtype=bool)
+    is_pivot[pivots] = True
+    free = np.flatnonzero(~is_pivot)
     basis = np.zeros((len(free), m.cols), dtype=np.uint16)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = m.field.neg_table[ent[:, free]].T

@@ -4,13 +4,46 @@ import numpy as np
 import pytest
 
 from cosetcodes import make_field
-from cosetcodes.galois import (MR_BOUND, SubfieldBasis, _int_to_digits, _poly_mulmod,
-                               _poly_powmod, is_prime, nth_root_of_unity, prime_factors,
-                               prime_power_base, subfield_power_basis)
+from cosetcodes.galois import (MR_BOUND, SubfieldBasis, _int_to_digits, is_prime,
+                               nth_root_of_unity, prime_factors, prime_power_base,
+                               subfield_power_basis)
 
 SMALL_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 11) if p**e <= 1024]
 IMPRIMITIVE_X = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8+x^4+x^3+x+1: x has order 51
 PRIMITIVE_NOT_CANONICAL = (1, 0, 1, 1, 0, 1, 0, 0, 1)  # x^8+x^5+x^3+x^2+1
+
+
+# The scalar oracle: schoolbook polynomial arithmetic on digit lists (ascending
+# powers), independent of the companion matrix the library uses.
+
+def _poly_mulmod(a, b, mod, p):
+    """Schoolbook product of two digit vectors, reduced mod a monic modulus."""
+    e = len(mod) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    # reduce: x^e = -(mod[0] + ... + mod[e-1] x^(e-1))
+    for i in range(len(prod) - 1, e - 1, -1):
+        c, prod[i] = prod[i], 0
+        if c == 0:
+            continue
+        for j in range(e):
+            prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
+    return prod[:e] + [0] * max(0, e - len(prod))
+
+
+def _poly_powmod(base, exponent, mod, p):
+    """base^exponent mod a monic modulus, by square-and-multiply."""
+    result, acc = [1] + [0] * (len(mod) - 2), base
+    while exponent:
+        if exponent & 1:
+            result = _poly_mulmod(result, acc, mod, p)
+        acc = _poly_mulmod(acc, acc, mod, p)
+        exponent >>= 1
+    return result
 
 
 def test_f4_has_the_unique_irreducible_quadratic(f4):
@@ -318,3 +351,11 @@ def test_scalar_arithmetic_returns_python_ints(p, e):
     for v in (f.mul(a, b), f.mul(1, 1), f.inv(a), f.inv(1), f.pow(a, 3),
               f.pow(b, -1), f.pow(0, 2), f.pow(0, 0)):
         assert type(v) is int
+
+
+def test_dense_tables_are_refused_above_the_cap():
+    f = make_field(2, 13)  # 8192 elements > MAX_TABLE_FIELD_SIZE
+    for build in (lambda: f.add_table, lambda: f.mul_table, lambda: f.neg_table,
+                  lambda: f.pow_table(2)):
+        with pytest.raises(ValueError, match="dense .* table not supported"):
+            build()

@@ -1,7 +1,10 @@
-"""Guards against stale imports and a stale ``__all__`` (no linter is required)."""
+"""Guards against stale imports, a stale ``__all__`` and costly import paths (no linter is required)."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -50,3 +53,17 @@ def test_readme_library_api_lists_all():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^- `(\w+)`", section, re.MULTILINE) == cosetcodes.__all__
+
+
+def test_verifying_a_dual_does_not_import_numpy_ma():
+    # numpy.ma costs about 20 ms on its first import; np.setdiff1d pulls it in
+    script = ("import sys\n"
+              "from cosetcodes import duality\n"
+              "from cosetcodes.cosets import compute_cosets\n"
+              "duality.hermitian_dual(compute_cosets(4, 21).family([0, 1]), 2)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
