@@ -5,8 +5,9 @@ uint16 entry array.  Row reduction and nullspaces run on the field's
 dense lookup tables: each pivot tabulates the q multiples of its row
 once, and clearing its column is a row gather from that table.  Gram
 products expand symbols into their base-p digits and run as float32
-matrix products over F_p (BLAS), exact by construction; see
-:func:`gram_is_zero`.
+matrix products over F_p (BLAS), exact by construction; :func:`gram`
+returns the product g1 g2^T, and :func:`gram_is_zero` is the test that
+it vanishes.
 
 The module also houses the exhaustive minimum-distance certifier, the
 performance-critical piece of the package.  Messages are indexed in
@@ -47,8 +48,8 @@ TABLE_ROWS = 1 << 16  # span-table row cap of the enumeration kernel
 # over forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
 FORK_MIN_ENTRIES = 1 << 25
 F32_EXACT = 1 << 24  # float32 holds every integer up to this one exactly
-GRAM_BLOCK_ROWS = 128  # g1 rows per block of gram_is_zero
-GRAM_FLOATS = 1 << 17  # float32 operands of one gram_is_zero product
+GRAM_BLOCK_ROWS = 128  # g1 rows per block of gram
+GRAM_FLOATS = 1 << 17  # float32 operands of one gram product
 
 
 class BudgetExceededError(RuntimeError):
@@ -170,8 +171,9 @@ def pow_entrywise(m: GFMatrix, k: int) -> GFMatrix:
     return GFMatrix(m.field, m.field.pow_table(k)[m.entries])
 
 
-def gram_is_zero(g1: GFMatrix, g2: GFMatrix) -> bool:
-    """True iff every row of g1 is orthogonal to every row of g2 (dot product).
+def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
+    """The Gram matrix g1 g2^T: entry (i, j) is the dot product of row i of
+    g1 with row j of g2.
 
     For the Hermitian product over F_(ell^2), pass ``pow_entrywise(g1, ell)``
     as the first argument.
@@ -183,15 +185,16 @@ def gram_is_zero(g1: GFMatrix, g2: GFMatrix) -> bool:
     column chunks in float64.  A chunk of w columns has partial sums of at
     most (p-1)^2 * f * w, so w is capped to keep that below 2^24, where
     float32 holds every integer exactly; w is also capped so that both
-    operands of a product hold at most ``GRAM_FLOATS`` floats.  The first
-    block and digit with a nonzero residue return False.
+    operands of a product hold at most ``GRAM_FLOATS`` floats.  The digits
+    mod p, weighted by p^t, are the symbols of the product.
     """
     if g1.field is not g2.field:
         raise ValueError("matrices use different field contexts")
     if g1.cols != g2.cols:
         raise ValueError("matrices must have the same number of columns")
+    out = np.zeros((g1.rows, g2.rows), dtype=np.int64)
     if g1.rows == 0 or g2.rows == 0 or g1.cols == 0:
-        return True
+        return GFMatrix(g1.field, out)
     field = g1.field
     p, f = field.p, field.e
     powers = p ** np.arange(f)
@@ -212,9 +215,14 @@ def gram_is_zero(g1: GFMatrix, g2: GFMatrix) -> bool:
                 a = np.take(shifted_digits[t], rows[:, c:c + step], axis=0)
                 b = np.take(digits, g2.entries[:, c:c + step], axis=0)
                 sums += a.reshape(len(rows), -1) @ b.reshape(g2.rows, -1).T
-            if np.any(sums.astype(np.int64) % p):
-                return False
-    return True
+            out[lo:lo + block] += sums.astype(np.int64) % p * int(powers[t])
+    return GFMatrix(field, out)
+
+
+def gram_is_zero(g1: GFMatrix, g2: GFMatrix) -> bool:
+    """True iff every row of g1 is orthogonal to every row of g2: the
+    :func:`gram` product is zero."""
+    return not gram(g1, g2).entries.any()
 
 
 # ---------------------------------------------------------------------------

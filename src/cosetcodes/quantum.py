@@ -21,22 +21,28 @@ a code whether or not S is self-orthogonal.
 Over that matching the Pareto frontier is a chain: :func:`search` sorts
 the matched pairs by their higher-degree end and walks the prefixes of
 that list once, with no tree and no budget.  Every emitted report
-re-verifies self-orthogonality both combinatorially and by a Hermitian
-Gram product of the generator matrix with itself; disagreement is a hard
-failure.
+re-verifies self-orthogonality both combinatorially and by the Hermitian
+Gram product of a generator matrix with itself; disagreement is a hard
+failure.  The Gram product is reduced to coset x coset blocks, each
+checked against the image map.  The prefixes are nested and a coset's
+rows do not depend on the family, so one generator matrix, that of the
+last prefix, serves the whole chain: its rank check covers every row
+subset, and its Gram blocks hold every prefix's Gram product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cosets import (CosetFamily, CosetTable, check_dualizable, hermitian_dual_family,
                      hermitian_image)
 from .codes import field_for_table, generator_matrix
 from .duality import VerificationError
 from .galois import Field
-from .linalg import (DEFAULT_BUDGET, DistanceCertificate, check_budget,
-                     gram_is_zero, min_distance_exhaustive, pow_entrywise)
+from .linalg import (DEFAULT_BUDGET, DistanceCertificate, check_budget, gram,
+                     min_distance_exhaustive, pow_entrywise)
 
 
 class NotSelfOrthogonalError(ValueError):
@@ -108,29 +114,71 @@ def _self_orthogonality_violations(family: CosetFamily,
                   for b in family.members if b != zero_id and image[b] in members)
 
 
+def _gram_blocks(family: CosetFamily, ell: int,
+                 image: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """Pairs (A, B) of member ids whose block of the Hermitian Gram product
+    G^(ell) G^T of the family's generator matrix is nonzero.
+
+    A row of G^(ell) evaluates a polynomial with exponents in ell*A, so its
+    product with a row of coset B sums alpha^(t(ell*a + b)) over the n-th
+    roots of unity: zero unless B = dual(ell*A) = image(A).  The zero
+    coset's row is a constant c, whose product with itself is
+    (n+1) c^(ell+1) = 0, as p divides n+1.  So block (A, B) is nonzero
+    exactly when A is nonzero and B = image(A); every pair of members is
+    checked against that, and a disagreement raises.  A coset's rows
+    depend only on the coset, so the Gram product of a subfamily is the
+    submatrix of its members' blocks.
+    """
+    table = family.table
+    g = generator_matrix(family).mat
+    nonzero = gram(pow_entrywise(g, ell), g).entries != 0
+    ids = np.asarray(family.members)
+    starts = np.cumsum([0] + [table.cosets[c].size for c in family.members[:-1]])
+    blocks = np.logical_or.reduceat(np.logical_or.reduceat(nonzero, starts, axis=0),
+                                    starts, axis=1)
+    expected = ((np.asarray(image)[ids][:, None] == ids[None, :])
+                & (ids != table.coset_of(0))[:, None])
+    if not np.array_equal(blocks, expected):
+        raise VerificationError("Hermitian Gram blocks disagree with the image map")
+    return frozenset((int(ids[a]), int(ids[b])) for a, b in zip(*np.nonzero(blocks)))
+
+
 def derive_quantum(family: CosetFamily, ell: int,
                    require_self_orthogonal: bool = True) -> QuantumCodeReport:
     """Derive the [[n+1, n+1-2k, >= d]] parameters for a coset family.
 
     Containment of the family in its Hermitian dual family is checked
     combinatorially and by the Hermitian Gram product of the generator
-    matrix with itself; any disagreement between the two routes raises.
-    Families that fail self-orthogonality raise
-    :class:`NotSelfOrthogonalError` unless ``require_self_orthogonal`` is
-    false, in which case a report with ``self_orthogonal=False`` is
-    returned for inspection.
+    matrix with itself, block by block against the image map; any
+    disagreement between the routes raises.  Families that fail
+    self-orthogonality raise :class:`NotSelfOrthogonalError`, before any
+    matrix is built, unless ``require_self_orthogonal`` is false, in
+    which case a report with ``self_orthogonal=False`` is returned for
+    inspection.
+    """
+    return _derive(family, ell, hermitian_image(family.table, ell), require_self_orthogonal)
+
+
+def _derive(family: CosetFamily, ell: int, image: tuple[int, ...],
+            require_self_orthogonal: bool = True,
+            blocks: frozenset[tuple[int, int]] | None = None) -> QuantumCodeReport:
+    """The derivation of :func:`derive_quantum` and :func:`search`.
+
+    ``blocks`` are the nonzero Gram blocks of a family that contains this
+    one (:func:`_gram_blocks`); by default, those of the family itself.
     """
     table = family.table
     t_family = hermitian_dual_family(family, ell)
-    violations = _self_orthogonality_violations(family, hermitian_image(table, ell))
+    violations = _self_orthogonality_violations(family, image)
     self_orthogonal = not violations
-    contained = set(family.members) <= set(t_family.members)
-    if contained != self_orthogonal:
+    members = set(family.members)
+    if (members <= set(t_family.members)) != self_orthogonal:
         raise VerificationError("containment check disagrees with pair scan")
     if not self_orthogonal and require_self_orthogonal:
         raise NotSelfOrthogonalError(violations)
-    g_s = generator_matrix(family)
-    if gram_is_zero(pow_entrywise(g_s.mat, ell), g_s.mat) != self_orthogonal:
+    if blocks is None:
+        blocks = _gram_blocks(family, ell, image)
+    if any(a in members and b in members for a, b in blocks) == self_orthogonal:
         raise VerificationError(
             "Hermitian Gram disagrees with the combinatorial containment")
     k = family.dim()
@@ -240,6 +288,11 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     ``min_quantum_k`` floor or at the first prefix where d can no longer
     rise.
 
+    Each prefix is derived as :func:`derive_quantum` derives it, but all
+    of them are verified from one generator matrix, that of the last
+    prefix, and one Hermitian Gram product of it; a prefix's Gram check
+    is a lookup of its blocks.  An empty chain builds no matrix.
+
     Objectives (:data:`OBJECTIVES`): ``pareto`` returns the full frontier
     and takes no target; ``max_d_given_k`` returns the best-distance report
     with quantum_k >= target; ``max_k_given_d`` the best-dimension report
@@ -274,9 +327,12 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
         k += table.cosets[low].size
         kept = max(kept, deg[low])
 
+    # the prefixes are nested, so the last one's Gram blocks hold every prefix's
+    blocks = (_gram_blocks(CosetFamily(table, chain[-1][2]), ell, graph.image)
+              if chain else frozenset())
     reports = []
     for qk, d, ids in chain:
-        report = derive_quantum(CosetFamily(table, ids), ell)
+        report = _derive(CosetFamily(table, ids), ell, graph.image, blocks=blocks)
         if (report.quantum_k, report.d_lower) != (qk, d):
             raise VerificationError("frontier bookkeeping disagrees with derivation")
         reports.append(report)

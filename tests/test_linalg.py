@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cosetcodes import BudgetExceededError, linalg, make_field, min_distance_exhaustive
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _codeword_for_message,
                                _gray_digits, _SpanKernel, check_budget, gf_matrix,
-                               gram_is_zero, nullspace, pow_entrywise, rank,
+                               gram, gram_is_zero, nullspace, pow_entrywise, rank,
                                rank_and_rref, row_space_equal, weight_distribution)
 
 # (p, e) of the fields the property tests draw from; ell^2 = p^e for even e
@@ -93,6 +93,12 @@ def test_gram_edge_cases(f4, f16):
     g = gf_matrix(f4, [[1, 2, 3]])
     empty = gf_matrix(f4, [], cols=3)
     assert gram_is_zero(g, empty)
+    assert gram(g, empty).entries.shape == (1, 0)
+    assert gram(empty, g).entries.shape == (0, 1)
+    no_cols = GFMatrix(f4, np.zeros((2, 0)))
+    assert gram(no_cols, no_cols).entries.tolist() == [[0, 0], [0, 0]]
+    with pytest.raises(ValueError):
+        gram(g, gf_matrix(f4, [[1, 2]]))
     with pytest.raises(ValueError):
         gram_is_zero(g, gf_matrix(f4, [[1, 2]]))
     with pytest.raises(ValueError):
@@ -118,17 +124,22 @@ def oracle_rref(field, entries):
     return r, a[:r]
 
 
-def oracle_gram_is_zero(field, e1, e2, ell=None):
+def oracle_gram(field, e1, e2, ell=None):
     """Every row pair's sum of Field.mul products, the first row raised to ell."""
+    out = []
     for u in e1:
         u = [field.pow(int(x), ell) if ell else int(x) for x in u]
+        out.append([])
         for v in e2:
             acc = 0
             for x, y in zip(u, v):
                 acc = field.add(acc, field.mul(x, int(y)))
-            if acc:
-                return False
-    return True
+            out[-1].append(acc)
+    return out
+
+
+def oracle_gram_is_zero(field, e1, e2, ell=None):
+    return not any(any(row) for row in oracle_gram(field, e1, e2, ell))
 
 
 @st.composite
@@ -171,11 +182,15 @@ def test_rref_matches_scalar_gauss_jordan(case):
 @given(field_matrices(count=2))
 def test_gram_matches_scalar_oracle(case):
     field, (g1, g2) = case
-    assert gram_is_zero(g1, g2) == oracle_gram_is_zero(field, g1.entries, g2.entries)
+    product = gram(g1, g2)
+    assert product.field is field
+    assert product.entries.tolist() == oracle_gram(field, g1.entries, g2.entries)
+    assert gram_is_zero(g1, g2) == (not product.entries.any())
     ell = hermitian_ell(field)
     if ell is not None:
-        assert (gram_is_zero(pow_entrywise(g1, ell), g2)
-                == oracle_gram_is_zero(field, g1.entries, g2.entries, ell))
+        hermitian = gram(pow_entrywise(g1, ell), g2)
+        assert hermitian.entries.tolist() == oracle_gram(field, g1.entries, g2.entries, ell)
+        assert gram_is_zero(pow_entrywise(g1, ell), g2) == (not hermitian.entries.any())
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,11 +215,15 @@ def test_gram_past_the_float32_bound_matches_the_oracle():
     assert (p - 1) ** 2 * cols >= F32_EXACT
     field = make_field(p, 1)
     a = gf_matrix(field, [[59] * cols])
-    assert gram_is_zero(a, a)
-    assert oracle_gram_is_zero(field, a.entries, a.entries)
     b = gf_matrix(field, [[59] * (cols - 1) + [58]])
+    both = GFMatrix(field, np.vstack([a.entries, b.entries]))
+    want = oracle_gram(field, both.entries, both.entries)
+    # 59 = -2, 58 = -3 and 5062 = -1 mod 61: <a, b> = -4 + 6, <b, b> = -4 + 9
+    assert want == [[0, 2], [2, 5]]
+    assert gram(both, both).entries.tolist() == want
+    assert gram(a, b).entries.tolist() == oracle_gram(field, a.entries, b.entries) == [[2]]
+    assert gram_is_zero(a, a)
     assert not gram_is_zero(a, b)
-    assert not oracle_gram_is_zero(field, a.entries, b.entries)
 
 
 def test_gray_sequence_changes_one_symbol_per_step():

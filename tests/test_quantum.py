@@ -1,14 +1,13 @@
 import itertools
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError, certify_dual,
-                        compute_cosets, derive_quantum, generator_matrix, search)
+from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError, VerificationError,
+                        certify_dual, compute_cosets, derive_quantum, generator_matrix,
+                        search)
 from cosetcodes import quantum
-from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import GFMatrix, gram_is_zero, pow_entrywise
 from cosetcodes.quantum import build_compatibility_graph
 from cosetcodes.fixtures import load_known_answers
@@ -232,19 +231,109 @@ def test_search_min_quantum_k_floor(t51q16):
 
 def test_search_leaves_the_recursion_limit_alone(monkeypatch):
     table = compute_cosets(64, 4095)
-    # this test pins the traversal, not the 427 Gram checks of its reports,
-    # which would build 4096-column generator matrices over GF(64^m); the
-    # Gram route is pinned by test_gram_and_containment_agree_on_random_families
-    # and the frontier golden digests
-    symbols = field_for_table(table).subfield_view(64).field
-    zero = GFMatrix(symbols, np.zeros((1, 1), dtype=np.uint16))
-    monkeypatch.setattr(quantum, "generator_matrix",
-                        lambda family: SimpleNamespace(mat=zero))
+    # this test pins the traversal, not the Gram check of its 427 reports,
+    # which would build the generator matrix of the last prefix, about
+    # 2048 x 4096 over GF(64^2), and its Hermitian Gram; the Gram route is
+    # pinned by test_search_reports_equal_standalone_derivations, the
+    # mutation checks and the frontier golden digests
+    monkeypatch.setattr(quantum, "_gram_blocks", lambda family, ell, image: frozenset())
     limit = sys.getrecursionlimit()
     res = search(table, 8)
     assert sys.getrecursionlimit() == limit
     # the walk weighs one prefix per frontier point: 427 of them at q=64, n=4095
     assert res.complete and res.nodes == len(res.reports) == 427
+
+
+# every square q of the conftest tables, with and without a min_quantum_k floor;
+# t585 is searched from a floor, as its full frontier derives 61 reports
+SEARCHES = [("t21", 2, 0), ("t21", 2, 10), ("t51", 2, 0), ("t51", 2, 30), ("t63", 2, 0),
+            ("t63", 2, 40), ("t51q16", 4, 0), ("t51q16", 4, 30), ("t585", 8, 532),
+            ("t80q9", 3, 0), ("t80q9", 3, 50), ("t8q9", 3, 0), ("t24q25", 5, 0),
+            ("t24q25", 5, 20)]
+
+
+@pytest.mark.parametrize("name,ell,floor", SEARCHES)
+def test_search_reports_equal_standalone_derivations(request, name, ell, floor):
+    # the search checks every prefix against the Gram blocks of the last one;
+    # derive_quantum checks each family against its own
+    table = request.getfixturevalue(name)
+    res = search(table, ell, min_quantum_k=floor)
+    assert res.reports and all(r.quantum_k >= floor for r in res.reports)
+    for rep in res.reports:
+        alone = derive_quantum(rep.family_s, ell)
+        assert alone.triple() == rep.triple()
+        assert alone.family_s == rep.family_s and alone.t_family == rep.t_family
+        assert alone.self_orthogonal and rep.self_orthogonal
+        assert alone.to_json_obj() == rep.to_json_obj()
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_search_builds_one_matrix_and_one_gram(t51q16, monkeypatch):
+    matrices = _counting(monkeypatch, quantum, "generator_matrix")
+    grams = _counting(monkeypatch, quantum, "gram")
+    res = search(t51q16, 4)
+    assert len(res.reports) > 1
+    assert len(matrices) == len(grams) == 1
+    # the matrix is the last prefix's, which holds every other prefix
+    assert matrices[0][0] == res.reports[-1].family_s
+
+
+def test_search_with_an_empty_chain_builds_no_matrix(t51, monkeypatch):
+    matrices = _counting(monkeypatch, quantum, "generator_matrix")
+    grams = _counting(monkeypatch, quantum, "gram")
+    res = search(t51, 2, min_quantum_k=51)  # {0} alone gives quantum_k 50
+    assert res.reports == () and res.nodes == 0
+    assert matrices == [] and grams == []
+
+
+def _whole_table(table):
+    return table.family(c.min_rep for c in table.cosets)
+
+
+@pytest.mark.parametrize("name,ell", [("t21", 2), ("t51q16", 4), ("t80q9", 3),
+                                      ("t24q25", 5)])
+def test_gram_blocks_of_the_whole_table_follow_the_image_map(request, name, ell):
+    # every pair of cosets: block (A, B) is nonzero iff A is nonzero and B = image(A)
+    table = request.getfixturevalue(name)
+    image = quantum.hermitian_image(table, ell)
+    blocks = quantum._gram_blocks(_whole_table(table), ell, image)
+    zero = table.coset_of(0)
+    assert blocks == {(a, image[a]) for a in range(len(table)) if a != zero}
+    rep = derive_quantum(_whole_table(table), ell, require_self_orthogonal=False)
+    assert not rep.self_orthogonal
+
+
+def _perturb_one_block(gram):
+    def perturbed(g1, g2):
+        out = gram(g1, g2)
+        entries = out.entries.copy()
+        entries[0, 0] ^= 1  # the zero coset's block with itself
+        return GFMatrix(out.field, entries)
+    return perturbed
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda: (quantum, "gram", _perturb_one_block(quantum.gram)),
+    lambda: (quantum, "hermitian_image", lambda table, ell: table._dual),
+    lambda: (quantum, "pow_entrywise", lambda m, k: pow_entrywise(m, k + 1)),
+], ids=["perturbed block", "euclidean image map", "wrong ell power"])
+@pytest.mark.parametrize("name,ell", [("t21", 2), ("t80q9", 3)])
+def test_a_broken_gram_route_raises(request, monkeypatch, mutate, name, ell):
+    table = request.getfixturevalue(name)
+    monkeypatch.setattr(*mutate())
+    with pytest.raises(VerificationError, match="Gram blocks disagree"):
+        derive_quantum(_whole_table(table), ell, require_self_orthogonal=False)
 
 
 def test_emitted_reports_are_self_orthogonal_with_even_deficit(t21, t63):
