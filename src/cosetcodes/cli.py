@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import fixtures
-from .cosets import compute_cosets
+from .cosets import check_hermitian, compute_cosets
 from .codes import (check_field_size, classical_params, generator_matrix,
                     load_matrix_json, truncated_family)
 from .duality import VerificationError
@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recheck", help="re-verify an exported generator matrix")
     p.add_argument("file", help="path to a matrix JSON export")
 
-    p = sub.add_parser("quantum", help="derive [[n+1, n+1-2k, >=d]] for a family")
+    p = sub.add_parser("quantum", help="derive [[n+1, n+1-2k, >=d]] for a family "
+                                       "(q = ell^2 fixes ell)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", type=_parse_reps, required=True)
     p.add_argument("--certify-dual", action="store_true",
@@ -105,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     add_budget(p)
 
-    p = sub.add_parser("search", help="search families for the (quantum_k, d) frontier")
+    p = sub.add_parser("search", help="search families for the (quantum_k, d) frontier "
+                                      "(q = ell^2 fixes ell)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--objective", choices=OBJECTIVES, default="pareto")
-    p.add_argument("--target", type=int, help="target for the conditional objectives")
+    p.add_argument("--target", type=int, help="target for the conditional objective")
     p.add_argument("--min-quantum-k", type=int, default=0,
                    help="do not explore families below this quantum dimension")
     add_format(p)
@@ -224,9 +224,10 @@ def cmd_recheck(args) -> int:
 
 def cmd_quantum(args) -> int:
     check_field_size(args.q, args.n)
+    check_hermitian(args.q)
     table = compute_cosets(args.q, args.n)
     family = table.family(args.family)
-    report = derive_quantum(family, args.ell)
+    report = derive_quantum(family)
     cert = None
     budget_note = None
     if args.certify_dual:
@@ -242,14 +243,14 @@ def cmd_quantum(args) -> int:
             obj["certification_skipped"] = budget_note
         print(json.dumps(obj))
     elif args.format == "csv":
-        print(_csv_output([(args.q, args.ell, args.n, report.block_length,
+        print(_csv_output([(args.q, report.ell, args.n, report.block_length,
                             report.quantum_k, report.d_lower,
                             cert.value if cert else None,
                             report.family_s.reps())]))
         _csv_refusal(budget_note)
     else:
         print(f"[[{report.block_length}, {report.quantum_k}, >={report.d_lower}]] "
-              f"over GF({args.ell}), S reps {list(report.family_s.reps())}, "
+              f"over GF({report.ell}), S reps {list(report.family_s.reps())}, "
               f"self_orthogonal={report.self_orthogonal}")
         if cert:
             print(f"dual code exact distance: {cert.value} "
@@ -262,8 +263,9 @@ def cmd_quantum(args) -> int:
 
 def cmd_search(args) -> int:
     check_field_size(args.q, args.n)
+    check_hermitian(args.q)
     table = compute_cosets(args.q, args.n)
-    result = search(table, args.ell, objective=args.objective, target=args.target,
+    result = search(table, objective=args.objective, target=args.target,
                     min_quantum_k=args.min_quantum_k)
     if args.format == "json":
         print(json.dumps({
@@ -273,11 +275,11 @@ def cmd_search(args) -> int:
             "reports": [r.to_json_obj() for r in result.reports],
         }))
     elif args.format == "csv":
-        print(_csv_output([(args.q, args.ell, args.n, r.block_length, r.quantum_k,
+        print(_csv_output([(args.q, r.ell, args.n, r.block_length, r.quantum_k,
                             r.d_lower, None, r.family_s.reps())
                            for r in result.reports]))
     else:
-        print(f"frontier for GF({args.ell}) length {args.n + 1}:")
+        print(f"frontier for GF({table.ell}) length {args.n + 1}:")
         for r in result.reports:
             print(f"  [[{r.block_length}, {r.quantum_k}, >={r.d_lower}]]  "
                   f"S reps {list(r.family_s.reps())}")

@@ -11,7 +11,9 @@ scaling by an integer, member-wise dualization (negation mod n), and the
 complement construction: {0} plus every coset outside the family's image
 describes the dual code.  The Euclidean image is negation; the Hermitian
 one, B -> dual(ell*B) for q = ell^2, is :func:`hermitian_image` (see the
-``duality`` module for the code-level verification).
+``duality`` module for the code-level verification).  q fixes ell: the
+table keeps it as :attr:`CosetTable.ell`, and :func:`check_hermitian`
+is the one check of the rule q = ell^2.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class CosetTable:
     q: int
     n: int
     m: int
+    ell: int | None           # the ell with q = ell^2, None when q is not a square
     cosets: tuple[Coset, ...]
     _id_of: tuple[int, ...]   # residue -> coset id
     _dual: tuple[int, ...]    # coset id -> id of the dual coset
@@ -84,9 +87,9 @@ class CosetTable:
         """Id of the coset containing the negatives mod n of the given coset."""
         return self._dual[coset_id]
 
-    def scaled_coset(self, coset_id: int, ell: int) -> int:
-        """Id of the coset containing ell * (any element of the coset)."""
-        return self.coset_of(self.cosets[coset_id].min_rep * ell)
+    def scaled_coset(self, coset_id: int, factor: int) -> int:
+        """Id of the coset containing factor * (any element of the coset)."""
+        return self.coset_of(self.cosets[coset_id].min_rep * factor)
 
     def family(self, residues) -> CosetFamily:
         """Family of the cosets containing the given residues, each in 0..n-1."""
@@ -141,9 +144,10 @@ def compute_cosets(q: int, n: int) -> CosetTable:
         raise AssertionError("cosets do not partition Z_n")
     dual = tuple(id_of[(-c.min_rep) % n] for c in cosets)
     ell = isqrt(q)
-    hermitian = (tuple(id_of[-c.min_rep * ell % n] for c in cosets)
-                 if ell * ell == q else None)
-    return CosetTable(q=q, n=n, m=m, cosets=tuple(cosets),
+    if ell * ell != q:
+        ell = None  # F_q has no Hermitian form
+    hermitian = tuple(id_of[-c.min_rep * ell % n] for c in cosets) if ell else None
+    return CosetTable(q=q, n=n, m=m, ell=ell, cosets=tuple(cosets),
                       _id_of=tuple(id_of), _dual=dual, _hermitian=hermitian)
 
 
@@ -195,10 +199,10 @@ class CosetFamily:
             raise ValueError("empty family has no degree")
         return max(self.table.cosets[i].max_elem for i in self.members)
 
-    def scale(self, ell: int) -> CosetFamily:
-        """Replace each member coset by the coset of ell times its elements."""
+    def scale(self, factor: int) -> CosetFamily:
+        """Replace each member coset by the coset of factor times its elements."""
         return CosetFamily(self.table, tuple(sorted(
-            {self.table.scaled_coset(i, ell) for i in self.members})))
+            {self.table.scaled_coset(i, factor) for i in self.members})))
 
     def dual(self) -> CosetFamily:
         """Member-wise dual (negation mod n); an involution."""
@@ -212,11 +216,23 @@ class CosetFamily:
         return "CosetFamily[" + ", ".join(repr(c) for c in self.cosets()) + "]"
 
 
-def hermitian_image(table: CosetTable, ell: int) -> tuple[int, ...]:
+def check_hermitian(q: int, ell: int | None = None) -> int:
+    """Return the ell >= 2 with q = ell^2, which names the Hermitian form
+    over F_q, or raise ValueError: the one check of that rule.  It reads q
+    alone, so the CLI refuses before it builds a table.  A given ``ell``
+    must be that one: ``quantum.search``, ``quantum.build_compatibility_graph``
+    and ``duality.hermitian_dual`` still accept one, which perfbench passes."""
+    root = isqrt(max(q, 0))
+    if root < 2 or root * root != q or ell not in (None, root):
+        given = "" if ell is None else f", ell={ell}"
+        raise ValueError(f"the Hermitian form needs q = ell^2 with ell >= 2; got q={q}{given}")
+    return root
+
+
+def hermitian_image(table: CosetTable) -> tuple[int, ...]:
     """Coset id -> id of dual(ell * coset), for q = ell^2 with ell >= 2; an
     involution, as ell^2 = q fixes every coset.  Built once per table."""
-    if ell < 2 or ell * ell != table.q:
-        raise ValueError(f"need q = ell^2 with ell >= 2; got q={table.q}, ell={ell}")
+    check_hermitian(table.q)
     return table._hermitian
 
 
@@ -235,12 +251,12 @@ def euclidean_dual_family(family: CosetFamily) -> CosetFamily:
     return _dual_family(family, family.table._dual)
 
 
-def hermitian_dual_family(family: CosetFamily, ell: int) -> CosetFamily:
+def hermitian_dual_family(family: CosetFamily) -> CosetFamily:
     """The family describing the Hermitian dual code for q = ell^2: {0}
     plus every coset outside the :func:`hermitian_image` of the input.
     Requires {0} in the input.  ``duality.hermitian_dual`` checks at the
     code level that this is the Euclidean dual family of ell*S."""
-    return _dual_family(family, hermitian_image(family.table, ell))
+    return _dual_family(family, hermitian_image(family.table))
 
 
 def _dual_family(family: CosetFamily, image: tuple[int, ...]) -> CosetFamily:

@@ -15,16 +15,17 @@ to the ell-th power entry-wise and verifies that the result spans the
 code of the ell-scaled family.
 
 The table rules live in ``cosets``: ``compute_cosets`` needs q = p^f
-for a prime p, ``hermitian_image`` needs q = ell^2 with ell >= 2, and
-``check_dualizable`` needs p to divide n+1.  Every table that meets them
-is dualized, in odd characteristic too.
+for a prime p, ``check_hermitian`` needs q = ell^2 with ell >= 2 (the
+table keeps that ell), and ``check_dualizable`` needs p to divide n+1.
+Every table that meets them is dualized, in odd characteristic too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosets import CosetFamily, euclidean_dual_family, hermitian_dual_family
+from .cosets import (CosetFamily, check_hermitian, euclidean_dual_family,
+                     hermitian_dual_family)
 from .codes import GeneratorMatrix, generator_matrix
 from .linalg import gram_is_zero, nullspace, pow_entrywise, row_space_equal
 
@@ -50,11 +51,12 @@ class DualityReport:
 
 def euclidean_dual(family: CosetFamily) -> DualityReport:
     """Euclidean dual family of ``family``, verified at the code level."""
-    return _verified_dual(family, euclidean_dual_family(family), None)
+    return _verified_dual(family, euclidean_dual_family(family), hermitian=False)
 
 
-def hermitian_dual(family: CosetFamily, ell: int) -> DualityReport:
-    """Hermitian dual family of ``family`` for q = ell^2.
+def hermitian_dual(family: CosetFamily, ell: int | None = None) -> DualityReport:
+    """Hermitian dual family of ``family`` for q = ell^2, with ell read from
+    the table; a given ``ell`` must be that one (``cosets.check_hermitian``).
 
     ``cosets`` computes the family from its Hermitian image map, and it
     is the Euclidean dual family of the ell-scaled family.  Beyond the
@@ -62,14 +64,16 @@ def hermitian_dual(family: CosetFamily, ell: int) -> DualityReport:
     level: the entry-wise ell-th power of the primal code spans the code
     of the scaled family.
     """
-    return _verified_dual(family, hermitian_dual_family(family, ell), ell)
+    check_hermitian(family.table.q, ell)
+    return _verified_dual(family, hermitian_dual_family(family), hermitian=True)
 
 
 def _verified_dual(family: CosetFamily, dual_fam: CosetFamily,
-                   ell: int | None) -> DualityReport:
-    """Check ``dual_fam`` against the code of ``family``: Euclidean when
-    ``ell`` is None, Hermitian (u_i^ell v_i) otherwise."""
+                   hermitian: bool) -> DualityReport:
+    """Check ``dual_fam`` against the code of ``family``: Euclidean, or
+    Hermitian (u_i^ell v_i, with the table's ell)."""
     table = family.table
+    ell = table.ell if hermitian else None
     dim_s, dim_dual = family.dim(), dual_fam.dim()
     if dim_s + dim_dual != table.n + 1:
         raise VerificationError("dual dimensions do not complement the block length")

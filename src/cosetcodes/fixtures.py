@@ -104,11 +104,11 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET) -> list[FixtureR
         if fix["kind"] == "euclidean":
             rep = duality.euclidean_dual(fam)
         else:
-            rep = duality.hermitian_dual(fam, ell=fix["ell"])
+            rep = duality.hermitian_dual(fam)
         excluded = sorted(set(range(len(t))) - set(rep.family_dual.members))
         got_excluded = [list(t.cosets[i].elements) for i in excluded]
         ok = (got_excluded == fix["excluded"] and rep.dim_s == fix["dim_s"]
-              and rep.dim_dual == fix["dim_dual"]
+              and rep.dim_dual == fix["dim_dual"] and rep.ell == fix["ell"]
               and rep.gram_verified and rep.nullspace_verified)
         results.append(_result(
             f"{fix['kind']} dual q={fix['q']} n={fix['n']} S={fix['family']}",
@@ -119,7 +119,7 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET) -> list[FixtureR
     for fix in data["quantum"]:
         q = fix["ell"] ** 2
         t = table(q, fix["n"])
-        rep = quantum.derive_quantum(t.family(fix["family"]), fix["ell"])
+        rep = quantum.derive_quantum(t.family(fix["family"]))
         expected = (fix["block_length"], fix["quantum_k"], fix["d"])
         results.append(_result(
             f"quantum ell={fix['ell']} n={fix['n']} S={fix['family']}",
@@ -132,7 +132,7 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET) -> list[FixtureR
     for fix in data["search_points"]:
         q = fix["ell"] ** 2
         t = table(q, fix["n"])
-        res = quantum.search(t, fix["ell"], min_quantum_k=fix["min_quantum_k"])
+        res = quantum.search(t, min_quantum_k=fix["min_quantum_k"])
         frontiers[(fix["ell"], fix["n"])] = res
         got = res.frontier()
         missing = [tuple(p) for p in fix["points"] if tuple(p) not in got]
@@ -146,7 +146,7 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET) -> list[FixtureR
         res = frontiers.get((fix["ell"], fix["n"]))
         if res is None:
             t = table(fix["ell"] ** 2, fix["n"])
-            res = quantum.search(t, fix["ell"])
+            res = quantum.search(t)
         same_k = [r for r in res.reports if r.quantum_k >= fix["quantum_k"]]
         best_d = max((r.d_lower for r in same_k), default=0)
         same_d = [r for r in res.reports if r.d_lower >= fix["d"]]
@@ -179,7 +179,7 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET) -> list[FixtureR
         name = f"dual-code certification ell={fix['ell']} n={fix['n']}"
         expected = f"dim {fix['t_dim']}, exact d {fix['d_exact']}"
         t = table(fix["ell"] ** 2, fix["n"])
-        rep = quantum.derive_quantum(t.family(fix["family"]), fix["ell"])
+        rep = quantum.derive_quantum(t.family(fix["family"]))
         try:
             cert = quantum.certify_dual(rep, budget=budget)
         except BudgetExceededError as exc:

@@ -6,7 +6,8 @@ code C_S lies inside its Hermitian dual C_T: k is the dimension of C_S
 and d is the degree bound n+1 - max_degree(T).  Containment S within T
 is equivalent to a purely combinatorial condition: no two chosen nonzero
 cosets A, B may satisfy A = dual(ell*B).  The map B -> dual(ell*B) and
-its rule q = ell^2 are :func:`~cosetcodes.cosets.hermitian_image`; the
+its rule q = ell^2 are :func:`~cosetcodes.cosets.hermitian_image`, and
+q fixes ell, so every function here reads ell from the coset table; the
 pair scan of :func:`derive_quantum` and
 :meth:`CompatibilityGraph.is_admissible` reads that map, and
 :func:`derive_quantum` checks the scan against containment in T.  The map
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import (CosetFamily, CosetTable, check_dualizable, hermitian_dual_family,
-                     hermitian_image)
+from .cosets import (CosetFamily, CosetTable, check_dualizable, check_hermitian,
+                     hermitian_dual_family, hermitian_image)
 from .codes import field_for_table, generator_matrix
 from .duality import VerificationError
 from .galois import Field
@@ -60,7 +61,6 @@ class NotSelfOrthogonalError(ValueError):
 class QuantumCodeReport:
     """Derived quantum code parameters plus the self-orthogonality witness."""
 
-    ell: int
     family_s: CosetFamily
     t_family: CosetFamily
     classical_k: int
@@ -68,6 +68,10 @@ class QuantumCodeReport:
     d_lower: int
     self_orthogonal: bool
     parent: Field
+
+    @property
+    def ell(self) -> int:
+        return self.family_s.table.ell
 
     @property
     def q(self) -> int:
@@ -114,8 +118,7 @@ def _self_orthogonality_violations(family: CosetFamily,
                   for b in family.members if b != zero_id and image[b] in members)
 
 
-def _gram_blocks(family: CosetFamily, ell: int,
-                 image: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+def _gram_blocks(family: CosetFamily) -> frozenset[tuple[int, int]]:
     """Pairs (A, B) of member ids whose block of the Hermitian Gram product
     G^(ell) G^T of the family's generator matrix is nonzero.
 
@@ -130,8 +133,9 @@ def _gram_blocks(family: CosetFamily, ell: int,
     submatrix of its members' blocks.
     """
     table = family.table
+    image = hermitian_image(table)
     g = generator_matrix(family).mat
-    nonzero = gram(pow_entrywise(g, ell), g).entries != 0
+    nonzero = gram(pow_entrywise(g, table.ell), g).entries != 0
     ids = np.asarray(family.members)
     starts = np.cumsum([0] + [table.cosets[c].size for c in family.members[:-1]])
     blocks = np.logical_or.reduceat(np.logical_or.reduceat(nonzero, starts, axis=0),
@@ -143,7 +147,7 @@ def _gram_blocks(family: CosetFamily, ell: int,
     return frozenset((int(ids[a]), int(ids[b])) for a, b in zip(*np.nonzero(blocks)))
 
 
-def derive_quantum(family: CosetFamily, ell: int,
+def derive_quantum(family: CosetFamily, *,
                    require_self_orthogonal: bool = True) -> QuantumCodeReport:
     """Derive the [[n+1, n+1-2k, >= d]] parameters for a coset family.
 
@@ -156,11 +160,10 @@ def derive_quantum(family: CosetFamily, ell: int,
     which case a report with ``self_orthogonal=False`` is returned for
     inspection.
     """
-    return _derive(family, ell, hermitian_image(family.table, ell), require_self_orthogonal)
+    return _derive(family, require_self_orthogonal)
 
 
-def _derive(family: CosetFamily, ell: int, image: tuple[int, ...],
-            require_self_orthogonal: bool = True,
+def _derive(family: CosetFamily, require_self_orthogonal: bool = True,
             blocks: frozenset[tuple[int, int]] | None = None) -> QuantumCodeReport:
     """The derivation of :func:`derive_quantum` and :func:`search`.
 
@@ -168,8 +171,8 @@ def _derive(family: CosetFamily, ell: int, image: tuple[int, ...],
     one (:func:`_gram_blocks`); by default, those of the family itself.
     """
     table = family.table
-    t_family = hermitian_dual_family(family, ell)
-    violations = _self_orthogonality_violations(family, image)
+    t_family = hermitian_dual_family(family)
+    violations = _self_orthogonality_violations(family, hermitian_image(table))
     self_orthogonal = not violations
     members = set(family.members)
     if (members <= set(t_family.members)) != self_orthogonal:
@@ -177,7 +180,7 @@ def _derive(family: CosetFamily, ell: int, image: tuple[int, ...],
     if not self_orthogonal and require_self_orthogonal:
         raise NotSelfOrthogonalError(violations)
     if blocks is None:
-        blocks = _gram_blocks(family, ell, image)
+        blocks = _gram_blocks(family)
     if any(a in members and b in members for a, b in blocks) == self_orthogonal:
         raise VerificationError(
             "Hermitian Gram disagrees with the combinatorial containment")
@@ -186,7 +189,7 @@ def _derive(family: CosetFamily, ell: int, image: tuple[int, ...],
     if self_orthogonal and quantum_k < 0:
         raise VerificationError("self-orthogonal family with negative quantum dimension")
     d_lower = table.n + 1 - t_family.max_degree()
-    return QuantumCodeReport(ell=ell, family_s=family, t_family=t_family,
+    return QuantumCodeReport(family_s=family, t_family=t_family,
                              classical_k=k, quantum_k=quantum_k, d_lower=d_lower,
                              self_orthogonal=self_orthogonal,
                              parent=field_for_table(table))
@@ -230,8 +233,12 @@ class CompatibilityGraph:
         return not _self_orthogonality_violations(family, self.image)
 
 
-def build_compatibility_graph(table: CosetTable, ell: int) -> CompatibilityGraph:
-    image = hermitian_image(table, ell)
+def build_compatibility_graph(table: CosetTable,
+                              ell: int | None = None) -> CompatibilityGraph:
+    """The conflict matching of the table; a given ``ell`` must be the
+    table's (``cosets.check_hermitian``)."""
+    check_hermitian(table.q, ell)
+    image = hermitian_image(table)
     check_dualizable(table)
     zero_id = table.coset_of(0)
     nonzero = [i for i in range(len(table)) if i != zero_id]
@@ -241,7 +248,7 @@ def build_compatibility_graph(table: CosetTable, ell: int) -> CompatibilityGraph
                               image=image)
 
 
-OBJECTIVES = ("pareto", "max_d_given_k", "max_k_given_d")
+OBJECTIVES = ("pareto", "max_k_given_d")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +269,7 @@ class SearchResult:
         return [(r.quantum_k, r.d_lower) for r in self.reports]
 
 
-def search(table: CosetTable, ell: int, objective: str = "pareto",
+def search(table: CosetTable, ell: int | None = None, objective: str = "pareto",
            target: int | None = None, min_quantum_k: int = 0) -> SearchResult:
     """Return the (quantum_k, d) frontier of the admissible families.
 
@@ -293,10 +300,13 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
     prefix, and one Hermitian Gram product of it; a prefix's Gram check
     is a lookup of its blocks.  An empty chain builds no matrix.
 
+    ell is the table's; a given ``ell`` must be that one
+    (``cosets.check_hermitian``).
+
     Objectives (:data:`OBJECTIVES`): ``pareto`` returns the full frontier
-    and takes no target; ``max_d_given_k`` returns the best-distance report
-    with quantum_k >= target; ``max_k_given_d`` the best-dimension report
-    with d >= target.
+    and takes no target; ``max_k_given_d`` returns the best-dimension report
+    with d >= target.  The best-distance report with quantum_k >= t is the
+    last report of the frontier with ``min_quantum_k=t``.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -328,19 +338,15 @@ def search(table: CosetTable, ell: int, objective: str = "pareto",
         kept = max(kept, deg[low])
 
     # the prefixes are nested, so the last one's Gram blocks hold every prefix's
-    blocks = (_gram_blocks(CosetFamily(table, chain[-1][2]), ell, graph.image)
-              if chain else frozenset())
+    blocks = _gram_blocks(CosetFamily(table, chain[-1][2])) if chain else frozenset()
     reports = []
     for qk, d, ids in chain:
-        report = _derive(CosetFamily(table, ids), ell, graph.image, blocks=blocks)
+        report = _derive(CosetFamily(table, ids), blocks=blocks)
         if (report.quantum_k, report.d_lower) != (qk, d):
             raise VerificationError("frontier bookkeeping disagrees with derivation")
         reports.append(report)
 
-    if objective == "max_d_given_k":
-        eligible = [r for r in reports if r.quantum_k >= target]
-        reports = [max(eligible, key=lambda r: (r.d_lower, r.quantum_k))] if eligible else []
-    elif objective == "max_k_given_d":
+    if objective == "max_k_given_d":
         eligible = [r for r in reports if r.d_lower >= target]
         reports = [max(eligible, key=lambda r: (r.quantum_k, r.d_lower))] if eligible else []
     return SearchResult(reports=tuple(reports), complete=True,

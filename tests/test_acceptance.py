@@ -86,7 +86,7 @@ def test_criterion_3_duality(t51):
     assert rep_e.dim_s + rep_e.dim_dual == 52
     assert rep_e.gram_verified and rep_e.nullspace_verified
     assert row_space_equal(rep_e.matrix_dual.mat, nullspace(rep_e.matrix_s.mat))
-    rep_h = hermitian_dual(fam, ell=2)
+    rep_h = hermitian_dual(fam)
     excluded = sorted(set(range(len(t51))) - set(rep_h.family_dual.members))
     assert [list(t51.cosets[i].elements) for i in excluded] == [[19, 25, 43, 49]]
     assert rep_h.dim_s + rep_h.dim_dual == 52
@@ -121,7 +121,7 @@ SEARCH_POINT_CASES = (
 @pytest.mark.parametrize("ell,n,family,triple", QUANTUM_FAMILY_CASES)
 def test_criterion_4_quantum_families(ell, n, family, triple):
     table = compute_cosets(ell * ell, n)
-    rep = derive_quantum(table.family(family), ell)
+    rep = derive_quantum(table.family(family))
     assert rep.self_orthogonal
     assert rep.triple() == triple
     print(f"\nACCEPTANCE 4 (family) PASS: [[{triple[0]},{triple[1]},>={triple[2]}]]")
@@ -147,7 +147,7 @@ def test_criterion_4_search_finds_each_triple(ell, n, min_qk, point):
 
 def test_criterion_5_exhaustive_dual_distance(t21, monkeypatch):
     monkeypatch.setattr(linalg, "FORK_MIN_ENTRIES", 1)  # jobs=8 forks 7 workers
-    rep = derive_quantum(t21.family([0, 1, 2, 3]), 2)
+    rep = derive_quantum(t21.family([0, 1, 2, 3]))
     assert rep.t_family.dim() == 12
     g_t = generator_matrix(rep.t_family)
 
@@ -199,10 +199,10 @@ def test_criterion_6_property_suites(t21, t51, t63, t51q16):
             assert row_space_equal(g.mat, alt.mat)
 
     # dual-coset involution and scaling symmetry of the compatibility graph
-    for table, ell in ((t21, 2), (t51, 2), (t63, 2), (t51q16, 4)):
+    for table in (t21, t51, t63, t51q16):
         for cid in range(len(table)):
             assert table.dual_coset(table.dual_coset(cid)) == cid
-        graph = build_compatibility_graph(table, ell)
+        graph = build_compatibility_graph(table)
         for v in range(len(table)):
             assert graph.image[graph.image[v]] == v
 

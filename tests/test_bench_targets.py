@@ -84,11 +84,11 @@ def test_make_reference_pool_is_admissible(monkeypatch, t51):
     _load(monkeypatch, "workloads")
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     make_reference = _load(monkeypatch, "make_reference")
-    graph = build_compatibility_graph(t51, 2)
+    graph = build_compatibility_graph(t51)
     v = graph.vertices[0]
     assert not graph.is_admissible([v, graph.image[v]])
     pool = make_reference.admissible_pool(t51, 2, random.Random(1308))
     assert len(pool) == make_reference.POOL_SIZE
     for reps in pool:
         assert len(reps) == 1 + make_reference.POOL_COSETS
-        assert derive_quantum(t51.family(reps), 2).self_orthogonal
+        assert derive_quantum(t51.family(reps)).self_orthogonal

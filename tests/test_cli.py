@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -68,7 +69,7 @@ def test_classical_budget_fallback(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("classical", "--q", "4", "--n", "21", "--family", "0,22"),
-    ("quantum", "--q", "4", "--ell", "2", "--n", "21", "--family", "0,-1"),
+    ("quantum", "--q", "4", "--n", "21", "--family", "0,-1"),
 ])
 def test_representative_outside_zero_to_n_minus_one_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -81,7 +82,7 @@ def test_representative_outside_zero_to_n_minus_one_is_usage_error(capsys, argv)
     (("cosets", "--q", "6", "--n", "7"), "q=6 is not a prime power"),
     (("cosets", "--q", "1", "--n", "5"), "q=1 is not a prime power"),
     (("cosets", "--q", "-3", "--n", "8"), "q=-3 is not a prime power"),
-    (("search", "--q", "9", "--ell", "3", "--n", "10"),
+    (("search", "--q", "9", "--n", "10"),
      "the characteristic of q=9 does not divide n+1=11"),
 ])
 def test_table_outside_the_rules_is_usage_error(capsys, argv, message):
@@ -94,7 +95,7 @@ def test_table_outside_the_rules_is_usage_error(capsys, argv, message):
 @pytest.mark.parametrize("argv,codewords", [
     (("classical", "--q", "4", "--n", "21", "--family", "0,1,2,3", "--certify"),
      4**10 - 1),
-    (("quantum", "--q", "4", "--ell", "2", "--n", "21", "--family", "0,1,2,3",
+    (("quantum", "--q", "4", "--n", "21", "--family", "0,1,2,3",
       "--certify-dual"), 4**12 - 1),
 ])
 def test_csv_names_a_refusal_on_stderr(capsys, argv, codewords):
@@ -127,6 +128,20 @@ def test_budget_flag_overrides_env(capsys, monkeypatch):
     assert "bound only" in out
 
 
+def test_readme_cli_block_parses(capsys):
+    # every example line of the README's CLI block names only real options
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("cosetcodes ")]
+    assert len(lines) == len(block.strip().splitlines()) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line {line!r} does not parse: {capsys.readouterr().err}")
+
+
 def test_python_dash_m_entry_point():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-m", "cosetcodes", "cosets", "--q", "4", "--n", "3"],
@@ -137,8 +152,7 @@ def test_python_dash_m_entry_point():
 
 
 def test_quantum_fixture(capsys):
-    code, out, _ = run(capsys, "quantum", "--q", "4", "--ell", "2",
-                       "--n", "21", "--family", "0,1,2,3")
+    code, out, _ = run(capsys, "quantum", "--q", "4", "--n", "21", "--family", "0,1,2,3")
     assert code == 0
     assert "[[22, 2, >=6]]" in out
     assert "self_orthogonal=True" in out
@@ -146,7 +160,7 @@ def test_quantum_fixture(capsys):
 
 def test_quantum_certify_dual_past_the_int64_cap_stays_bound_only(capsys):
     # 4^63 - 1 codewords fit a budget of 10^38 but not the kernel's int64 counts
-    code, out, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "63",
+    code, out, _ = run(capsys, "quantum", "--q", "4", "--n", "63",
                        "--family", "0", "--certify-dual", "--budget", str(10**38))
     assert code == 0
     assert "dual code distance not certified" in out
@@ -155,7 +169,7 @@ def test_quantum_certify_dual_past_the_int64_cap_stays_bound_only(capsys):
 
 
 def test_quantum_certify_dual_json_names_a_refusal(capsys):
-    code, out, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "21",
+    code, out, _ = run(capsys, "quantum", "--q", "4", "--n", "21",
                        "--family", "0,1,2,3", "--certify-dual", "--budget", "100",
                        "--format", "json")
     assert code == 0
@@ -181,22 +195,21 @@ def test_classical_certify_past_the_int64_cap_names_the_cap(capsys):
 
 
 def test_quantum_rejection_names_pair(capsys):
-    code, out, err = run(capsys, "quantum", "--q", "4", "--ell", "2",
-                         "--n", "21", "--family", "0,7")
+    code, out, err = run(capsys, "quantum", "--q", "4", "--n", "21", "--family", "0,7")
     assert code == 1
     assert "S_7" in err
 
 
 def test_quantum_json_schema(capsys):
-    code, out, _ = run(capsys, "quantum", "--q", "4", "--ell", "2",
-                       "--n", "51", "--family", "0,1,2,6", "--format", "json")
+    code, out, _ = run(capsys, "quantum", "--q", "4", "--n", "51", "--family", "0,1,2,6",
+                       "--format", "json")
     obj = json.loads(out)
     assert obj["quantum_k"] == 26 and obj["d_lower"] == 6
     assert obj["field"]["modulus"] == [1, 0, 1, 1, 1, 0, 0, 0, 1]
 
 
 def test_search_text_and_exit(capsys):
-    code, out, _ = run(capsys, "search", "--q", "16", "--ell", "4", "--n", "51")
+    code, out, _ = run(capsys, "search", "--q", "16", "--n", "51")
     assert code == 0
     assert "[[52, 38, >=5]]" in out
     assert "[[52, 14, >=12]]" in out
@@ -206,10 +219,10 @@ def test_search_text_and_exit(capsys):
 def test_search_rejects_enumeration_flags(capsys, flag):
     # search never enumerates codewords, so it takes no budget; and no
     # command takes a worker count, which the enumeration measures itself
-    argvs = [["search", "--q", "4", "--ell", "2", "--n", "21"]]
+    argvs = [["search", "--q", "4", "--n", "21"]]
     if flag[0] == "--jobs":
         argvs += [["classical", "--q", "4", "--n", "21", "--r", "5", "--certify"],
-                  ["quantum", "--q", "4", "--ell", "2", "--n", "21", "--family", "0,1",
+                  ["quantum", "--q", "4", "--n", "21", "--family", "0,1",
                    "--certify-dual"],
                   ["verify"]]
     for argv in argvs:
@@ -220,24 +233,45 @@ def test_search_rejects_enumeration_flags(capsys, flag):
 
 
 def test_search_objective_requires_target(capsys):
-    code, _, err = run(capsys, "search", "--q", "4", "--ell", "2", "--n", "21",
+    code, _, err = run(capsys, "search", "--q", "4", "--n", "21",
                        "--objective", "max_k_given_d")
     assert code == 2
     assert "target" in err
 
 
 def test_search_pareto_with_target_is_usage_error(capsys):
-    code, out, err = run(capsys, "search", "--q", "4", "--ell", "2", "--n", "21",
+    code, out, err = run(capsys, "search", "--q", "4", "--n", "21",
                          "--target", "3")
     assert code == 2
     assert out == ""
     assert "objective 'pareto' takes no target" in err
 
 
-def test_ell_q_mismatch_is_usage_error(capsys):
-    code, _, err = run(capsys, "quantum", "--q", "4", "--ell", "3",
-                       "--n", "21", "--family", "0")
-    assert code == 2
+@pytest.mark.parametrize("argv", ["quantum --q 8 --n 7 --family 0", "search --q 8 --n 7",
+                                  "quantum --q 3 --n 26 --family 0", "search --q 2 --n 21"])
+def test_non_square_q_is_refused_before_the_coset_table(capsys, monkeypatch, argv):
+    # q = ell^2 fixes ell, and no other q has a Hermitian form
+    def no_table(q, n):
+        raise AssertionError(f"coset table of n={n} built before the q = ell^2 check")
+
+    monkeypatch.setattr(cli, "compute_cosets", no_table)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    q = argv.split()[2]
+    assert err == f"error: the Hermitian form needs q = ell^2 with ell >= 2; got q={q}\n"
+
+
+@pytest.mark.parametrize("argv", ["quantum --q 4 --ell 2 --n 21 --family 0",
+                                  "search --q 4 --ell 2 --n 21"])
+def test_ell_is_an_unknown_option(capsys, argv):
+    # q fixes ell, so neither command asks for it
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert "--ell" not in subparsers.choices[argv.split()[0]].format_help()
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ell 2" in capsys.readouterr().err
 
 
 def test_matrix_export_and_recheck(tmp_path, capsys):
@@ -322,11 +356,11 @@ def test_recheck_checks_the_field_before_it_builds_the_table(tmp_path, capsys, m
 @pytest.mark.parametrize("argv,message", [
     ("classical --q 4 --n 4000001 --r 3", "field size above n=4000001 exceeds"),
     ("matrix --q 4 --n 4000001 --r 3", "field size above n=4000001 exceeds"),
-    ("quantum --q 4 --ell 2 --n 4000001 --family 0", "field size above n=4000001 exceeds"),
-    ("search --q 4 --ell 2 --n 4000001", "field size above n=4000001 exceeds"),
+    ("quantum --q 4 --n 4000001 --family 0", "field size above n=4000001 exceeds"),
+    ("search --q 4 --n 4000001", "field size above n=4000001 exceeds"),
     # below 2^20 the order of q mod n sizes the field, as make_field words it
     ("classical --q 4 --n 1000001 --r 3", "field size 2^9900 exceeds"),
-    ("quantum --q 4 --ell 2 --n 999999 --family 0", "field size 2^180 exceeds"),
+    ("quantum --q 4 --n 999999 --family 0", "field size 2^180 exceeds"),
 ])
 def test_oversized_field_is_refused_before_the_coset_table(capsys, monkeypatch, argv, message):
     # n divides q^m - 1 < 2^20, so the field size is known before the O(n) table
@@ -340,9 +374,9 @@ def test_oversized_field_is_refused_before_the_coset_table(capsys, monkeypatch, 
 
 
 def test_outputs_are_deterministic(capsys):
-    _, out1, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "51",
+    _, out1, _ = run(capsys, "quantum", "--q", "4", "--n", "51",
                      "--family", "0,1,2,6", "--format", "json")
-    _, out2, _ = run(capsys, "quantum", "--q", "4", "--ell", "2", "--n", "51",
+    _, out2, _ = run(capsys, "quantum", "--q", "4", "--n", "51",
                      "--family", "0,1,2,6", "--format", "json")
     assert out1 == out2
 
@@ -390,9 +424,9 @@ HANDLER_ARGVS = {
     "classical": ["--q", "4", "--n", "21", "--family", "0,1", "--certify"],
     "matrix": ["--q", "4", "--n", "21", "--family", "0,1"],
     "recheck": ["{export}"],
-    "quantum": ["--q", "4", "--ell", "2", "--n", "21", "--family", "0,1,2,3",
+    "quantum": ["--q", "4", "--n", "21", "--family", "0,1,2,3",
                 "--certify-dual"],
-    "search": ["--q", "4", "--ell", "2", "--n", "21"],
+    "search": ["--q", "4", "--n", "21"],
     "verify": ["--skip-certify"],
 }
 

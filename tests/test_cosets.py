@@ -146,11 +146,11 @@ def test_euclidean_dual_family_examples(t51, t21):
 
 def test_hermitian_dual_family_examples(t51, t21):
     s = t51.family([0, 1])
-    tfam = hermitian_dual_family(s, 2)
+    tfam = hermitian_dual_family(s)
     excluded = sorted(set(range(len(t51))) - set(tfam.members))
     assert [list(t51.cosets[i].elements) for i in excluded] == [[19, 25, 43, 49]]
     # the worked n=21 dual family and its degree
-    t_ex = hermitian_dual_family(t21.family([0, 1, 2, 3]), 2)
+    t_ex = hermitian_dual_family(t21.family([0, 1, 2, 3]))
     assert [list(c.elements) for c in t_ex.cosets()] == \
         [[0], [1, 4, 16], [2, 8, 11], [3, 6, 12], [7], [14]]
     assert t_ex.max_degree() == 16
@@ -159,7 +159,7 @@ def test_hermitian_dual_family_examples(t51, t21):
 
 def test_hermitian_dual_family_degree_n51(t51):
     # family with reps {0,1,2,6}: complement degree drops to 46
-    tfam = hermitian_dual_family(t51.family([0, 1, 2, 6]), 2)
+    tfam = hermitian_dual_family(t51.family([0, 1, 2, 6]))
     assert tfam.max_degree() == 46
     assert 52 - tfam.max_degree() == 6
 
@@ -168,15 +168,16 @@ def test_complement_families_require_zero(t51, t21, t26q3):
     with pytest.raises(ValueError):
         euclidean_dual_family(t51.family([1]))
     with pytest.raises(ValueError):
-        hermitian_dual_family(t51.family([1]), 2)
-    # 3 * 7 = 0 mod 21 would scale {7} onto {0}, but ell = 3 is refused at
-    # q = 4 first: ell^2 = q with gcd(q, n) = 1 makes ell a unit mod n
-    with pytest.raises(ValueError):
-        hermitian_dual_family(t21.family([7]), 3)
-    # families that hold {0} get the refusal duality.hermitian_dual gives
-    for family, ell in ((t21.family([0, 1]), 3), (t26q3.family([0, 1]), 5)):
-        with pytest.raises(ValueError, match=r"need q = ell\^2"):
-            hermitian_dual_family(family, ell)
+        hermitian_dual_family(t51.family([1]))
+    # 3 * 7 = 0 mod 21 would scale {7} onto {0}, but q = 4 fixes ell = 2:
+    # ell^2 = q with gcd(q, n) = 1 makes ell a unit mod n
+    with pytest.raises(ValueError, match=r"must contain the coset \{0\}"):
+        hermitian_dual_family(t21.family([7]))
+    # a non-square q has no Hermitian form: families that hold {0} get the
+    # refusal duality.hermitian_dual gives
+    for family in (compute_cosets(8, 7).family([0, 1]), t26q3.family([0, 1])):
+        with pytest.raises(ValueError, match=r"needs q = ell\^2"):
+            hermitian_dual_family(family)
 
 
 @pytest.mark.parametrize("q,ell,n", [(9, 3, 10), (25, 5, 12)])
@@ -185,8 +186,9 @@ def test_family_duals_need_the_characteristic_to_divide_n_plus_1(q, ell, n):
     family = compute_cosets(q, n).family([0, 1])
     with pytest.raises(ValueError, match="does not divide n\\+1"):
         euclidean_dual_family(family)
+    assert family.table.ell == ell
     with pytest.raises(ValueError, match="does not divide n\\+1"):
-        hermitian_dual_family(family, ell)
+        hermitian_dual_family(family)
 
 
 def test_max_degree_trivial_and_empty(t51):

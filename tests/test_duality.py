@@ -34,7 +34,7 @@ def test_euclidean_dual_n21_derived_case(t21):
 
 
 def test_hermitian_dual_worked_example(t51):
-    rep = hermitian_dual(t51.family([0, 1]), ell=2)
+    rep = hermitian_dual(t51.family([0, 1]))
     assert (rep.dim_s, rep.dim_dual) == (5, 47)
     excluded = sorted(set(range(len(t51))) - set(rep.family_dual.members))
     assert [list(t51.cosets[i].elements) for i in excluded] == [[19, 25, 43, 49]]
@@ -42,13 +42,13 @@ def test_hermitian_dual_worked_example(t51):
 
 
 def test_hermitian_dual_trivial_family(t21):
-    rep = hermitian_dual(t21.family([0]), ell=2)
+    rep = hermitian_dual(t21.family([0]))
     assert len(rep.family_dual) == len(t21)
     assert rep.dim_s + rep.dim_dual == 22
 
 
 def test_hermitian_dual_n585_family_level(t585):
-    rep = hermitian_dual(t585.family([0, 8, 16]), ell=8)
+    rep = hermitian_dual(t585.family([0, 8, 16]))
     excluded = sorted(set(range(len(t585))) - set(rep.family_dual.members))
     assert [list(t585.cosets[i].elements) for i in excluded] == \
         [[457, 583], [521, 584]]
@@ -57,8 +57,8 @@ def test_hermitian_dual_n585_family_level(t585):
 
 def test_double_hermitian_dual_returns_the_code(t21):
     fam = t21.family([0, 1, 2, 3])
-    first = hermitian_dual(fam, ell=2)
-    second = hermitian_dual(first.family_dual, ell=2)
+    first = hermitian_dual(fam)
+    second = hermitian_dual(first.family_dual)
     assert row_space_equal(second.matrix_dual.mat, first.matrix_s.mat)
 
 
@@ -88,20 +88,20 @@ def test_dual_generator_row_space_equals_nullspace(t21):
 
 def test_odd_q_is_refused_only_where_p_does_not_divide_n_plus_1():
     # the zero coset's row is a constant c with self-product (n+1)*c^2
-    for q, ell, n in ((9, 3, 10), (25, 5, 12)):
+    for q, n in ((9, 10), (25, 12)):
         table = compute_cosets(q, n)
         family = table.family([0])
         with pytest.raises(ValueError, match="does not divide n\\+1"):
             euclidean_dual(family)
         with pytest.raises(ValueError, match="does not divide n\\+1"):
-            hermitian_dual(family, ell)
+            hermitian_dual(family)
         with pytest.raises(ValueError, match="does not divide n\\+1"):
-            derive_quantum(family, ell)
+            derive_quantum(family)
         # search refuses the table before it walks a node
         with pytest.raises(ValueError, match="does not divide n\\+1"):
-            build_compatibility_graph(table, ell)
+            build_compatibility_graph(table)
         with pytest.raises(ValueError, match="does not divide n\\+1"):
-            search(table, ell)
+            search(table)
     # 3 divides n+1 = 9: the dual is verified in odd characteristic
     rep = euclidean_dual(compute_cosets(3, 8).family([0, 1]))
     assert (rep.dim_s, rep.dim_dual) == (3, 6)
@@ -113,11 +113,29 @@ def test_zero_coset_is_required(t51):
         euclidean_dual(t51.family([1]))
 
 
-def test_hermitian_requires_square_q(t21, t51q16):
-    with pytest.raises(ValueError):
-        hermitian_dual(t21.family([0]), ell=3)
-    rep = hermitian_dual(t51q16.family([0]), ell=4)
+def test_hermitian_requires_square_q(t26q3, t51q16):
+    # q = 8 and q = 3 have no Hermitian form, whatever the route
+    for table in (compute_cosets(8, 7), t26q3):
+        assert table.ell is None
+        family = table.family([0])
+        for refuse in (hermitian_dual, hermitian_dual_family, derive_quantum,
+                       lambda f: search(f.table), lambda f: build_compatibility_graph(f.table)):
+            with pytest.raises(ValueError, match=r"needs q = ell\^2 with ell >= 2; got q="):
+                refuse(family)
+    rep = hermitian_dual(t51q16.family([0]))
     assert rep.ell == 4
+
+
+def test_a_given_ell_must_be_the_one_q_fixes(t21):
+    # perfbench still passes ell to these three; q = 4 fixes ell = 2
+    family = t21.family([0])
+    for refuse in (lambda: hermitian_dual(family, ell=3), lambda: search(t21, 3),
+                   lambda: build_compatibility_graph(t21, 3)):
+        with pytest.raises(ValueError, match=r"got q=4, ell=3"):
+            refuse()
+    assert hermitian_dual(family, ell=2).ell == 2
+    assert search(t21, 2).frontier() == search(t21).frontier()
+    assert build_compatibility_graph(t21, 2).image == build_compatibility_graph(t21).image
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,7 +158,7 @@ def test_hermitian_dual_is_euclidean_dual_of_scaled_family(t21, t51, t63, t51q16
         [(t21, 2), (t51, 2), (t63, 2), (t51q16, 4), (t80q9, 3)]))
     fam = data.draw(coset_families(table, with_zero=True))
     scaled = fam.scale(ell)
-    assert hermitian_dual_family(fam, ell) == euclidean_dual_family(scaled)
+    assert hermitian_dual_family(fam) == euclidean_dual_family(scaled)
     # code level: the ell-th powers of C_S span the code of the scaled family
     g = generator_matrix(fam).mat
     assert row_space_equal(pow_entrywise(g, ell), generator_matrix(scaled).mat)

@@ -1,12 +1,13 @@
 import itertools
 import sys
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError, VerificationError,
-                        certify_dual, compute_cosets, derive_quantum, generator_matrix,
-                        search)
+                        certify_dual, compute_cosets, derive_quantum, euclidean_dual,
+                        generator_matrix, hermitian_dual, search)
 from cosetcodes import quantum
 from cosetcodes.linalg import GFMatrix, gram_is_zero, pow_entrywise
 from cosetcodes.quantum import build_compatibility_graph
@@ -50,32 +51,32 @@ def _frontier_by_powerset(table, ell):
     ([0, 1, 2, 3], (22, 2, 6)),
 ])
 def test_derive_quantum_n21(t21, reps, triple):
-    rep = derive_quantum(t21.family(reps), 2)
+    rep = derive_quantum(t21.family(reps))
     assert rep.triple() == triple
     assert rep.self_orthogonal
     assert rep.classical_k == 10
 
 
 def test_derive_quantum_n51(t51):
-    rep = derive_quantum(t51.family([0, 1, 2, 6]), 2)
+    rep = derive_quantum(t51.family([0, 1, 2, 6]))
     assert rep.triple() == (52, 26, 6)
 
 
 def test_derive_quantum_n63(t63):
-    assert derive_quantum(t63.family([0, 1, 2]), 2).triple() == (64, 50, 4)
-    assert derive_quantum(t63.family([0, 1, 2, 6]), 2).triple() == (64, 44, 6)
+    assert derive_quantum(t63.family([0, 1, 2])).triple() == (64, 50, 4)
+    assert derive_quantum(t63.family([0, 1, 2, 6])).triple() == (64, 44, 6)
 
 
 def test_derive_quantum_16ary_and_64ary(t51q16, t585):
-    assert derive_quantum(t51q16.family([0, 12, 8, 4]), 4).triple() == (52, 38, 5)
-    assert derive_quantum(t585.family([0, 8, 16]), 8).triple() == (586, 576, 4)
+    assert derive_quantum(t51q16.family([0, 12, 8, 4])).triple() == (52, 38, 5)
+    assert derive_quantum(t585.family([0, 8, 16])).triple() == (586, 576, 4)
 
 
 def test_distance_window_formula_agrees(t21, t51, t63):
     # the largest d whose top window is fully covered equals the degree bound
     rng = np.random.default_rng(3)
     for table in (t21, t51, t63):
-        graph = build_compatibility_graph(table, 2)
+        graph = build_compatibility_graph(table)
         for _ in range(8):
             size = int(rng.integers(0, 4))
             chosen = [v for v in rng.choice(len(table), size=size, replace=False)
@@ -83,7 +84,7 @@ def test_distance_window_formula_agrees(t21, t51, t63):
             if not graph.is_admissible(chosen):
                 continue
             fam = table.family([0] + [table.cosets[v].min_rep for v in chosen])
-            rep = derive_quantum(fam, 2)
+            rep = derive_quantum(fam)
             covered = fam.scale(2).dual()
             best = 1
             for d in range(2, table.n + 2):
@@ -98,13 +99,13 @@ def test_distance_window_formula_agrees(t21, t51, t63):
 
 def test_self_orthogonality_violation_names_the_pair(t21):
     with pytest.raises(NotSelfOrthogonalError) as exc:
-        derive_quantum(t21.family([0, 7]), 2)
+        derive_quantum(t21.family([0, 7]))
     assert exc.value.violations == [(7, 7)]
     assert "S_7" in str(exc.value)
 
 
 def test_non_orthogonal_family_report_with_flag(t21):
-    rep = derive_quantum(t21.family([0, 7]), 2, require_self_orthogonal=False)
+    rep = derive_quantum(t21.family([0, 7]), require_self_orthogonal=False)
     assert not rep.self_orthogonal
     g = generator_matrix(t21.family([0, 7]))
     assert not gram_is_zero(pow_entrywise(g.mat, 2), g.mat)
@@ -112,7 +113,7 @@ def test_non_orthogonal_family_report_with_flag(t21):
 
 def test_family_0_5_is_actually_self_orthogonal(t21):
     # the image of {5,17,20} is {2,8,11}, which is not in the family
-    rep = derive_quantum(t21.family([0, 5]), 2)
+    rep = derive_quantum(t21.family([0, 5]))
     assert rep.self_orthogonal
     assert rep.triple() == (22, 14, 2)
 
@@ -121,20 +122,20 @@ def test_gram_and_containment_agree_on_random_families(t21, t51q16, t80q9, t24q2
     # three routes: Gram product, containment in T (derive_quantum) and the graph
     rng = np.random.default_rng(8)
     for table, ell in ((t21, 2), (t51q16, 4), (t80q9, 3), (t24q25, 5)):
-        graph = build_compatibility_graph(table, ell)
+        graph = build_compatibility_graph(table)
         for _ in range(12):
             size = int(rng.integers(1, 5))
             ids = set(rng.choice(len(table), size=size, replace=False).tolist())
             ids.add(table.coset_of(0))
             fam = table.family(table.cosets[i].min_rep for i in ids)
-            rep = derive_quantum(fam, ell, require_self_orthogonal=False)
+            rep = derive_quantum(fam, require_self_orthogonal=False)
             g = generator_matrix(fam)
             assert gram_is_zero(pow_entrywise(g.mat, ell), g.mat) == rep.self_orthogonal
             assert graph.is_admissible(fam.members) == rep.self_orthogonal
 
 
 def test_compatibility_graph_n21(t21):
-    graph = build_compatibility_graph(t21, 2)
+    graph = build_compatibility_graph(t21)
     by_rep = {t21.cosets[i].min_rep: i for i in range(len(t21))}
     assert graph.is_admissible([by_rep[1], by_rep[2], by_rep[3]])
     assert graph.image[by_rep[5]] == by_rep[2]
@@ -145,7 +146,7 @@ def test_compatibility_graph_n21(t21):
 
 def test_compatibility_graph_symmetry(t21, t51, t63, t51q16):
     for table, ell in ((t21, 2), (t51, 2), (t63, 2), (t51q16, 4)):
-        graph = build_compatibility_graph(table, ell)
+        graph = build_compatibility_graph(table)
         for v in range(len(table)):
             assert graph.image[graph.image[v]] == v
         for v in graph.vertices:
@@ -154,14 +155,14 @@ def test_compatibility_graph_symmetry(t21, t51, t63, t51q16):
 
 
 def test_search_matches_powerset_oracle_n21(t21):
-    res = search(t21, 2)
+    res = search(t21)
     assert res.complete
     assert res.frontier() == _frontier_by_powerset(t21, 2)
 
 
 def test_search_matches_powerset_oracle_n51(t51):
     # 14 nonzero cosets: 16384 subsets, exact reference frontier
-    res = search(t51, 2)
+    res = search(t51)
     assert res.complete
     assert res.frontier() == _frontier_by_powerset(t51, 2)
 
@@ -171,7 +172,7 @@ def test_search_matches_powerset_oracle_n51(t51):
 ])
 def test_search_matches_powerset_oracle_across_ell(q, n, ell):
     table = compute_cosets(q, n)
-    res = search(table, ell)
+    res = search(table)
     assert res.complete
     assert res.frontier() == _frontier_by_powerset(table, ell)
 
@@ -184,47 +185,51 @@ def test_odd_characteristic_frontiers_are_quantum_mds(request, name, ell, fronti
     # the quantum Singleton bound k <= N - 2d + 2 (N = n+1) holds with
     # equality, so every degree bound here is the exact distance
     table = request.getfixturevalue(name)
-    assert search(table, ell).frontier() == frontier
+    assert table.ell == ell
+    assert search(table).frontier() == frontier
     for qk, d in frontier:
         assert qk == table.n + 1 - 2 * d + 2
 
 
 def test_search_required_points_n63(t63):
-    frontier = search(t63, 2).frontier()
+    frontier = search(t63).frontier()
     for pt in [(50, 4), (44, 6), (38, 7), (32, 8)]:
         assert pt in frontier
 
 
 def test_search_required_points_16ary(t51q16):
-    frontier = search(t51q16, 4).frontier()
+    frontier = search(t51q16).frontier()
     for pt in [(38, 5), (34, 6), (30, 7), (26, 8), (22, 9), (18, 10), (14, 12)]:
         assert pt in frontier
 
 
 def test_search_rediscovers_published_families(t21, t585):
-    res = search(t21, 2)
+    res = search(t21)
     best = [r for r in res.reports if r.quantum_k == 2][0]
     assert best.family_s.reps() == (0, 1, 2, 3)
-    res585 = search(t585, 8, min_quantum_k=560)
+    res585 = search(t585, min_quantum_k=560)
     top = [r for r in res585.reports if r.quantum_k == 576][0]
     assert top.family_s.reps() == (0, 8, 16)
 
 
 def test_search_objectives(t51):
-    best_d = search(t51, 2, objective="max_d_given_k", target=26)
-    assert [r.triple() for r in best_d.reports] == [(52, 26, 6)]
-    best_k = search(t51, 2, objective="max_k_given_d", target=7)
+    # the best distance at quantum_k >= 26 is the last report of the frontier
+    # floored at 26 (the answer of the removed max_d_given_k objective)
+    floored = search(t51, min_quantum_k=26).reports
+    assert (floored[-1].triple(), floored[-1].family_s.reps()) == ((52, 26, 6), (0, 1, 2, 6))
+    best_k = search(t51, objective="max_k_given_d", target=7)
     assert [r.triple() for r in best_k.reports] == [(52, 18, 7)]
     with pytest.raises(ValueError):
-        search(t51, 2, objective="max_k_given_d")
-    with pytest.raises(ValueError):
-        search(t51, 2, objective="nonsense")
+        search(t51, objective="max_k_given_d")
+    for removed in ("nonsense", "max_d_given_k"):
+        with pytest.raises(ValueError, match="unknown objective"):
+            search(t51, objective=removed, target=26)
     with pytest.raises(ValueError, match="objective 'pareto' takes no target"):
-        search(t51, 2, target=3)
+        search(t51, target=3)
 
 
 def test_search_min_quantum_k_floor(t51q16):
-    res = search(t51q16, 4, min_quantum_k=30)
+    res = search(t51q16, min_quantum_k=30)
     assert all(r.quantum_k >= 30 for r in res.reports)
     assert (30, 7) in res.frontier()
 
@@ -236,9 +241,9 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch):
     # 2048 x 4096 over GF(64^2), and its Hermitian Gram; the Gram route is
     # pinned by test_search_reports_equal_standalone_derivations, the
     # mutation checks and the frontier golden digests
-    monkeypatch.setattr(quantum, "_gram_blocks", lambda family, ell, image: frozenset())
+    monkeypatch.setattr(quantum, "_gram_blocks", lambda family: frozenset())
     limit = sys.getrecursionlimit()
-    res = search(table, 8)
+    res = search(table)
     assert sys.getrecursionlimit() == limit
     # the walk weighs one prefix per frontier point: 427 of them at q=64, n=4095
     assert res.complete and res.nodes == len(res.reports) == 427
@@ -257,10 +262,10 @@ def test_search_reports_equal_standalone_derivations(request, name, ell, floor):
     # the search checks every prefix against the Gram blocks of the last one;
     # derive_quantum checks each family against its own
     table = request.getfixturevalue(name)
-    res = search(table, ell, min_quantum_k=floor)
-    assert res.reports and all(r.quantum_k >= floor for r in res.reports)
+    res = search(table, min_quantum_k=floor)
+    assert res.reports and all(r.quantum_k >= floor and r.ell == ell for r in res.reports)
     for rep in res.reports:
-        alone = derive_quantum(rep.family_s, ell)
+        alone = derive_quantum(rep.family_s)
         assert alone.triple() == rep.triple()
         assert alone.family_s == rep.family_s and alone.t_family == rep.t_family
         assert alone.self_orthogonal and rep.self_orthogonal
@@ -282,7 +287,7 @@ def _counting(monkeypatch, module, name):
 def test_search_builds_one_matrix_and_one_gram(t51q16, monkeypatch):
     matrices = _counting(monkeypatch, quantum, "generator_matrix")
     grams = _counting(monkeypatch, quantum, "gram")
-    res = search(t51q16, 4)
+    res = search(t51q16)
     assert len(res.reports) > 1
     assert len(matrices) == len(grams) == 1
     # the matrix is the last prefix's, which holds every other prefix
@@ -292,7 +297,7 @@ def test_search_builds_one_matrix_and_one_gram(t51q16, monkeypatch):
 def test_search_with_an_empty_chain_builds_no_matrix(t51, monkeypatch):
     matrices = _counting(monkeypatch, quantum, "generator_matrix")
     grams = _counting(monkeypatch, quantum, "gram")
-    res = search(t51, 2, min_quantum_k=51)  # {0} alone gives quantum_k 50
+    res = search(t51, min_quantum_k=51)  # {0} alone gives quantum_k 50
     assert res.reports == () and res.nodes == 0
     assert matrices == [] and grams == []
 
@@ -306,11 +311,12 @@ def _whole_table(table):
 def test_gram_blocks_of_the_whole_table_follow_the_image_map(request, name, ell):
     # every pair of cosets: block (A, B) is nonzero iff A is nonzero and B = image(A)
     table = request.getfixturevalue(name)
-    image = quantum.hermitian_image(table, ell)
-    blocks = quantum._gram_blocks(_whole_table(table), ell, image)
+    assert table.ell == ell
+    image = quantum.hermitian_image(table)
+    blocks = quantum._gram_blocks(_whole_table(table))
     zero = table.coset_of(0)
     assert blocks == {(a, image[a]) for a in range(len(table)) if a != zero}
-    rep = derive_quantum(_whole_table(table), ell, require_self_orthogonal=False)
+    rep = derive_quantum(_whole_table(table), require_self_orthogonal=False)
     assert not rep.self_orthogonal
 
 
@@ -325,20 +331,21 @@ def _perturb_one_block(gram):
 
 @pytest.mark.parametrize("mutate", [
     lambda: (quantum, "gram", _perturb_one_block(quantum.gram)),
-    lambda: (quantum, "hermitian_image", lambda table, ell: table._dual),
+    lambda: (quantum, "hermitian_image", lambda table: table._dual),
     lambda: (quantum, "pow_entrywise", lambda m, k: pow_entrywise(m, k + 1)),
 ], ids=["perturbed block", "euclidean image map", "wrong ell power"])
 @pytest.mark.parametrize("name,ell", [("t21", 2), ("t80q9", 3)])
 def test_a_broken_gram_route_raises(request, monkeypatch, mutate, name, ell):
     table = request.getfixturevalue(name)
+    assert table.ell == ell
     monkeypatch.setattr(*mutate())
     with pytest.raises(VerificationError, match="Gram blocks disagree"):
-        derive_quantum(_whole_table(table), ell, require_self_orthogonal=False)
+        derive_quantum(_whole_table(table), require_self_orthogonal=False)
 
 
 def test_emitted_reports_are_self_orthogonal_with_even_deficit(t21, t63):
     for table in (t21, t63):
-        for rep in search(table, 2).reports:
+        for rep in search(table).reports:
             assert rep.self_orthogonal
             assert (rep.block_length - rep.quantum_k) % 2 == 0
             assert rep.quantum_k >= 0
@@ -346,7 +353,7 @@ def test_emitted_reports_are_self_orthogonal_with_even_deficit(t21, t63):
 
 def test_certify_dual_returns_certificate_or_refuses():
     table = compute_cosets(4, 5)  # cosets mod 5: {0}, {1,4}, {2,3}
-    rep = derive_quantum(table.family([0, 1]), 2)
+    rep = derive_quantum(table.family([0, 1]))
     cert = certify_dual(rep)
     assert cert.enumerated == 4 ** rep.t_family.dim() - 1
     assert cert.value >= rep.d_lower
@@ -356,7 +363,7 @@ def test_certify_dual_returns_certificate_or_refuses():
 
 
 def test_refused_certify_dual_builds_no_matrix(t21, monkeypatch):
-    rep = derive_quantum(t21.family([0, 1, 2, 3]), 2)
+    rep = derive_quantum(t21.family([0, 1, 2, 3]))
 
     def no_matrix(family):
         raise AssertionError("C_T's generator matrix was built")
@@ -368,15 +375,26 @@ def test_refused_certify_dual_builds_no_matrix(t21, monkeypatch):
 
 def test_certify_dual_takes_a_report_that_is_not_self_orthogonal():
     table = compute_cosets(4, 9)  # {1,4,7} is its own image: never self-orthogonal
-    rep = derive_quantum(table.family([0, 1]), 2, require_self_orthogonal=False)
+    rep = derive_quantum(table.family([0, 1]), require_self_orthogonal=False)
     assert not rep.self_orthogonal
     cert = certify_dual(rep)
     assert cert.enumerated == 4 ** rep.t_family.dim() - 1 == 4 ** 6 - 1
     assert cert.value >= rep.d_lower
 
 
+def test_ell_is_the_square_root_of_q(t21, t8q9, t51q16, t24q25, t585):
+    # every square q of the conftest tables: q fixes ell, and the table holds it
+    for table in (t21, t8q9, t51q16, t24q25, t585):
+        ell = isqrt(table.q)
+        assert ell * ell == table.q and table.ell == ell
+        assert derive_quantum(table.family([0])).ell == ell
+        assert hermitian_dual(table.family([0])).ell == ell
+        assert all(r.ell == ell for r in search(table, min_quantum_k=table.n - 5).reports)
+    assert euclidean_dual(t21.family([0])).ell is None
+
+
 def test_report_json_schema(t21):
-    rep = derive_quantum(t21.family([0, 1, 2, 3]), 2)
+    rep = derive_quantum(t21.family([0, 1, 2, 3]))
     obj = rep.to_json_obj()
     assert list(obj) == ["ell", "q", "n", "block_length", "S", "T", "classical_k",
                          "quantum_k", "d_lower", "self_orthogonal", "field"]
