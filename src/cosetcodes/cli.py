@@ -129,20 +129,36 @@ def _family_for(args, table):
     return table.family(args.family)
 
 
-def _csv_row(writer, q, ell, n, block_length, k, d_lower, d_exact, reps) -> None:
-    writer.writerow([q, ell if ell is not None else "", n, block_length, k,
-                     d_lower, d_exact if d_exact is not None else "",
-                     " ".join(map(str, reps))])
-
-
 def _csv_output(rows) -> str:
+    """One line per (q, ell, n, block_length, k, d_lower, d_exact, reps);
+    the csv module writes None as an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["q", "ell", "n", "block_length", "k_or_quantum_k",
                      "d_lower", "d_exact", "S_representatives"])
-    for row in rows:
-        _csv_row(writer, *row)
+    for *fields, reps in rows:
+        writer.writerow([*fields, " ".join(map(str, reps))])
     return buf.getvalue().rstrip("\n")
+
+
+def _certify(wanted: bool, certifier):
+    """(certificate, refusal): the certificate, or past the budget the
+    refusal's message; (None, None) when no certificate is wanted."""
+    if not wanted:
+        return None, None
+    try:
+        return certifier(), None
+    except BudgetExceededError as exc:
+        return None, str(exc)
+
+
+def _with_certificate(obj: dict, cert, budget_note: str | None) -> dict:
+    """The JSON object with the certificate, or the refusal, added."""
+    if cert:
+        obj["distance_certificate"] = cert.as_dict()
+    if budget_note:
+        obj["certification_skipped"] = budget_note
+    return obj
 
 
 def _csv_refusal(budget_note: str | None) -> None:
@@ -166,13 +182,8 @@ def cmd_classical(args) -> int:
     family = _family_for(args, table)
     g = generator_matrix(family)
     length, k, d_bound = classical_params(family)
-    cert = None
-    budget_note = None
-    if args.certify:
-        try:
-            cert = min_distance_exhaustive(g.mat, budget=args.budget)
-        except BudgetExceededError as exc:
-            budget_note = str(exc)
+    cert, budget_note = _certify(
+        args.certify, lambda: min_distance_exhaustive(g.mat, budget=args.budget))
     d_exact = cert.value if cert else None
     if args.format == "json":
         obj = {"q": args.q, "n": args.n, "length": length, "k": k,
@@ -180,11 +191,7 @@ def cmd_classical(args) -> int:
                "field": g.parent.describe()}
         if getattr(args, "r", None) is not None:
             obj["r"] = args.r
-        if cert:
-            obj["distance_certificate"] = cert.as_dict()
-        if budget_note:
-            obj["certification_skipped"] = budget_note
-        print(json.dumps(obj))
+        print(json.dumps(_with_certificate(obj, cert, budget_note)))
     elif args.format == "csv":
         print(_csv_output([(args.q, None, args.n, length, k, d_bound, d_exact,
                             family.reps())]))
@@ -228,20 +235,10 @@ def cmd_quantum(args) -> int:
     table = compute_cosets(args.q, args.n)
     family = table.family(args.family)
     report = derive_quantum(family)
-    cert = None
-    budget_note = None
-    if args.certify_dual:
-        try:
-            cert = certify_dual(report, budget=args.budget)
-        except BudgetExceededError as exc:
-            budget_note = str(exc)
+    cert, budget_note = _certify(
+        args.certify_dual, lambda: certify_dual(report, budget=args.budget))
     if args.format == "json":
-        obj = report.to_json_obj()
-        if cert:
-            obj["distance_certificate"] = cert.as_dict()
-        if budget_note:
-            obj["certification_skipped"] = budget_note
-        print(json.dumps(obj))
+        print(json.dumps(_with_certificate(report.to_json_obj(), cert, budget_note)))
     elif args.format == "csv":
         print(_csv_output([(args.q, report.ell, args.n, report.block_length,
                             report.quantum_k, report.d_lower,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .cosets import (CosetFamily, check_hermitian, euclidean_dual_family,
                      hermitian_dual_family)
-from .codes import GeneratorMatrix, generator_matrix
+from .codes import generator_matrix
 from .linalg import gram_is_zero, nullspace, pow_entrywise, row_space_equal
 
 
@@ -45,8 +45,6 @@ class DualityReport:
     dim_dual: int
     gram_verified: bool
     nullspace_verified: bool
-    matrix_s: GeneratorMatrix
-    matrix_dual: GeneratorMatrix
 
 
 def euclidean_dual(family: CosetFamily) -> DualityReport:
@@ -77,19 +75,17 @@ def _verified_dual(family: CosetFamily, dual_fam: CosetFamily,
     dim_s, dim_dual = family.dim(), dual_fam.dim()
     if dim_s + dim_dual != table.n + 1:
         raise VerificationError("dual dimensions do not complement the block length")
-    g_s = generator_matrix(family)
-    g_dual = generator_matrix(dual_fam)
-    primal = g_s.mat
+    primal = generator_matrix(family).mat
+    g_dual = generator_matrix(dual_fam).mat
     if ell is not None:
         primal = pow_entrywise(primal, ell)
         if not row_space_equal(primal, generator_matrix(family.scale(ell)).mat):
             raise VerificationError("the ell-th powers of C_S do not span the code "
                                     "of the scaled family")
-    if not (gram_is_zero(primal, g_dual.mat)
-            and row_space_equal(g_dual.mat, nullspace(primal))):
+    if not (gram_is_zero(primal, g_dual)
+            and row_space_equal(g_dual, nullspace(primal))):
         kind = "euclidean" if ell is None else "hermitian"
         raise VerificationError(f"{kind} dual family disagrees with the nullspace oracle")
     return DualityReport(family_s=family, family_dual=dual_fam, ell=ell,
                          dim_s=dim_s, dim_dual=dim_dual,
-                         gram_verified=True, nullspace_verified=True,
-                         matrix_s=g_s, matrix_dual=g_dual)
+                         gram_verified=True, nullspace_verified=True)

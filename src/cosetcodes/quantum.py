@@ -24,25 +24,22 @@ the matched pairs by their higher-degree end and walks the prefixes of
 that list once, with no tree and no budget.  Every emitted report
 re-verifies self-orthogonality both combinatorially and by the Hermitian
 Gram product of a generator matrix with itself; disagreement is a hard
-failure.  The Gram product is reduced to coset x coset blocks, each
-checked against the image map.  The prefixes are nested and a coset's
-rows do not depend on the family, so one generator matrix, that of the
-last prefix, serves the whole chain: its rank check covers every row
-subset, and its Gram blocks hold every prefix's Gram product.
+failure.  The prefixes are nested and a coset's rows do not depend on
+the family, so one generator matrix, that of the last prefix, serves the
+whole chain: its rank check covers every row subset, and its Gram
+product, once zero, is zero on every row subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cosets import (CosetFamily, CosetTable, check_dualizable, check_hermitian,
                      hermitian_dual_family, hermitian_image)
 from .codes import field_for_table, generator_matrix
 from .duality import VerificationError
 from .galois import Field
-from .linalg import (DEFAULT_BUDGET, DistanceCertificate, check_budget, gram,
+from .linalg import (DEFAULT_BUDGET, DistanceCertificate, check_budget, gram_is_zero,
                      min_distance_exhaustive, pow_entrywise)
 
 
@@ -118,33 +115,17 @@ def _self_orthogonality_violations(family: CosetFamily,
                   for b in family.members if b != zero_id and image[b] in members)
 
 
-def _gram_blocks(family: CosetFamily) -> frozenset[tuple[int, int]]:
-    """Pairs (A, B) of member ids whose block of the Hermitian Gram product
-    G^(ell) G^T of the family's generator matrix is nonzero.
+def _check_gram(family: CosetFamily, self_orthogonal: bool) -> None:
+    """Raise unless the Hermitian Gram product G^(ell) G^T of the family's
+    generator matrix is zero exactly when the family is self-orthogonal.
 
-    A row of G^(ell) evaluates a polynomial with exponents in ell*A, so its
-    product with a row of coset B sums alpha^(t(ell*a + b)) over the n-th
-    roots of unity: zero unless B = dual(ell*A) = image(A).  The zero
-    coset's row is a constant c, whose product with itself is
-    (n+1) c^(ell+1) = 0, as p divides n+1.  So block (A, B) is nonzero
-    exactly when A is nonzero and B = image(A); every pair of members is
-    checked against that, and a disagreement raises.  A coset's rows
-    depend only on the coset, so the Gram product of a subfamily is the
-    submatrix of its members' blocks.
+    A zero product is zero on every row subset, so a check that passes
+    for a self-orthogonal family also proves each of its subfamilies.
     """
-    table = family.table
-    image = hermitian_image(table)
     g = generator_matrix(family).mat
-    nonzero = gram(pow_entrywise(g, table.ell), g).entries != 0
-    ids = np.asarray(family.members)
-    starts = np.cumsum([0] + [table.cosets[c].size for c in family.members[:-1]])
-    blocks = np.logical_or.reduceat(np.logical_or.reduceat(nonzero, starts, axis=0),
-                                    starts, axis=1)
-    expected = ((np.asarray(image)[ids][:, None] == ids[None, :])
-                & (ids != table.coset_of(0))[:, None])
-    if not np.array_equal(blocks, expected):
-        raise VerificationError("Hermitian Gram blocks disagree with the image map")
-    return frozenset((int(ids[a]), int(ids[b])) for a, b in zip(*np.nonzero(blocks)))
+    if gram_is_zero(pow_entrywise(g, family.table.ell), g) != self_orthogonal:
+        raise VerificationError(
+            "Hermitian Gram disagrees with the combinatorial containment")
 
 
 def derive_quantum(family: CosetFamily, *,
@@ -153,37 +134,28 @@ def derive_quantum(family: CosetFamily, *,
 
     Containment of the family in its Hermitian dual family is checked
     combinatorially and by the Hermitian Gram product of the generator
-    matrix with itself, block by block against the image map; any
-    disagreement between the routes raises.  Families that fail
-    self-orthogonality raise :class:`NotSelfOrthogonalError`, before any
-    matrix is built, unless ``require_self_orthogonal`` is false, in
-    which case a report with ``self_orthogonal=False`` is returned for
-    inspection.
+    matrix with itself; any disagreement between the routes raises.
+    Families that fail self-orthogonality raise
+    :class:`NotSelfOrthogonalError`, before any matrix is built, unless
+    ``require_self_orthogonal`` is false, in which case a report with
+    ``self_orthogonal=False`` is returned for inspection.
     """
-    return _derive(family, require_self_orthogonal)
+    report = _derive(family, require_self_orthogonal)
+    _check_gram(family, report.self_orthogonal)
+    return report
 
 
-def _derive(family: CosetFamily, require_self_orthogonal: bool = True,
-            blocks: frozenset[tuple[int, int]] | None = None) -> QuantumCodeReport:
-    """The derivation of :func:`derive_quantum` and :func:`search`.
-
-    ``blocks`` are the nonzero Gram blocks of a family that contains this
-    one (:func:`_gram_blocks`); by default, those of the family itself.
-    """
+def _derive(family: CosetFamily, require_self_orthogonal: bool = True) -> QuantumCodeReport:
+    """The combinatorial derivation of :func:`derive_quantum` and
+    :func:`search`: the pair scan, checked against containment in T."""
     table = family.table
     t_family = hermitian_dual_family(family)
     violations = _self_orthogonality_violations(family, hermitian_image(table))
     self_orthogonal = not violations
-    members = set(family.members)
-    if (members <= set(t_family.members)) != self_orthogonal:
+    if (set(family.members) <= set(t_family.members)) != self_orthogonal:
         raise VerificationError("containment check disagrees with pair scan")
     if not self_orthogonal and require_self_orthogonal:
         raise NotSelfOrthogonalError(violations)
-    if blocks is None:
-        blocks = _gram_blocks(family)
-    if any(a in members and b in members for a, b in blocks) == self_orthogonal:
-        raise VerificationError(
-            "Hermitian Gram disagrees with the combinatorial containment")
     k = family.dim()
     quantum_k = table.n + 1 - 2 * k
     if self_orthogonal and quantum_k < 0:
@@ -297,8 +269,9 @@ def search(table: CosetTable, ell: int | None = None, objective: str = "pareto",
 
     Each prefix is derived as :func:`derive_quantum` derives it, but all
     of them are verified from one generator matrix, that of the last
-    prefix, and one Hermitian Gram product of it; a prefix's Gram check
-    is a lookup of its blocks.  An empty chain builds no matrix.
+    prefix, and one Hermitian Gram product of it: every prefix is a row
+    subset of that matrix, so a zero product proves them all.  An empty
+    chain builds no matrix.
 
     ell is the table's; a given ``ell`` must be that one
     (``cosets.check_hermitian``).
@@ -337,11 +310,12 @@ def search(table: CosetTable, ell: int | None = None, objective: str = "pareto",
         k += table.cosets[low].size
         kept = max(kept, deg[low])
 
-    # the prefixes are nested, so the last one's Gram blocks hold every prefix's
-    blocks = _gram_blocks(CosetFamily(table, chain[-1][2])) if chain else frozenset()
+    # the prefixes are nested, so the last one's zero Gram proves every prefix's
+    if chain:
+        _check_gram(CosetFamily(table, chain[-1][2]), True)
     reports = []
     for qk, d, ids in chain:
-        report = _derive(CosetFamily(table, ids), blocks=blocks)
+        report = _derive(CosetFamily(table, ids))
         if (report.quantum_k, report.d_lower) != (qk, d):
             raise VerificationError("frontier bookkeeping disagrees with derivation")
         reports.append(report)

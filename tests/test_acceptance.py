@@ -85,7 +85,8 @@ def test_criterion_3_duality(t51):
     assert [list(t51.cosets[i].elements) for i in excluded] == [[35, 38, 47, 50]]
     assert rep_e.dim_s + rep_e.dim_dual == 52
     assert rep_e.gram_verified and rep_e.nullspace_verified
-    assert row_space_equal(rep_e.matrix_dual.mat, nullspace(rep_e.matrix_s.mat))
+    assert row_space_equal(generator_matrix(rep_e.family_dual).mat,
+                           nullspace(generator_matrix(rep_e.family_s).mat))
     rep_h = hermitian_dual(fam)
     excluded = sorted(set(range(len(t51))) - set(rep_h.family_dual.members))
     assert [list(t51.cosets[i].elements) for i in excluded] == [[19, 25, 43, 49]]

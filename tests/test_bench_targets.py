@@ -53,6 +53,17 @@ def test_every_tracer_target_is_wrapped_and_restored(monkeypatch):
         assert _target(*target) is before[target], target
 
 
+def test_a_traced_search_sees_its_matrix_and_gram(monkeypatch, t51q16):
+    # the search's one generator matrix and one Hermitian Gram check are
+    # traced targets, so a traced pass charges them to codes and linalg
+    tracer = _load(monkeypatch, "tracer")
+    with tracer.Tracer().installed() as t:
+        cosetcodes.search(t51q16)  # the package attribute is the wrapped one
+    (top,) = [s for s in t.spans if s.name == "search"]
+    children = [s.name for s in t.spans if s.parent == top.id]
+    assert children.count("generator_matrix") == children.count("gram_is_zero") == 1
+
+
 def test_workload_digests_read_real_results(monkeypatch, t21):
     workloads = _load(monkeypatch, "workloads")
     tables = {s: compute_cosets(*s) for s in

@@ -59,7 +59,8 @@ def test_double_hermitian_dual_returns_the_code(t21):
     fam = t21.family([0, 1, 2, 3])
     first = hermitian_dual(fam)
     second = hermitian_dual(first.family_dual)
-    assert row_space_equal(second.matrix_dual.mat, first.matrix_s.mat)
+    assert row_space_equal(generator_matrix(second.family_dual).mat,
+                           generator_matrix(first.family_s).mat)
 
 
 def test_dimensions_complement_on_random_families(t21, t51):
@@ -78,10 +79,11 @@ def test_dimensions_complement_on_random_families(t21, t51):
 def test_dual_generator_row_space_equals_nullspace(t21):
     fam = t21.family([0, 1, 5])
     rep = euclidean_dual(fam)
-    ns = nullspace(rep.matrix_s.mat)
-    assert row_space_equal(rep.matrix_dual.mat, ns)
+    g_dual = generator_matrix(rep.family_dual).mat
+    ns = nullspace(generator_matrix(rep.family_s).mat)
+    assert row_space_equal(g_dual, ns)
     r_ns, canon_ns = rank_and_rref(ns)
-    r_dual, canon_dual = rank_and_rref(rep.matrix_dual.mat)
+    r_dual, canon_dual = rank_and_rref(g_dual)
     assert r_ns == r_dual
     assert np.array_equal(canon_ns.entries, canon_dual.entries)
 

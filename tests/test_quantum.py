@@ -8,8 +8,8 @@ import pytest
 from cosetcodes import (BudgetExceededError, NotSelfOrthogonalError, VerificationError,
                         certify_dual, compute_cosets, derive_quantum, euclidean_dual,
                         generator_matrix, hermitian_dual, search)
-from cosetcodes import quantum
-from cosetcodes.linalg import GFMatrix, gram_is_zero, pow_entrywise
+from cosetcodes import linalg, quantum
+from cosetcodes.linalg import GFMatrix, gram, gram_is_zero, pow_entrywise
 from cosetcodes.quantum import build_compatibility_graph
 from cosetcodes.fixtures import load_known_answers
 
@@ -241,7 +241,7 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch):
     # 2048 x 4096 over GF(64^2), and its Hermitian Gram; the Gram route is
     # pinned by test_search_reports_equal_standalone_derivations, the
     # mutation checks and the frontier golden digests
-    monkeypatch.setattr(quantum, "_gram_blocks", lambda family: frozenset())
+    monkeypatch.setattr(quantum, "_check_gram", lambda family, self_orthogonal: None)
     limit = sys.getrecursionlimit()
     res = search(table)
     assert sys.getrecursionlimit() == limit
@@ -259,8 +259,8 @@ SEARCHES = [("t21", 2, 0), ("t21", 2, 10), ("t51", 2, 0), ("t51", 2, 30), ("t63"
 
 @pytest.mark.parametrize("name,ell,floor", SEARCHES)
 def test_search_reports_equal_standalone_derivations(request, name, ell, floor):
-    # the search checks every prefix against the Gram blocks of the last one;
-    # derive_quantum checks each family against its own
+    # the search proves every prefix by the zero Gram product of the last one;
+    # derive_quantum checks each family by its own
     table = request.getfixturevalue(name)
     res = search(table, min_quantum_k=floor)
     assert res.reports and all(r.quantum_k >= floor and r.ell == ell for r in res.reports)
@@ -286,7 +286,7 @@ def _counting(monkeypatch, module, name):
 
 def test_search_builds_one_matrix_and_one_gram(t51q16, monkeypatch):
     matrices = _counting(monkeypatch, quantum, "generator_matrix")
-    grams = _counting(monkeypatch, quantum, "gram")
+    grams = _counting(monkeypatch, quantum, "gram_is_zero")
     res = search(t51q16)
     assert len(res.reports) > 1
     assert len(matrices) == len(grams) == 1
@@ -296,10 +296,21 @@ def test_search_builds_one_matrix_and_one_gram(t51q16, monkeypatch):
 
 def test_search_with_an_empty_chain_builds_no_matrix(t51, monkeypatch):
     matrices = _counting(monkeypatch, quantum, "generator_matrix")
-    grams = _counting(monkeypatch, quantum, "gram")
+    grams = _counting(monkeypatch, quantum, "gram_is_zero")
     res = search(t51, min_quantum_k=51)  # {0} alone gives quantum_k 50
     assert res.reports == () and res.nodes == 0
     assert matrices == [] and grams == []
+
+
+def test_derive_quantum_builds_one_matrix_and_one_gram(t21, monkeypatch):
+    matrices = _counting(monkeypatch, quantum, "generator_matrix")
+    grams = _counting(monkeypatch, quantum, "gram_is_zero")
+    derive_quantum(t21.family([0, 1, 5]))
+    assert [m[0].reps() for m in matrices] == [(0, 1, 5)] and len(grams) == 1
+    # a rejected family is refused before any matrix is built
+    with pytest.raises(NotSelfOrthogonalError):
+        derive_quantum(t21.family([0, 7]))
+    assert len(matrices) == len(grams) == 1
 
 
 def _whole_table(table):
@@ -309,14 +320,24 @@ def _whole_table(table):
 @pytest.mark.parametrize("name,ell", [("t21", 2), ("t51q16", 4), ("t80q9", 3),
                                       ("t24q25", 5)])
 def test_gram_blocks_of_the_whole_table_follow_the_image_map(request, name, ell):
-    # every pair of cosets: block (A, B) is nonzero iff A is nonzero and B = image(A)
+    # the oracle behind the zero test: reduced to coset x coset blocks, the
+    # Hermitian Gram of every coset's rows has block (A, B) nonzero iff A is
+    # nonzero and B = image(A), so a family's product is zero iff it holds no
+    # such pair, the pair scan's verdict
     table = request.getfixturevalue(name)
     assert table.ell == ell
+    family = _whole_table(table)
+    g = generator_matrix(family).mat
+    nonzero = gram(pow_entrywise(g, ell), g).entries != 0
+    starts = np.cumsum([0] + [table.cosets[c].size for c in family.members[:-1]])
+    blocks = np.logical_or.reduceat(np.logical_or.reduceat(nonzero, starts, axis=0),
+                                    starts, axis=1)
+    ids = family.members
     image = quantum.hermitian_image(table)
-    blocks = quantum._gram_blocks(_whole_table(table))
     zero = table.coset_of(0)
-    assert blocks == {(a, image[a]) for a in range(len(table)) if a != zero}
-    rep = derive_quantum(_whole_table(table), require_self_orthogonal=False)
+    assert ({(ids[a], ids[b]) for a, b in zip(*np.nonzero(blocks))}
+            == {(a, image[a]) for a in range(len(table)) if a != zero})
+    rep = derive_quantum(family, require_self_orthogonal=False)
     assert not rep.self_orthogonal
 
 
@@ -329,18 +350,28 @@ def _perturb_one_block(gram):
     return perturbed
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda: (quantum, "gram", _perturb_one_block(quantum.gram)),
-    lambda: (quantum, "hermitian_image", lambda table: table._dual),
-    lambda: (quantum, "pow_entrywise", lambda m, k: pow_entrywise(m, k + 1)),
+# each mutation with, per table, a self-orthogonal family whose verdict it
+# flips: {0, 1, 5} and {0, 16} are not Euclidean self-orthogonal, and the
+# (ell+1)-th power has a nonzero Gram on {0, 3} and {0, 16}
+@pytest.mark.parametrize("mutate,flipped", [
+    (lambda: (linalg, "gram", _perturb_one_block(linalg.gram)),
+     {"t21": [0, 1, 5], "t80q9": [0, 16]}),
+    (lambda: (quantum, "hermitian_image", lambda table: table._dual),
+     {"t21": [0, 1, 5], "t80q9": [0, 16]}),
+    (lambda: (quantum, "pow_entrywise", lambda m, k: pow_entrywise(m, k + 1)),
+     {"t21": [0, 3], "t80q9": [0, 16]}),
 ], ids=["perturbed block", "euclidean image map", "wrong ell power"])
 @pytest.mark.parametrize("name,ell", [("t21", 2), ("t80q9", 3)])
-def test_a_broken_gram_route_raises(request, monkeypatch, mutate, name, ell):
+def test_a_broken_gram_route_raises(request, monkeypatch, mutate, flipped, name, ell):
     table = request.getfixturevalue(name)
     assert table.ell == ell
+    family = table.family(flipped[name])
+    assert derive_quantum(family).self_orthogonal
     monkeypatch.setattr(*mutate())
-    with pytest.raises(VerificationError, match="Gram blocks disagree"):
-        derive_quantum(_whole_table(table), require_self_orthogonal=False)
+    with pytest.raises(VerificationError):
+        search(table)
+    with pytest.raises(VerificationError):
+        derive_quantum(family)
 
 
 def test_emitted_reports_are_self_orthogonal_with_even_deficit(t21, t63):
