@@ -323,7 +323,10 @@ def test_gram_blocks_of_the_whole_table_follow_the_image_map(request, name, ell)
     # the oracle behind the zero test: reduced to coset x coset blocks, the
     # Hermitian Gram of every coset's rows has block (A, B) nonzero iff A is
     # nonzero and B = image(A), so a family's product is zero iff it holds no
-    # such pair, the pair scan's verdict
+    # such pair, the pair scan's verdict.  A row of G^(ell) has exponents in
+    # ell*A, so its product with a row of B sums alpha^(t(ell*a + b)) over the
+    # n-th roots of unity: zero unless B = dual(ell*A).  The zero coset's row
+    # is a constant c with self-product (n+1) c^(ell+1) = 0, as p divides n+1.
     table = request.getfixturevalue(name)
     assert table.ell == ell
     family = _whole_table(table)
