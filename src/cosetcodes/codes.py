@@ -180,7 +180,7 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
         raise ArithmeticError(
             "evaluation produced a value outside the F_q subfield "
             "(arithmetic bug: orbit sums must be Frobenius-fixed)")
-    mat = GFMatrix(view.field, symbols.astype(np.uint16))
+    mat = GFMatrix(view.field, symbols)
     expected = family.dim()
     got = rank(mat)
     if got != expected:

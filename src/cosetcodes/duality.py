@@ -4,15 +4,21 @@ The dual family of a coset family is a pure coset computation: member-wise
 dualization plus complement (see ``cosets``).  The code-level claim, that
 the evaluation code of the dual family really is the dual code, is checked
 here along the generic linear-algebra route: the Gram matrix between the
-two generator matrices must vanish, and the dual family's row space must
-equal the nullspace of the primal matrix.  Every dual is verified this
-way; a family-only answer is ``cosets.euclidean_dual_family`` or
-``cosets.hermitian_dual_family``.  The Euclidean and Hermitian duals share
-one verification body.  ``cosets`` computes the Hermitian dual family
-from its image map B -> dual(ell*B); the code-level check that it is the
-Euclidean dual family of the ell-scaled family raises the primal matrix
-to the ell-th power entry-wise and verifies that the result spans the
-code of the ell-scaled family.
+two generator matrices must vanish, and the row space of the shorter one
+must equal the nullspace of the taller one.  That nullspace check is
+symmetric: null(A) is the orthogonal complement of rowspace(A) and
+complementing twice gives the space back, so rowspace(B) = null(A)
+exactly when rowspace(A) = null(B).  The nullspace of the taller
+matrix reads the row reduction that its rank check already made
+(``linalg.GFMatrix.reduction``), so no matrix is reduced twice.  Every
+dual is verified this way; a family-only answer is
+``cosets.euclidean_dual_family`` or ``cosets.hermitian_dual_family``.
+The Euclidean and Hermitian duals share one verification body.
+``cosets`` computes the Hermitian dual family from its image map
+B -> dual(ell*B); the code-level check that it is the Euclidean dual
+family of the ell-scaled family raises the primal matrix to the ell-th
+power entry-wise and verifies that the result spans the code of the
+ell-scaled family.
 
 The table rules live in ``cosets``: ``compute_cosets`` needs q = p^f
 for a prime p, ``check_hermitian`` needs q = ell^2 with ell >= 2 (the
@@ -69,7 +75,16 @@ def hermitian_dual(family: CosetFamily, ell: int | None = None) -> DualityReport
 def _verified_dual(family: CosetFamily, dual_fam: CosetFamily,
                    hermitian: bool) -> DualityReport:
     """Check ``dual_fam`` against the code of ``family``: Euclidean, or
-    Hermitian (u_i^ell v_i, with the table's ell)."""
+    Hermitian (u_i^ell v_i, with the table's ell).
+
+    With A the primal matrix (its entry-wise ell-th power for the
+    Hermitian dual) and B the dual family's, both of full rank and
+    rank A + rank B = n+1, two routes must pass: the Gram product A B^T
+    is zero, and the nullspace of the taller of A and B spans the rows of
+    the shorter.  The second is symmetric, since rowspace(B) = null(A)
+    iff rowspace(A) = null(B) (null(A) is rowspace(A)'s orthogonal
+    complement, and complementing twice is the identity).
+    """
     table = family.table
     ell = table.ell if hermitian else None
     dim_s, dim_dual = family.dim(), dual_fam.dim()
@@ -82,9 +97,11 @@ def _verified_dual(family: CosetFamily, dual_fam: CosetFamily,
         if not row_space_equal(primal, generator_matrix(family.scale(ell)).mat):
             raise VerificationError("the ell-th powers of C_S do not span the code "
                                     "of the scaled family")
-    if not (gram_is_zero(primal, g_dual)
-            and row_space_equal(g_dual, nullspace(primal))):
-        kind = "euclidean" if ell is None else "hermitian"
+    kind = "euclidean" if ell is None else "hermitian"
+    if not gram_is_zero(primal, g_dual):
+        raise VerificationError(f"{kind} dual family has a nonzero Gram product")
+    short, tall = sorted((primal, g_dual), key=lambda m: m.rows)
+    if not row_space_equal(short, nullspace(tall)):
         raise VerificationError(f"{kind} dual family disagrees with the nullspace oracle")
     return DualityReport(family_s=family, family_dual=dual_fam, ell=ell,
                          dim_s=dim_s, dim_dual=dim_dual,

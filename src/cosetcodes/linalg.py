@@ -1,10 +1,13 @@
 """Dense linear algebra over small Galois-field alphabets.
 
-Matrices carry their symbol :class:`~cosetcodes.galois.Field` and a numpy
-uint16 entry array.  Row reduction and nullspaces run on the field's
-dense lookup tables: each pivot tabulates the q multiples of its row
-once, and clearing its column is a row gather from that table.  Gram
-products expand symbols into their base-p digits and run as float32
+Matrices carry their symbol :class:`~cosetcodes.galois.Field` and a
+read-only numpy uint16 entry array, so a matrix is row-reduced at most
+once: :attr:`GFMatrix.reduction` keeps the result of the first
+:func:`rank_and_rref`, and :func:`rank`, :func:`nullspace` and
+:func:`row_space_equal` read it.  Row reduction and nullspaces run on
+the field's dense lookup tables: each pivot tabulates the q multiples of
+its row once, and clearing its column is a row gather from that table.
+Gram products expand symbols into their base-p digits and run as float32
 matrix products over F_p (BLAS), exact by construction; :func:`gram`
 returns the product g1 g2^T, and :func:`gram_is_zero` is the test that
 it vanishes.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from multiprocessing import get_context
 from typing import TYPE_CHECKING
 
@@ -58,18 +62,29 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GFMatrix:
-    """A dense matrix over a small field, entries as uint16 symbols."""
+    """A dense matrix over a small field, entries as uint16 symbols.
+
+    The entries are a read-only copy of the array given, so the matrix
+    never changes and is row-reduced at most once: :attr:`reduction`
+    keeps its rank and reduced row echelon form.
+    """
 
     field: Field
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.entries, dtype=np.uint16)
+        arr = np.array(self.entries, dtype=np.uint16, order="C")  # always a copy
         if arr.ndim != 2:
             raise ValueError("entries must be a 2-D array")
         if arr.size and int(arr.max()) >= self.field.order:
             raise ValueError("entry outside the field's symbol range")
+        arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+
+    @cached_property
+    def reduction(self) -> tuple[int, GFMatrix]:
+        """Rank and reduced row echelon form, from one :func:`rank_and_rref`."""
+        return rank_and_rref(self)
 
     @property
     def q(self) -> int:
@@ -100,7 +115,8 @@ def gf_matrix(field: Field, rows, cols: int | None = None) -> GFMatrix:
 # ---------------------------------------------------------------------------
 
 def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
-    """Rank and the unique reduced row echelon form (canonical).
+    """Rank and the unique reduced row echelon form (canonical), reduced
+    afresh on every call; :attr:`GFMatrix.reduction` keeps one result.
 
     Each pivot row is scaled to a leading 1 and its q multiples are
     tabulated once (negated in odd characteristic).  Clearing the pivot
@@ -142,22 +158,22 @@ def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
 
 
 def rank(m: GFMatrix) -> int:
-    return rank_and_rref(m)[0]
+    return m.reduction[0]
 
 
 def row_space_equal(a: GFMatrix, b: GFMatrix) -> bool:
     """Equality of row spaces via canonical reduced forms."""
     if a.field is not b.field or a.cols != b.cols:
         return False
-    ra, fa = rank_and_rref(a)
-    rb, fb = rank_and_rref(b)
+    ra, fa = a.reduction
+    rb, fb = b.reduction
     return ra == rb and np.array_equal(fa.entries, fb.entries)
 
 
 def nullspace(m: GFMatrix) -> GFMatrix:
     """Rows spanning {v : M v = 0} under the dot product."""
-    ent = rank_and_rref(m)[1].entries
-    pivots = [int(np.flatnonzero(row)[0]) for row in ent]
+    ent = m.reduction[1].entries
+    pivots = np.argmax(ent != 0, axis=1) if ent.size else []  # first nonzero per row
     is_pivot = np.zeros(m.cols, dtype=bool)
     is_pivot[pivots] = True
     free = np.flatnonzero(~is_pivot)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cosetcodes import compute_cosets, make_field
 from cosetcodes.fixtures import load_known_answers
 from cosetcodes.galois import SubfieldBasis, subfield_power_basis
+from cosetcodes import linalg
 from cosetcodes.linalg import GFMatrix, rank
 
 # published coset tables by (q, n), transcribed set for set in known_answers.json
@@ -22,6 +23,19 @@ def no_child_left_running():
         child.terminate()
         child.join(10)
     assert not left, f"child processes left running: {left}"
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The matrices that ``linalg.rank_and_rref`` reduces during the test, in order."""
+    reduce, seen = linalg.rank_and_rref, []
+
+    def spy(m):
+        seen.append(m)
+        return reduce(m)
+
+    monkeypatch.setattr(linalg, "rank_and_rref", spy)
+    return seen
 
 
 def random_subfield_basis(ctx, q, s, rng):

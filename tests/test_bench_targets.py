@@ -64,6 +64,20 @@ def test_a_traced_search_sees_its_matrix_and_gram(monkeypatch, t51q16):
     assert children.count("generator_matrix") == children.count("gram_is_zero") == 1
 
 
+def test_a_traced_dual_records_one_rref_span_per_matrix(monkeypatch, reductions, t51q16):
+    # a matrix keeps its reduction, which it makes through the traced
+    # rank_and_rref, so linalg.rref.calls counts real eliminations
+    tracer = _load(monkeypatch, "tracer")
+    family = t51q16.family([0, 1])
+    hermitian_dual(family)  # the first call also checks the field's subfield bases
+    reductions.clear()
+    with tracer.Tracer().installed() as t:
+        cosetcodes.hermitian_dual(family)
+    spans = [s for s in t.spans if s.name == "rank_and_rref"]
+    matrices = {(m.entries.shape, m.entries.tobytes()) for m in reductions}
+    assert len(spans) == len(reductions) == len(matrices) == 5
+
+
 def test_workload_digests_read_real_results(monkeypatch, t21):
     workloads = _load(monkeypatch, "workloads")
     tables = {s: compute_cosets(*s) for s in

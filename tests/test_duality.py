@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import (compute_cosets, derive_quantum, euclidean_dual,
-                        euclidean_dual_family, generator_matrix, hermitian_dual,
-                        hermitian_dual_family, search)
+from cosetcodes import (VerificationError, compute_cosets, derive_quantum, duality,
+                        euclidean_dual, euclidean_dual_family, generator_matrix,
+                        hermitian_dual, hermitian_dual_family, search)
+from cosetcodes.cosets import CosetFamily
 from cosetcodes.linalg import (gram_is_zero, nullspace, pow_entrywise,
                                rank_and_rref, row_space_equal)
 from cosetcodes.quantum import build_compatibility_graph
@@ -86,6 +87,62 @@ def test_dual_generator_row_space_equals_nullspace(t21):
     r_dual, canon_dual = rank_and_rref(g_dual)
     assert r_ns == r_dual
     assert np.array_equal(canon_ns.entries, canon_dual.entries)
+
+
+# a family whose dual family's matrix is the taller one, and one whose
+# primal matrix is: dims 5 + 47 at n = 51 and 13 + 9 at n = 21
+FAMILIES = [("t51", [0, 1]), ("t21", [0, 1, 2, 3, 5])]
+
+
+def _wrong_dual(dual: CosetFamily) -> CosetFamily:
+    """``dual`` with its last swappable member traded for a left-out coset of equal size."""
+    table = dual.table
+    for b in reversed(dual.members):
+        others = [c for c in range(len(table))
+                  if c not in dual and table.cosets[c].size == table.cosets[b].size]
+        if others:
+            return CosetFamily(table, tuple(m for m in dual.members if m != b) + (others[0],))
+    raise AssertionError("no coset to swap")
+
+
+@pytest.mark.parametrize("route", ["both", "gram", "nullspace"])
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("name,reps", FAMILIES)
+def test_each_route_alone_catches_a_wrong_dual(monkeypatch, request, name, reps,
+                                               hermitian, route):
+    family = request.getfixturevalue(name).family(reps)
+    dual = (hermitian_dual_family if hermitian else euclidean_dual_family)(family)
+    assert (family.dim() > dual.dim()) == (name == "t21")
+    wrong = _wrong_dual(dual)
+    assert wrong != dual and wrong.dim() == dual.dim()
+    # "gram" leaves only the Gram route working, "nullspace" only the nullspace route
+    if route == "gram":
+        monkeypatch.setattr(duality, "row_space_equal", lambda a, b: True)
+    if route == "nullspace":
+        monkeypatch.setattr(duality, "gram_is_zero", lambda a, b: True)
+    match = "nullspace oracle" if route == "nullspace" else "nonzero Gram product"
+    with pytest.raises(VerificationError, match=match):
+        duality._verified_dual(family, wrong, hermitian)
+    assert duality._verified_dual(family, dual, hermitian).nullspace_verified
+
+
+@pytest.mark.parametrize("dual", [euclidean_dual, hermitian_dual])
+@pytest.mark.parametrize("name,reps", FAMILIES)
+def test_a_verified_dual_reduces_each_matrix_once(request, reductions, name, reps, dual):
+    family = request.getfixturevalue(name).family(reps)
+    dual(family)  # the first call also checks the field's subfield bases
+    reductions.clear()
+    rep = dual(family)
+    calls = list(reductions)  # generator_matrix below reduces more
+    # the primal and dual matrices by their rank checks, then the nullspace of
+    # the taller one; the Hermitian dual adds the scaled family's matrix and
+    # the primal's ell-th power, whose reduction the nullspace reads if it is taller
+    assert len(calls) == (3 if rep.ell is None else 5)
+    seen = [(m.entries.shape, m.entries.tobytes()) for m in calls]
+    assert len(set(seen)) == len(seen)  # no matrix twice
+    for fam in (family, rep.family_dual):
+        g = generator_matrix(fam).mat
+        assert sum(np.array_equal(m.entries, g.entries) for m in calls) == 1
 
 
 def test_odd_q_is_refused_only_where_p_does_not_divide_n_plus_1():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import BudgetExceededError, linalg, make_field, min_distance_exhaustive
+from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_field,
+                        min_distance_exhaustive)
+from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _codeword_for_message,
                                _gray_digits, _SpanKernel, check_budget, gf_matrix,
                                gram, gram_is_zero, nullspace, pow_entrywise, rank,
@@ -74,6 +76,38 @@ def test_nullspace_shapes_and_orthogonality(f4):
     ns = nullspace(ones)
     assert ns.rows == 51
     assert gram_is_zero(ones, ns)
+
+
+def test_entries_are_a_read_only_copy(f4):
+    given = np.array([[1, 2], [3, 0]], dtype=np.uint16)
+    m = GFMatrix(f4, given)
+    assert not np.shares_memory(m.entries, given)
+    given[0, 0] = 0  # the caller's array stays writable and the matrix keeps its copy
+    assert m.entries[0, 0] == 1
+    with pytest.raises(ValueError, match="read-only"):
+        m.entries[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        m.entries ^= 1
+
+
+TABLES = ["t26q3", "t21", "t24q5", "t80q9", "t51q16", "t24q25", "t585"]
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_cached_reduction_equals_a_fresh_one(request, name):
+    # one table per field q of tests/conftest.py: 3, 4, 5, 9, 16, 25 and 64
+    table = request.getfixturevalue(name)
+    field = field_for_table(table).subfield_view(table.q).field
+    rng = np.random.default_rng(table.q)
+    g = generator_matrix(table.family([0, 1])).mat
+    rows = rng.integers(0, field.order, size=(3, g.cols))
+    deficient = GFMatrix(field, np.vstack([rows, rows[:1], g.entries[:2]]))
+    for m in (g, deficient):
+        nullspace(m)  # reads, and so fills, the cached reduction
+        r, reduced = rank_and_rref(GFMatrix(field, m.entries))
+        assert rank(m) == r
+        assert np.array_equal(m.reduction[1].entries, reduced.entries)
+    assert rank(deficient) == 5
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 2)])

@@ -396,6 +396,15 @@ def test_certify_dual_returns_certificate_or_refuses():
         certify_dual(rep, budget=10)
 
 
+def test_certify_dual_reduces_c_t_once(t21, reductions):
+    # the enumeration's rank check reads the reduction of generator_matrix's
+    rep = derive_quantum(t21.family([0, 1, 2, 3]))
+    reductions.clear()
+    cert = certify_dual(rep)
+    assert [m.rows for m in reductions] == [rep.t_family.dim()]
+    assert cert.enumerated == 4 ** 12 - 1
+
+
 def test_refused_certify_dual_builds_no_matrix(t21, monkeypatch):
     rep = derive_quantum(t21.family([0, 1, 2, 3]))
 
