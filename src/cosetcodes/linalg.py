@@ -4,7 +4,8 @@ Matrices carry their symbol :class:`~cosetcodes.galois.Field` and a
 read-only numpy uint16 entry array, so a matrix is row-reduced at most
 once: :attr:`GFMatrix.reduction` keeps the result of the first
 :func:`rank_and_rref`, and :func:`rank`, :func:`nullspace` and
-:func:`row_space_equal` read it.  Row reduction and nullspaces run on
+:func:`row_space_equal` read it; :func:`pow_entrywise` by a power of p
+hands its result that reduction, raised entry-wise.  Row reduction and nullspaces run on
 the field's dense lookup tables: each pivot tabulates the q multiples of
 its row once, and clearing its column is a row gather from that table.
 Gram products expand symbols into their base-p digits and run as float32
@@ -184,7 +185,23 @@ def nullspace(m: GFMatrix) -> GFMatrix:
 
 
 def pow_entrywise(m: GFMatrix, k: int) -> GFMatrix:
-    return GFMatrix(m.field, m.field.pow_table(k)[m.entries])
+    """The matrix of k-th powers of m's entries.
+
+    When k is a power of p, x -> x^k is a field automorphism that fixes
+    0 and 1, so it commutes with row reduction: if m has its reduction,
+    the result carries that reduction's entry-wise power and is not
+    reduced again.  Otherwise, as for any other k, the result is reduced
+    afresh when its reduction is first read.
+    """
+    power = m.field.pow_table(k)
+    out = GFMatrix(m.field, power[m.entries])
+    p, j = m.field.p, k
+    while j > 1 and j % p == 0:
+        j //= p
+    if j == 1 and "reduction" in m.__dict__:  # the cached_property's slot
+        r, rref = m.reduction
+        out.__dict__["reduction"] = (r, GFMatrix(m.field, power[rref.entries]))
+    return out
 
 
 def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:

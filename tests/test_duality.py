@@ -135,9 +135,9 @@ def test_a_verified_dual_reduces_each_matrix_once(request, reductions, name, rep
     rep = dual(family)
     calls = list(reductions)  # generator_matrix below reduces more
     # the primal and dual matrices by their rank checks, then the nullspace of
-    # the taller one; the Hermitian dual adds the scaled family's matrix and
-    # the primal's ell-th power, whose reduction the nullspace reads if it is taller
-    assert len(calls) == (3 if rep.ell is None else 5)
+    # the taller one; the Hermitian dual adds the scaled family's matrix, while
+    # the primal's ell-th power carries the primal's reduction raised entry-wise
+    assert len(calls) == (3 if rep.ell is None else 4)
     seen = [(m.entries.shape, m.entries.tobytes()) for m in calls]
     assert len(set(seen)) == len(seen)  # no matrix twice
     for fam in (family, rep.family_dual):

@@ -110,6 +110,29 @@ def test_cached_reduction_equals_a_fresh_one(request, name):
     assert rank(deficient) == 5
 
 
+@pytest.mark.parametrize("name", ["t21", "t80q9", "t51q16", "t24q25", "t585"])
+def test_a_frobenius_power_carries_its_reduction(request, reductions, name):
+    # x -> x^(p^j) is a field automorphism fixing 0 and 1: it commutes with row reduction
+    table = request.getfixturevalue(name)
+    field = field_for_table(table).subfield_view(table.q).field
+    g = generator_matrix(table.family([0, 1])).mat
+    rows = np.random.default_rng(table.q).integers(0, field.order, size=(3, g.cols))
+    deficient = GFMatrix(field, np.vstack([rows, rows[:1], g.entries[:2]]))
+    for m in (g, deficient):
+        rank(m)
+        for j in range(field.e + 1):
+            powered = pow_entrywise(m, field.p**j)
+            reductions.clear()
+            r, carried = powered.reduction
+            assert not reductions  # carried, not reduced
+            fresh = rank_and_rref(GFMatrix(field, powered.entries))
+            assert r == fresh[0]
+            assert np.array_equal(carried.entries, fresh[1].entries)
+    reductions.clear()
+    rank(pow_entrywise(g, field.p + 1))  # not a power of p: reduced afresh
+    assert len(reductions) == 1
+
+
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 2)])
 def test_rank_nullity_and_nullspace_product(p, e):
     field = make_field(p, e)
