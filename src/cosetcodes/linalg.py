@@ -19,13 +19,18 @@ q-ary modular Gray order, and one codeword of each scalar class is
 weighed.  One split-table kernel serves every q: it packs the span of the
 low generator rows (at most ``TABLE_ROWS`` codewords) into uint64 words
 of (q - 1).bit_length()-bit symbol slots, and for the zero high part and
-each high Gray index whose leading base-q digit is 1 it adds one vector
-onto the whole table and counts nonzero symbols per row.  The same steps
-yield the weight distribution, each class outside the table q - 1 times.
+each high Gray index whose leading base-q digit is 1 (a step) it adds one
+vector onto the table and counts nonzero symbols per row.  The walk is
+tiled: a tile is a run of table rows holding at most ``TABLE_ROWS``
+packed words, and every step weighs one tile before the walk moves to
+the next, so a tile and its scratch stay in cache across the steps.  A
+table of one word per row is a single tile.  The same steps yield the
+weight distribution, each class outside the table q - 1 times.
 
-The steps run in increasing Gray order and weigh the Gray-first member
-of each class, so the reported witness is still the first
-minimum-weight codeword in Gray order.  Certification can split the
+Each step weighs the Gray-first member of each class, and the walk keeps
+the least (weight, Gray index) over all tiles and steps, so the reported
+witness is still the first minimum-weight codeword in Gray order,
+whatever order the tiles come in.  Certification can split the
 steps into contiguous chunks over the calling process and a forked pool;
 results, witness included, are identical to the sequential traversal.
 The split is made only when each worker gets at least
@@ -48,7 +53,7 @@ if TYPE_CHECKING:
     from .galois import Field
 
 DEFAULT_BUDGET = 1 << 26
-TABLE_ROWS = 1 << 16  # span-table row cap of the enumeration kernel
+TABLE_ROWS = 1 << 16  # span-table rows, and packed words of a tile, of the enumeration kernel
 # packed span-table words per worker from which splitting an enumeration
 # over forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
 FORK_MIN_ENTRIES = 1 << 25
@@ -342,6 +347,14 @@ class _SpanKernel:
     where a row differs from the packed -h.  In characteristic 2, -h = h
     and packing commutes with addition, so rows are packed first and added
     by XOR; odd symbols are added through the add table, then packed.
+
+    The walk runs tile-outer: the table is cut into tiles of
+    ``TABLE_ROWS // words`` rows (at most ``TABLE_ROWS`` words, but at
+    least two rows), and each tile is weighed against every step before
+    the next tile.  A step's
+    Gray indices all exceed those of a step with a smaller T, so the first
+    minimum is the least (w, t) over tiles and steps, and t is formed only
+    on a lower weight or on a tie whose T is at most the best one's.
     """
 
     def __init__(self, g: GFMatrix):
@@ -352,6 +365,7 @@ class _SpanKernel:
             b += 1
         f = (q - 1).bit_length()
         self.q, self.n, self.b, self.high, self.f = q, n, b, k - b, f
+        self.weight_dtype = np.min_scalar_type(n)  # the narrowest that holds every weight
         self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
         slots = 64 // f
         entries = np.pad(g.entries, ((0, 0), (0, -n % slots)))  # zero symbols to whole words
@@ -395,20 +409,35 @@ class _SpanKernel:
         return _pack_rows(self.neg[h][:, None], self.f)[:, 0]
 
     def weights(self, start: int, stop: int):
-        """Yield (T, weights) for the steps in [start, stop).
+        """Yield (T, lo, weights) for each tile of the table and each step in
+        [start, stop): every step weighs one tile before the next tile.
 
-        ``weights[m]`` is the weight of span-table row m plus the high
-        part of T; row 0 of step 0 is the zero codeword.  The array may
-        be reused between steps.
+        ``weights[m]`` is the weight of span-table row lo + m plus the
+        high part of T; row 0 of step 0 is the zero codeword.  A tile is
+        the rows lo, lo + 1, ... that hold at most ``TABLE_ROWS`` packed
+        words, so it and its x/y scratch stay in cache while the steps
+        weigh it.  The packed -h of the steps are formed once, in batches
+        of as many steps as a tile has rows, so they never outgrow a tile
+        however many steps there are.  The array may be reused between
+        yields.
         """
-        x, y = np.empty_like(self.table), np.empty_like(self.table)
-        for step in range(start, stop):
-            t_high = self._high_index(step)
-            yield t_high, self._packed_weights(self._minus_high_part(t_high), x, y)
+        words, rows = self.table.shape
+        tile = max(2, TABLE_ROWS // words)  # step 0's first tile weighs a nonzero codeword
+        x, y = np.empty_like(self.table[:, :tile]), np.empty_like(self.table[:, :tile])
+        for first in range(start, stop, tile):
+            steps = [(t, self._minus_high_part(t)) for t in
+                     map(self._high_index, range(first, min(first + tile, stop)))]
+            for lo in range(0, rows, tile):
+                block = self.table[:, lo:lo + tile]
+                bx, by = x[:, :block.shape[1]], y[:, :block.shape[1]]
+                for t_high, h in steps:
+                    yield t_high, lo, self._packed_weights(block, h, bx, by)
 
-    def _packed_weights(self, h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Slots per table row that differ from the packed -h, using x and y as scratch."""
-        np.bitwise_xor(self.table, h[:, None], out=x)
+    def _packed_weights(self, block: np.ndarray, h: np.ndarray,
+                        x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Slots per row of a table tile that differ from the packed -h,
+        using x and y as scratch."""
+        np.bitwise_xor(block, h[:, None], out=x)
         # ((x & lo) + lo | x) & hi sets bit f-1 of a slot iff its symbol is nonzero
         np.bitwise_and(x, self.lo, out=y)
         np.add(y, self.lo, out=y)
@@ -421,7 +450,7 @@ class _SpanKernel:
             for j in range(1, min(self.f, len(y) - g0)):
                 acc |= y[g0 + j] >> np.uint64(j)
             c = np.bitwise_count(acc)
-            counts = c if counts is None else counts + c.astype(np.int64)
+            counts = c if counts is None else np.add(counts, c, dtype=self.weight_dtype)
         return counts
 
     def _first_low_index(self, rows: np.ndarray, t_b: int) -> int:
@@ -435,16 +464,18 @@ class _SpanKernel:
         return int(t_low.min())
 
     def first_minimum(self, start: int, stop: int) -> tuple[int, int]:
-        """(weight, t) of the first nonzero minimum-weight codeword of steps [start, stop)."""
+        """(weight, t) of the first nonzero minimum-weight codeword of steps
+        [start, stop): the least (w, t) over every tile and step."""
         best_w, best_t = self.n + 1, -1
-        for t_high, wts in self.weights(start, stop):
-            skip = 1 if t_high == 0 else 0  # the zero codeword
+        for t_high, lo, wts in self.weights(start, stop):
+            skip = 1 if t_high == 0 and lo == 0 else 0  # the zero codeword
             w = int(wts[skip:].min())
-            if w < best_w:
-                rows = np.flatnonzero(wts[skip:] == w) + skip
-                best_w = w
-                best_t = (t_high * self.q**self.b
-                          + self._first_low_index(rows, t_high % self.q))
+            if w < best_w or (w == best_w and t_high <= best_t // self.q**self.b):
+                rows = np.flatnonzero(wts[skip:] == w) + (lo + skip)
+                t = (t_high * self.q**self.b
+                     + self._first_low_index(rows, t_high % self.q))
+                if w < best_w or t < best_t:
+                    best_w, best_t = w, t
         return best_w, best_t
 
 
@@ -504,8 +535,9 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
 
     Medians on a 2-vCPU VM, one worker against two forced ones: q=4 k=13
     (22M words) took 73 and 78 ms, q=2 k=25 (34M) 95 and 99 ms, while
-    q=16 k=7 (72M) went from 307 to 182 ms and q=4 k=14 (90M) from 280
-    to 177 ms; hence 2^25 words per worker.
+    q=16 k=7 (72M) went from 188 to 115 ms (0.61), q=4 k=14 (90M) from
+    245 to 132 ms (0.54) and q=3 n=242 k=16 (172M) from 622 to 387 ms
+    (0.62), measured on the tiled walk; hence 2^25 words per worker.
     """
     kernel = _enumerable_kernel(g, budget)
     if jobs is None:  # the CPUs this process may run on; taskset narrows them
@@ -539,6 +571,6 @@ def weight_distribution(g: GFMatrix, budget: int = DEFAULT_BUDGET) -> list[int]:
     """
     kernel = _enumerable_kernel(g, budget)
     counts = np.zeros(g.cols + 1, dtype=np.int64)
-    for t_high, wts in kernel.weights(0, kernel.steps):
+    for t_high, _, wts in kernel.weights(0, kernel.steps):
         counts += np.bincount(wts, minlength=g.cols + 1) * (g.q - 1 if t_high else 1)
     return counts.tolist()

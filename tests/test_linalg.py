@@ -316,6 +316,22 @@ def test_enumerator_matches_naive_recomputation(p, e):
         assert weight_distribution(g) == counts
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_weights_past_255_sum_over_several_words(p):
+    # an all-ones row puts weights near n = 300, counted over 5 (p = 2) or
+    # 10 (p = 3) packed words per row
+    field = make_field(p, 1)
+    m = np.random.default_rng(p).integers(0, p, size=(4, 300)).astype(np.uint16)
+    m[0] = 1
+    g = GFMatrix(field, m)
+    assert rank(g) == 4
+    best_t, counts = naive_gray_scan(g)
+    assert max(w for w, a in enumerate(counts) if a) > 255
+    assert weight_distribution(g) == counts
+    first = _codeword_for_message(field, m, _gray_digits(best_t, 4, p))
+    assert min_distance_exhaustive(g).witness == tuple(map(int, first))
+
+
 def assert_matches_gray_oracle(g):
     """Distance, Gray-first witness and weight distribution against every codeword."""
     cw = vectorized_gray_codewords(g)
@@ -339,19 +355,56 @@ def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
     field = make_field(p, e)
     g = random_full_rank(field, k, n, np.random.default_rng(k * n))
     assert g.q**k > TABLE_ROWS  # more than one span table's worth of codewords
+    if (p, e, k, n) in {(2, 1, 18, 66), (2, 2, 9, 70), (3, 1, 11, 70)}:
+        assert table_tiles(_SpanKernel(g)) >= 2  # rows over several words
     assert_matches_gray_oracle(g)
 
 
-@pytest.mark.parametrize("p,k", [(2, 18), (3, 12)])
-def test_repeated_columns_witness_matches_vectorized_oracle(p, k):
-    # the code {(c, sum c, c, sum c)}: minimum-weight words abound and tie across steps
+def table_tiles(kernel):
+    """The number of tiles one whole walk of the kernel weighs."""
+    return len({lo for _, lo, _ in kernel.weights(0, kernel.steps)})
+
+
+@pytest.mark.parametrize("p,k,copies", [pytest.param(2, 18, 2, id="2-18"),
+                                        pytest.param(3, 12, 2, id="3-12"),
+                                        # 76 symbols per row, two packed words
+                                        pytest.param(2, 18, 4, id="2-18-two-tiles")])
+def test_repeated_columns_witness_matches_vectorized_oracle(p, k, copies):
+    # the code {(c, sum c, c, sum c, ...)}: minimum-weight words abound and tie
+    # across steps, and with rows over two words across tiles too
     field = make_field(p, 1)
     m = random_full_rank(field, k, k, np.random.default_rng(p * k)).entries
     base = np.hstack([m, m.sum(axis=1, keepdims=True, dtype=np.uint16) % p])
-    g = GFMatrix(field, np.hstack([base, base]))
-    assert _SpanKernel(g).high >= 2
+    g = GFMatrix(field, np.hstack([base] * copies))
+    kernel = _SpanKernel(g)
+    assert kernel.high >= 2
     weights = assert_matches_gray_oracle(g)
-    assert np.count_nonzero(weights == weights[1:].min()) > 10 * (g.q - 1)
+    d = weights[1:].min()
+    assert np.count_nonzero(weights == d) > 10 * (g.q - 1)
+    if copies > 2:
+        tied = {lo for _, lo, wts in kernel.weights(0, kernel.steps) if (wts == d).any()}
+        assert len(tied) >= 2  # minimum-weight ties in different tiles
+
+
+def test_a_later_tile_wins_a_tie_at_an_earlier_step():
+    # weight 2 is reached only by the high row h = e0 + e1 and by h + r15 =
+    # e2 + e3.  Low row 15 = e0 + ... + e3 is the table's top digit, so with
+    # 70 symbols over two words it splits the table into two tiles, and at
+    # T = 1 the Gray-first of the pair, h + r15, lies in the second tile
+    field = make_field(2, 1)
+    rng = np.random.default_rng(0)
+    while True:
+        m = rng.integers(0, 2, size=(17, 70)).astype(np.uint16)
+        m[15:] = 0
+        m[15, :4] = m[16, :2] = 1
+        g = GFMatrix(field, m)
+        if rank(g) == 17:
+            break
+    kernel = _SpanKernel(g)
+    assert (kernel.b, kernel.steps, table_tiles(kernel)) == (16, 2, 2)
+    weights = assert_matches_gray_oracle(g)
+    assert np.count_nonzero(weights == 2) == 2
+    assert min_distance_exhaustive(g).witness == (0, 0, 1, 1) + (0,) * 66
 
 
 def leading_digit(t, q):
@@ -367,24 +420,28 @@ def test_walk_weighs_one_codeword_per_scalar_class(monkeypatch, p, e, k, n):
     g = random_full_rank(field, k, n, np.random.default_rng(k + n))
     q, high = g.q, _SpanKernel(g).high
     assert high >= 2
-    steps = []
+    tiles = {}  # tile start -> the T of the steps that weighed it, in order
     walk = _SpanKernel.weights
 
     def counted(self, start, stop):
-        for t_high, wts in walk(self, start, stop):
-            steps.append(t_high)
-            yield t_high, wts
+        for t_high, lo, wts in walk(self, start, stop):
+            tiles.setdefault(lo, []).append(t_high)
+            yield t_high, lo, wts
 
     monkeypatch.setattr(_SpanKernel, "weights", counted)
     expected = 1 + (q**high - 1) // (q - 1)
     assert min_distance_exhaustive(g).enumerated == q**k - 1
+    steps = tiles[0]
     assert len(steps) == len(set(steps)) == expected
+    assert all(seen == steps for seen in tiles.values())  # each tile, each step once
     # the zero high part, then high Gray indices with leading base-q digit 1
     assert steps[0] == 0
     assert all(leading_digit(t, q) == 1 for t in steps[1:])
-    steps.clear()
+    starts = sorted(tiles)
+    assert len(starts) == (2 if q == 16 else 1)  # 20 symbols of 4 bits take two words
+    tiles.clear()
     dist = weight_distribution(g)
-    assert len(steps) == expected
+    assert sorted(tiles) == starts and all(seen == steps for seen in tiles.values())
     assert sum(dist) == q**k
     assert all(a % (q - 1) == 0 for a in dist[1:])
 
