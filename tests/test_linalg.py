@@ -386,6 +386,19 @@ def test_repeated_columns_witness_matches_vectorized_oracle(p, k, copies):
         assert len(tied) >= 2  # minimum-weight ties in different tiles
 
 
+@pytest.mark.parametrize("p,k,n", [(2, 12, 70), (3, 8, 100)])
+def test_small_tiles_and_step_batches_match_vectorized_oracle(monkeypatch, p, k, n):
+    # a 64-word cap cuts the table into tiles of 32 (p = 2) or 16 (p = 3)
+    # rows and the steps into batches of as many, so one walk crosses several
+    # of each
+    monkeypatch.setattr(linalg, "TABLE_ROWS", 64)
+    g = random_full_rank(make_field(p, 1), k, n, np.random.default_rng(p + k))
+    kernel = _SpanKernel(g)
+    assert table_tiles(kernel) >= 2
+    assert kernel.steps > 64 // kernel.table.shape[0]  # two step batches or more
+    assert_matches_gray_oracle(g)
+
+
 def test_a_later_tile_wins_a_tie_at_an_earlier_step():
     # weight 2 is reached only by the high row h = e0 + e1 and by h + r15 =
     # e2 + e3.  Low row 15 = e0 + ... + e3 is the table's top digit, so with
