@@ -5,9 +5,10 @@ read-only numpy uint16 entry array, so a matrix is row-reduced at most
 once: :attr:`GFMatrix.reduction` keeps the result of the first
 :func:`rank_and_rref`, and :func:`rank`, :func:`nullspace` and
 :func:`row_space_equal` read it; :func:`pow_entrywise` by a power of p
-hands its result that reduction, raised entry-wise.  Row reduction and nullspaces run on
-the field's dense lookup tables: each pivot tabulates the q multiples of
-its row once, and clearing its column is a row gather from that table.
+hands its result that reduction, raised entry-wise.  Row reduction and
+nullspaces run on the field's dense lookup tables: each pivot tabulates
+the q multiples of its row once, and clearing its column is a row gather
+from that table.
 Gram products expand symbols into their base-p digits and run as float32
 matrix products over F_p (BLAS), exact by construction; :func:`gram`
 returns the product g1 g2^T, and :func:`gram_is_zero` is the test that
@@ -53,7 +54,7 @@ if TYPE_CHECKING:
     from .galois import Field
 
 DEFAULT_BUDGET = 1 << 26
-TABLE_ROWS = 1 << 16  # span-table rows, and packed words of a tile, of the enumeration kernel
+TABLE_ROWS = 1 << 16  # span-table rows, and packed words per tile, of the enumeration kernel
 # packed span-table words per worker from which splitting an enumeration
 # over forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
 FORK_MIN_ENTRIES = 1 << 25
@@ -351,10 +352,10 @@ class _SpanKernel:
     The walk runs tile-outer: the table is cut into tiles of
     ``TABLE_ROWS // words`` rows (at most ``TABLE_ROWS`` words, but at
     least two rows), and each tile is weighed against every step before
-    the next tile.  A step's
-    Gray indices all exceed those of a step with a smaller T, so the first
-    minimum is the least (w, t) over tiles and steps, and t is formed only
-    on a lower weight or on a tie whose T is at most the best one's.
+    the next tile.  A step's Gray indices all exceed those of a step with
+    a smaller T, so the first minimum is the least (w, t) over tiles and
+    steps, and t is formed only on a lower weight or on a tie whose T is
+    at most the best one's.
     """
 
     def __init__(self, g: GFMatrix):
