@@ -8,7 +8,9 @@ once: :attr:`GFMatrix.reduction` keeps the result of the first
 hands its result that reduction, raised entry-wise.  Row reduction and
 nullspaces run on the field's dense lookup tables: each pivot tabulates
 the q multiples of its row once, and clearing its column is a row gather
-from that table.
+from that table.  Rows are added by XOR in characteristic 2; for a prime
+q the symbols are the residues mod p, added as integers and wrapped once;
+odd prime powers add through the field's add table.
 Gram products expand symbols into their base-p digits and run as float32
 matrix products over F_p (BLAS), exact by construction; :func:`gram`
 returns the product g1 g2^T, and :func:`gram_is_zero` is the test that
@@ -121,23 +123,47 @@ def gf_matrix(field: Field, rows, cols: int | None = None) -> GFMatrix:
 # Row reduction
 # ---------------------------------------------------------------------------
 
+def _residue_dtype(p: int) -> np.dtype:
+    """The narrowest unsigned dtype for residues mod p and their sums: it
+    holds 2p - 1, so neither a sum nor a residue plus p wraps."""
+    return np.min_scalar_type(2 * p - 1)
+
+
+def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x + y mod p, for residues in a :func:`_residue_dtype` array: s - p
+    wraps past every residue unless s >= p, so the minimum is s mod p."""
+    s = x + y
+    return np.minimum(s, s - p, out=s)
+
+
+def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x - y mod p, for residues in a :func:`_residue_dtype` array: d wraps
+    past every residue when x < y, and then d + p is x - y + p."""
+    d = x - y
+    return np.minimum(d, d + p, out=d)
+
+
 def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
     """Rank and the unique reduced row echelon form (canonical), reduced
     afresh on every call; :attr:`GFMatrix.reduction` keeps one result.
 
     Each pivot row is scaled to a leading 1 and its q multiples are
-    tabulated once (negated in odd characteristic).  Clearing the pivot
+    tabulated once (negated for an odd prime power).  Clearing the pivot
     column is then one row gather of those multiples, indexed by the
-    column, plus one XOR or add-table pass over the matrix; the pivot row
-    itself gathers the zero multiple.  The pivot row is zero left of the
-    pivot column, so only the columns from it on are touched.
+    column, plus one pass over the matrix: XOR in characteristic 2, an
+    integer subtraction mod p for a prime q, and an add-table gather for
+    an odd prime power.  The pivot row itself gathers the zero multiple.
+    The pivot row is zero left of the pivot column, so only the columns
+    from it on are touched.
     """
     field = m.field
-    dtype = np.min_scalar_type(field.order - 1)
+    p = field.p
+    prime = p != 2 and field.e == 1  # the symbols are the residues mod p
+    dtype = _residue_dtype(p) if prime else np.min_scalar_type(field.order - 1)
     a = m.entries.astype(dtype)
     rows, cols = a.shape
     mul = field.mul_table.astype(dtype, copy=False)
-    if field.p != 2:
+    if p != 2 and not prime:
         neg = field.neg_table.astype(dtype, copy=False)
         add = field.add_table.astype(dtype, copy=False)
     r = 0
@@ -156,8 +182,10 @@ def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
         col_vals = a[:, c].copy()
         col_vals[r] = 0
         multiples = np.take(mul, a[r, c:], axis=1)  # row v is v * pivot row
-        if field.p == 2:
+        if p == 2:
             a[:, c:] ^= np.take(multiples, col_vals, axis=0)
+        elif prime:
+            a[:, c:] = _sub_mod(a[:, c:], np.take(multiples, col_vals, axis=0), p)
         else:
             a[:, c:] = add[a[:, c:], np.take(neg[multiples], col_vals, axis=0)]
         r += 1
@@ -347,7 +375,8 @@ class _SpanKernel:
     symbol exactly where the row equals -h, so a step counts the slots
     where a row differs from the packed -h.  In characteristic 2, -h = h
     and packing commutes with addition, so rows are packed first and added
-    by XOR; odd symbols are added through the add table, then packed.
+    by XOR.  Odd symbols are added, then packed: for a prime q as integers
+    mod p, and for an odd prime power through the add table.
 
     The walk runs tile-outer: the table is cut into tiles of
     ``TABLE_ROWS // words`` rows (at most ``TABLE_ROWS`` words, but at
@@ -373,8 +402,11 @@ class _SpanKernel:
         # scaled[i, j, v] = v * symbol j of row i
         scaled = field.mul_table[np.arange(q), entries[:, :, None]]
         self.char2 = field.p == 2
+        self.prime = not self.char2 and field.e == 1  # the symbols are the residues mod p
         if self.char2:
             scaled = np.stack([_pack_rows(s, f) for s in scaled])
+        elif self.prime:
+            scaled = scaled.astype(_residue_dtype(q))
         else:
             self.add = field.add_table.astype(np.min_scalar_type(q - 1))
             self.neg = field.neg_table.astype(self.add.dtype)
@@ -382,7 +414,13 @@ class _SpanKernel:
         table = np.zeros((scaled.shape[1], 1), dtype=scaled.dtype)
         for i in range(b):
             x, y = scaled[i][:, :, None], table[:, None, :]
-            table = (x ^ y if self.char2 else self.add[x, y]).reshape(len(table), -1)
+            if self.char2:
+                table = x ^ y
+            elif self.prime:
+                table = _add_mod(x, y, q)
+            else:
+                table = self.add[x, y]
+            table = table.reshape(len(x), -1)
         self.table = table if self.char2 else _pack_rows(table, f)
         self.scaled_high = scaled[b:]
         ones = sum(1 << (f * s) for s in range(slots))  # bit 0 of every slot
@@ -404,10 +442,15 @@ class _SpanKernel:
         parts = self.scaled_high[np.arange(self.high), :, digits]
         if self.char2:
             return np.bitwise_xor.reduce(parts, axis=0)
-        h = np.zeros(self.scaled_high.shape[1], dtype=self.add.dtype)
-        for part in parts:
-            h = self.add[h, part]
-        return _pack_rows(self.neg[h][:, None], self.f)[:, 0]
+        if self.prime:  # the parts sum in uint64, so one reduction serves them all
+            h = parts.sum(axis=0) % self.q
+            minus = (self.q - h) % self.q
+        else:
+            h = np.zeros(self.scaled_high.shape[1], dtype=self.add.dtype)
+            for part in parts:
+                h = self.add[h, part]
+            minus = self.neg[h]
+        return _pack_rows(minus[:, None], self.f)[:, 0]
 
     def weights(self, start: int, stop: int):
         """Yield (T, lo, weights) for each tile of the table and each step in

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_field,
                         min_distance_exhaustive)
 from cosetcodes.codes import field_for_table
-from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _codeword_for_message,
-                               _gray_digits, _SpanKernel, check_budget, gf_matrix,
-                               gram, gram_is_zero, nullspace, pow_entrywise, rank,
-                               rank_and_rref, row_space_equal, weight_distribution)
+from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _add_mod,
+                               _codeword_for_message, _gray_digits, _pack_rows,
+                               _residue_dtype, _SpanKernel, _sub_mod, check_budget,
+                               gf_matrix, gram, gram_is_zero, nullspace, pow_entrywise,
+                               rank, rank_and_rref, row_space_equal, weight_distribution)
 
-# (p, e) of the fields the property tests draw from; ell^2 = p^e for even e
-PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1)]
+# (p, e) of the fields the property tests draw from; ell^2 = p^e for even e.
+# p = 131 is the least prime whose sums 2p - 2 overflow uint8
+PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1),
+                   (131, 1)]
+ODD_PRIMES = [p for p, e in PROPERTY_FIELDS if p > 2 and e == 1]
 
 
 def random_full_rank(field, k, n, rng):
@@ -281,6 +285,99 @@ def test_gram_past_the_float32_bound_matches_the_oracle():
     assert gram(a, b).entries.tolist() == oracle_gram(field, a.entries, b.entries) == [[2]]
     assert gram_is_zero(a, a)
     assert not gram_is_zero(a, b)
+
+
+@pytest.mark.parametrize("p", [3, 127, 131, 251])
+def test_residue_add_and_subtract_match_integers_mod_p_on_every_pair(p):
+    # 127 is the largest prime whose sums fit uint8; 131 and 251 need uint16
+    x, y = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    rx, ry = x.astype(_residue_dtype(p)), y.astype(_residue_dtype(p))
+    assert np.array_equal(_add_mod(rx, ry, p), (x + y) % p)
+    assert np.array_equal(_sub_mod(rx, ry, p), (x - y) % p)
+    assert _residue_dtype(p) == (np.uint8 if p <= 127 else np.uint16)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_rref_of_all_p_minus_1_entries_matches_scalar_gauss_jordan(p):
+    # entries p - 1 put each subtraction's operands at the ends of the range
+    field = make_field(p, 1)
+    top = p - 1
+    ones = np.full((5, 8), top)
+    upper = np.triu(ones)  # full rank
+    mixed = np.vstack([upper[:4], ones[:1], upper[2:3]])  # rank 4 of 6 rows
+    off_diagonal = top * (1 - np.eye(6, dtype=np.int64))  # -(J - I): rank 6 unless p | 5
+    for entries in (ones, upper, mixed, off_diagonal, ones.T):
+        m = GFMatrix(field, entries)
+        r, reduced = rank_and_rref(m)
+        want_r, want = oracle_rref(field, m.entries)
+        assert (r, reduced.entries.tolist()) == (want_r, want)
+    assert rank(GFMatrix(field, ones)) == 1
+    assert rank(GFMatrix(field, mixed)) == 4
+
+
+def add_table_span(g, b, f):
+    """The packed span table of g's first b rows, each sum an add-table gather."""
+    field, q, n = g.field, g.q, g.cols
+    entries = np.pad(g.entries, ((0, 0), (0, -n % (64 // f))))
+    scaled = field.mul_table[np.arange(q), entries[:, :, None]]
+    table = np.zeros((scaled.shape[1], 1), dtype=np.uint16)
+    for i in range(b):
+        table = field.add_table[scaled[i][:, :, None], table[:, None, :]].reshape(len(table), -1)
+    return _pack_rows(table, f)
+
+
+def add_table_minus_high_part(g, kernel, t_high):
+    """-(sum of g's high rows scaled by the Gray digits of t_high), by add and neg tables."""
+    field = g.field
+    h = np.zeros(g.cols, dtype=np.uint16)
+    for row, digit in zip(g.entries[kernel.b:], _gray_digits(t_high, kernel.high, g.q)):
+        h = field.add_table[h, field.mul_table[digit][row]]
+    slots = 64 // kernel.f
+    minus = np.pad(field.neg_table[h], (0, -g.cols % slots))
+    return _pack_rows(minus[:, None], kernel.f)[:, 0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 131])
+def test_prime_span_table_and_high_parts_match_the_add_table(p):
+    field = make_field(p, 1)
+    k = {3: 12, 5: 8, 7: 7, 131: 4}[p]  # two high rows over the table's
+    rng = np.random.default_rng(p)
+    worst = np.full((k, 9), p - 1)  # every sum of two symbols reaches 2p - 2
+    for entries in (rng.integers(0, p, size=(k, 23)), worst):
+        g = GFMatrix(field, entries)
+        kernel = _SpanKernel(g)
+        assert kernel.high == 2
+        assert np.array_equal(kernel.table, add_table_span(g, kernel.b, kernel.f))
+        for step in range(kernel.steps):
+            t_high = kernel._high_index(step)
+            want = add_table_minus_high_part(g, kernel, t_high)
+            assert np.array_equal(kernel._minus_high_part(t_high), want)
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (5, 5), (7, 4)])
+def test_prime_high_parts_of_several_rows_match_naive_scan(monkeypatch, p, k):
+    # a 64-row table leaves k - b >= 2 high rows, whose sums pass p
+    monkeypatch.setattr(linalg, "TABLE_ROWS", 64)
+    field = make_field(p, 1)
+    g = random_full_rank(field, k, 9, np.random.default_rng(p * k))
+    assert _SpanKernel(g).high >= 2
+    best_t, counts = naive_gray_scan(g)
+    assert min_distance_exhaustive(g).witness == tuple(
+        map(int, _codeword_for_message(field, g.entries, _gray_digits(best_t, k, p))))
+    assert weight_distribution(g) == counts
+
+
+@pytest.mark.parametrize("p", [131, 251])
+@pytest.mark.parametrize("table_rows", [TABLE_ROWS, 64])
+def test_enumeration_past_uint8_sums_matches_vectorized_oracle(monkeypatch, p, table_rows):
+    # k = 2: one table of both rows, or (64 rows) one table row and one high row
+    monkeypatch.setattr(linalg, "TABLE_ROWS", table_rows)
+    field = make_field(p, 1)
+    g = random_full_rank(field, 2, 7, np.random.default_rng(p))
+    assert _SpanKernel(g).high == (0 if table_rows == TABLE_ROWS else 1)
+    assert_matches_gray_oracle(g)
+    worst = GFMatrix(field, np.full((1, 7), p - 1))
+    assert_matches_gray_oracle(worst)
 
 
 def test_gray_sequence_changes_one_symbol_per_step():
