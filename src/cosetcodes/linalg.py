@@ -130,10 +130,15 @@ def _residue_dtype(p: int) -> np.dtype:
 
 
 def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x + y mod p, for residues in a :func:`_residue_dtype` array: s - p
-    wraps past every residue unless s >= p, so the minimum is s mod p."""
+    """x + y mod p, for residues in a :func:`_residue_dtype` array and a sum
+    of two axes or more: s - p wraps past every residue unless s >= p, so
+    the minimum is s mod p.  The sum is wrapped in place, one index of axis
+    1 at a time (a multiple, in the span table), so the s - p scratch is
+    one such slice, not a second copy of the sum."""
     s = x + y
-    return np.minimum(s, s - p, out=s)
+    for part in np.moveaxis(s, 1, 0):
+        np.minimum(part, part - p, out=part)
+    return s
 
 
 def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
