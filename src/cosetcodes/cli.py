@@ -25,8 +25,7 @@ from .codes import (check_field_size, classical_params, generator_matrix,
                     load_matrix_json, truncated_family)
 from .duality import VerificationError
 from .linalg import DEFAULT_BUDGET, BudgetExceededError, min_distance_exhaustive
-from .quantum import (OBJECTIVES, NotSelfOrthogonalError, certify_dual,
-                      derive_quantum, search)
+from .quantum import NotSelfOrthogonalError, certify_dual, derive_quantum, search
 
 BUDGET_ENV = "COSETCODES_BUDGET"
 
@@ -109,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(q = ell^2 fixes ell)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--objective", choices=OBJECTIVES, default="pareto")
-    p.add_argument("--target", type=int, help="target for the conditional objective")
     p.add_argument("--min-quantum-k", type=int, default=0,
                    help="do not explore families below this quantum dimension")
+    p.add_argument("--min-d", type=int, default=0,
+                   help="drop the families whose degree bound is below this distance")
     add_format(p)
 
     p = sub.add_parser("verify", help="run the bundled known-answer suite")
@@ -262,15 +261,9 @@ def cmd_search(args) -> int:
     check_field_size(args.q, args.n)
     check_hermitian(args.q)
     table = compute_cosets(args.q, args.n)
-    result = search(table, objective=args.objective, target=args.target,
-                    min_quantum_k=args.min_quantum_k)
+    result = search(table, min_quantum_k=args.min_quantum_k, min_d=args.min_d)
     if args.format == "json":
-        print(json.dumps({
-            "objective": result.objective,
-            "complete": result.complete,
-            "nodes": result.nodes,
-            "reports": [r.to_json_obj() for r in result.reports],
-        }))
+        print(json.dumps({"reports": [r.to_json_obj() for r in result.reports]}))
     elif args.format == "csv":
         print(_csv_output([(args.q, r.ell, args.n, r.block_length, r.quantum_k,
                             r.d_lower, None, r.family_s.reps())

@@ -83,10 +83,6 @@ class CosetTable:
         """Id of the coset containing residue mod n (``scaled_coset`` relies on the mod)."""
         return self._id_of[residue % self.n]
 
-    def dual_coset(self, coset_id: int) -> int:
-        """Id of the coset containing the negatives mod n of the given coset."""
-        return self._dual[coset_id]
-
     def scaled_coset(self, coset_id: int, factor: int) -> int:
         """Id of the coset containing factor * (any element of the coset)."""
         return self.coset_of(self.cosets[coset_id].min_rep * factor)
@@ -203,11 +199,6 @@ class CosetFamily:
         """Replace each member coset by the coset of factor times its elements."""
         return CosetFamily(self.table, tuple(sorted(
             {self.table.scaled_coset(i, factor) for i in self.members})))
-
-    def dual(self) -> CosetFamily:
-        """Member-wise dual (negation mod n); an involution."""
-        return CosetFamily(self.table, tuple(sorted(
-            {self.table.dual_coset(i) for i in self.members})))
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(c.elements) for c in self.cosets()]

@@ -21,13 +21,15 @@ a code whether or not S is self-orthogonal.
 
 Over that matching the Pareto frontier is a chain: :func:`search` sorts
 the matched pairs by their higher-degree end and walks the prefixes of
-that list once, with no tree and no budget.  Every emitted report
-re-verifies self-orthogonality both combinatorially and by the Hermitian
-Gram product of a generator matrix with itself; disagreement is a hard
-failure.  The prefixes are nested and a coset's rows do not depend on
-the family, so one generator matrix, that of the last prefix, serves the
-whole chain: its rank check covers every row subset, and its Gram
-product, once zero, is zero on every row subset.
+that list once, with no tree and no budget.  It returns the stretch of
+the chain between two floors, one on quantum_k and one on d.  Every
+emitted report re-verifies self-orthogonality both combinatorially and
+by the Hermitian Gram product of a generator matrix with itself;
+disagreement is a hard failure.  The prefixes are nested and a coset's
+rows do not depend on the family, so one generator matrix, that of the
+last returned prefix, serves the whole stretch: its rank check covers
+every row subset, and its Gram product, once zero, is zero on every row
+subset.
 """
 
 from __future__ import annotations
@@ -220,30 +222,30 @@ def build_compatibility_graph(table: CosetTable,
                               image=image)
 
 
-OBJECTIVES = ("pareto", "max_k_given_d")
-
-
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Frontier search outcome.
+    """Frontier search outcome: the reports of the chain between the floors.
 
-    ``nodes`` counts the prefixes the walk weighed, the frontier size
-    before the objective filter.  ``complete`` is always true, since the
-    walk is exact; it is kept for the benchmark reader.
+    ``nodes`` counts the prefixes the walk weighed, so it equals
+    ``len(reports)`` when ``min_d`` drops none of them.  ``complete`` is
+    always true, since the walk is exact.  Both, and the positional
+    ``ell`` of :func:`search`, stay only until the benchmark stops reading
+    them (ROADMAP item 1a).
     """
 
     reports: tuple[QuantumCodeReport, ...]
     complete: bool
     nodes: int
-    objective: str
 
     def frontier(self) -> list[tuple[int, int]]:
         return [(r.quantum_k, r.d_lower) for r in self.reports]
 
 
-def search(table: CosetTable, ell: int | None = None, objective: str = "pareto",
-           target: int | None = None, min_quantum_k: int = 0) -> SearchResult:
-    """Return the (quantum_k, d) frontier of the admissible families.
+def search(table: CosetTable, ell: int | None = None, min_quantum_k: int = 0,
+           min_d: int = 0) -> SearchResult:
+    """Return the (quantum_k, d) frontier of the admissible families
+    whose quantum_k is at least ``min_quantum_k`` and whose d is at least
+    ``min_d``.
 
     The frontier is one sorted walk over the matched pairs of
     :class:`CompatibilityGraph`, and it is exact:
@@ -263,30 +265,22 @@ def search(table: CosetTable, ell: int | None = None, objective: str = "pareto",
       pair's higher end is no longer above the largest degree T keeps;
       from there on d cannot rise.
 
-    The frontier is that chain of prefixes: the walk stops at the
-    ``min_quantum_k`` floor or at the first prefix where d can no longer
-    rise.
+    The frontier is that chain of prefixes, and the two floors cut it to
+    one stretch: the walk stops at the ``min_quantum_k`` floor or at the
+    first prefix where d can no longer rise, and ``min_d`` drops the head
+    of the chain below it.  So the first report at ``min_d=t`` has the
+    largest quantum_k with d >= t, and the last report at
+    ``min_quantum_k=t`` the largest d with quantum_k >= t.
 
-    Each prefix is derived as :func:`derive_quantum` derives it, but all
-    of them are verified from one generator matrix, that of the last
-    prefix, and one Hermitian Gram product of it: every prefix is a row
-    subset of that matrix, so a zero product proves them all.  An empty
-    chain builds no matrix.
+    Each returned prefix is derived as :func:`derive_quantum` derives it,
+    but all of them are verified from one generator matrix, that of the
+    last prefix, and one Hermitian Gram product of it: every prefix is a
+    row subset of that matrix, so a zero product proves them all.  An
+    empty result builds no matrix.
 
     ell is the table's; a given ``ell`` must be that one
     (``cosets.check_hermitian``).
-
-    Objectives (:data:`OBJECTIVES`): ``pareto`` returns the full frontier
-    and takes no target; ``max_k_given_d`` returns the best-dimension report
-    with d >= target.  The best-distance report with quantum_k >= t is the
-    last report of the frontier with ``min_quantum_k=t``.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective == "pareto" and target is not None:
-        raise ValueError("objective 'pareto' takes no target")
-    if objective != "pareto" and target is None:
-        raise ValueError(f"objective {objective!r} requires a target")
     graph = build_compatibility_graph(table, ell)
     n = table.n
     zero_id = table.coset_of(0)
@@ -309,6 +303,9 @@ def search(table: CosetTable, ell: int | None = None, objective: str = "pareto",
         chosen.append(low)
         k += table.cosets[low].size
         kept = max(kept, deg[low])
+    walked = len(chain)
+    # d rises along the chain, so the min_d floor drops its head
+    chain = [link for link in chain if link[1] >= min_d]
 
     # the prefixes are nested, so the last one's zero Gram proves every prefix's
     if chain:
@@ -319,9 +316,4 @@ def search(table: CosetTable, ell: int | None = None, objective: str = "pareto",
         if (report.quantum_k, report.d_lower) != (qk, d):
             raise VerificationError("frontier bookkeeping disagrees with derivation")
         reports.append(report)
-
-    if objective == "max_k_given_d":
-        eligible = [r for r in reports if r.d_lower >= target]
-        reports = [max(eligible, key=lambda r: (r.quantum_k, r.d_lower))] if eligible else []
-    return SearchResult(reports=tuple(reports), complete=True,
-                        nodes=len(chain), objective=objective)
+    return SearchResult(reports=tuple(reports), complete=True, nodes=walked)

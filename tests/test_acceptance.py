@@ -21,6 +21,7 @@ from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import nullspace, rank, row_space_equal
 from cosetcodes.quantum import build_compatibility_graph
 from conftest import COSET_TABLES, random_subfield_basis
+from test_cosets import dual_coset
 from test_quantum import _frontier_by_powerset
 
 _searches = {}
@@ -202,7 +203,7 @@ def test_criterion_6_property_suites(t21, t51, t63, t51q16):
     # dual-coset involution and scaling symmetry of the compatibility graph
     for table in (t21, t51, t63, t51q16):
         for cid in range(len(table)):
-            assert table.dual_coset(table.dual_coset(cid)) == cid
+            assert dual_coset(table, dual_coset(table, cid)) == cid
         graph = build_compatibility_graph(table)
         for v in range(len(table)):
             assert graph.image[graph.image[v]] == v

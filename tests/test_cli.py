@@ -215,10 +215,12 @@ def test_search_text_and_exit(capsys):
     assert "[[52, 14, >=12]]" in out
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--budget", "5"]])
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--budget", "5"],
+                                  ["--objective", "pareto"], ["--target", "3"]])
 def test_search_rejects_enumeration_flags(capsys, flag):
-    # search never enumerates codewords, so it takes no budget; and no
-    # command takes a worker count, which the enumeration measures itself
+    # search never enumerates codewords, so it takes no budget; no command
+    # takes a worker count, which the enumeration measures itself; and the
+    # objective and its target are gone, as --min-d floors the chain instead
     argvs = [["search", "--q", "4", "--n", "21"]]
     if flag[0] == "--jobs":
         argvs += [["classical", "--q", "4", "--n", "21", "--r", "5", "--certify"],
@@ -232,19 +234,22 @@ def test_search_rejects_enumeration_flags(capsys, flag):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_search_objective_requires_target(capsys):
-    code, _, err = run(capsys, "search", "--q", "4", "--n", "21",
-                       "--objective", "max_k_given_d")
-    assert code == 2
-    assert "target" in err
+def test_search_min_d_drops_the_head_of_the_chain(capsys):
+    code, out, _ = run(capsys, "search", "--q", "4", "--n", "51", "--min-d", "7")
+    assert code == 0
+    reports = out.splitlines()[1:]
+    # the first line left is the best dimension at d >= 7
+    assert reports[0] == "  [[52, 18, >=7]]  S reps [0, 1, 2, 6, 7]"
+    full = run(capsys, "search", "--q", "4", "--n", "51")[1].splitlines()
+    assert reports == full[full.index(reports[0]):]
 
 
-def test_search_pareto_with_target_is_usage_error(capsys):
-    code, out, err = run(capsys, "search", "--q", "4", "--n", "21",
-                         "--target", "3")
-    assert code == 2
-    assert out == ""
-    assert "objective 'pareto' takes no target" in err
+def test_search_json_holds_only_the_reports(capsys):
+    code, out, _ = run(capsys, "search", "--q", "4", "--n", "21", "--format", "json")
+    assert code == 0 and list(json.loads(out)) == ["reports"]
+    code, out, _ = run(capsys, "search", "--q", "4", "--n", "21", "--min-d", "100",
+                       "--format", "json")
+    assert (code, json.loads(out)) == (0, {"reports": []})
 
 
 @pytest.mark.parametrize("argv", ["quantum --q 8 --n 7 --family 0", "search --q 8 --n 7",

@@ -8,6 +8,19 @@ from cosetcodes.cosets import CosetFamily, order_mod
 from conftest import COSET_TABLES
 
 
+# The dual-coset oracle: negation mod n, coset by coset.  The library keeps
+# the map only inside euclidean_dual_family, which reads the table's own copy.
+def dual_coset(table, coset_id):
+    """Id of the coset containing the negatives mod n of the given coset."""
+    return table.coset_of(-table.cosets[coset_id].min_rep)
+
+
+def dual_family(family):
+    """Member-wise dual (negation mod n); an involution."""
+    return CosetFamily(family.table, tuple(sorted(
+        {dual_coset(family.table, i) for i in family.members})))
+
+
 @pytest.mark.parametrize("q,n,expected", [(4, 51, 4), (16, 51, 2), (64, 585, 2),
                                           (4, 21, 3), (4, 63, 3)])
 def test_order_mod(q, n, expected):
@@ -82,24 +95,26 @@ def test_partition_and_size_divisibility_random():
 
 
 def test_dual_coset_examples(t51, t21):
-    d = t51.dual_coset(t51.coset_of(1))
+    d = dual_coset(t51, t51.coset_of(1))
     assert list(t51.cosets[d].elements) == [35, 38, 47, 50]
-    assert t51.dual_coset(t51.coset_of(0)) == t51.coset_of(0)
-    d21 = t21.dual_coset(t21.coset_of(1))
+    assert dual_coset(t51, t51.coset_of(0)) == t51.coset_of(0)
+    d21 = dual_coset(t21, t21.coset_of(1))
     assert list(t21.cosets[d21].elements) == [5, 17, 20]
 
 
 def test_dual_coset_negation_and_size(t51, t63):
     for t in (t51, t63):
         for cid, c in enumerate(t.cosets):
-            d = t.cosets[t.dual_coset(cid)]
+            d = t.cosets[dual_coset(t, cid)]
             assert d.size == c.size
             assert sorted((-x) % t.n for x in c.elements) == list(d.elements)
+            # the table's own map, which euclidean_dual_family reads
+            assert t._dual[cid] == dual_coset(t, cid)
 
 
 def test_dual_family_is_an_involution(t51):
     fam = t51.family([0, 1, 5, 7])
-    assert fam.dual().dual() == fam
+    assert dual_family(dual_family(fam)) == fam
 
 
 def test_scaling_by_q_fixes_every_family(t51, t21):
@@ -112,7 +127,7 @@ def test_scale_family_examples(t51q16, t21):
     s = t51q16.family([0, 12, 8, 4])
     s4 = s.scale(4)
     assert [list(c.elements) for c in s4.cosets()] == [[0], [1, 16], [2, 32], [3, 48]]
-    assert [list(c.elements) for c in s4.dual().cosets()] == \
+    assert [list(c.elements) for c in dual_family(s4).cosets()] == \
         [[0], [3, 48], [19, 49], [35, 50]]
     s21 = t21.family([0, 1, 2, 3])
     assert s21.scale(2) == s21
@@ -122,12 +137,12 @@ def test_scale_family_examples(t51q16, t21):
 def test_dual_family_examples(t585, t51):
     s8 = t585.family([0, 8, 16]).scale(8)
     assert [list(c.elements) for c in s8.cosets()] == [[0], [1, 64], [2, 128]]
-    assert [list(c.elements) for c in s8.dual().cosets()] == \
+    assert [list(c.elements) for c in dual_family(s8).cosets()] == \
         [[0], [457, 583], [521, 584]]
     single = CosetFamily(t51, (t51.coset_of(1),))
-    assert [list(c.elements) for c in single.dual().cosets()] == [[35, 38, 47, 50]]
+    assert [list(c.elements) for c in dual_family(single).cosets()] == [[35, 38, 47, 50]]
     zero_only = t51.family([0])
-    assert zero_only.dual() == zero_only
+    assert dual_family(zero_only) == zero_only
 
 
 def test_euclidean_dual_family_examples(t51, t21):

@@ -12,12 +12,13 @@ from cosetcodes import linalg, quantum
 from cosetcodes.linalg import GFMatrix, gram, gram_is_zero, pow_entrywise
 from cosetcodes.quantum import build_compatibility_graph
 from cosetcodes.fixtures import load_known_answers
+from test_cosets import dual_coset, dual_family
 
 REFERENCE_CODES_8ARY = tuple(tuple(t) for t in load_known_answers()["reference_codes_8ary"])
 
 
 def _image(table, ell, cid):
-    return table.dual_coset(table.scaled_coset(cid, ell))
+    return dual_coset(table, table.scaled_coset(cid, ell))
 
 
 def _frontier_by_powerset(table, ell):
@@ -85,7 +86,7 @@ def test_distance_window_formula_agrees(t21, t51, t63):
                 continue
             fam = table.family([0] + [table.cosets[v].min_rep for v in chosen])
             rep = derive_quantum(fam)
-            covered = fam.scale(2).dual()
+            covered = dual_family(fam.scale(2))
             best = 1
             for d in range(2, table.n + 2):
                 window = range(table.n + 2 - d, table.n)
@@ -212,20 +213,42 @@ def test_search_rediscovers_published_families(t21, t585):
     assert top.family_s.reps() == (0, 8, 16)
 
 
-def test_search_objectives(t51):
-    # the best distance at quantum_k >= 26 is the last report of the frontier
-    # floored at 26 (the answer of the removed max_d_given_k objective)
+def _points(reports):
+    return [(r.triple(), r.family_s.reps()) for r in reports]
+
+
+def test_search_floor_examples(t51):
+    # the best dimension at d >= 7 is the first report of the frontier
+    # floored at d = 7, and the best distance at quantum_k >= 26 the last
+    # report of the frontier floored at quantum_k = 26
+    assert _points(search(t51, min_d=7).reports[:1]) == [((52, 18, 7), (0, 1, 2, 6, 7))]
     floored = search(t51, min_quantum_k=26).reports
-    assert (floored[-1].triple(), floored[-1].family_s.reps()) == ((52, 26, 6), (0, 1, 2, 6))
-    best_k = search(t51, objective="max_k_given_d", target=7)
-    assert [r.triple() for r in best_k.reports] == [(52, 18, 7)]
-    with pytest.raises(ValueError):
-        search(t51, objective="max_k_given_d")
-    for removed in ("nonsense", "max_d_given_k"):
-        with pytest.raises(ValueError, match="unknown objective"):
-            search(t51, objective=removed, target=26)
-    with pytest.raises(ValueError, match="objective 'pareto' takes no target"):
-        search(t51, target=3)
+    assert _points(floored[-1:]) == [((52, 26, 6), (0, 1, 2, 6))]
+
+
+@pytest.mark.parametrize("name", ["t21", "t51", "t63", "t8q9", "t80q9", "t51q16",
+                                  "t24q25", "t585"])
+def test_search_floors(request, monkeypatch, name):
+    # every square-q table of the conftest: the floors cut the full frontier
+    table = request.getfixturevalue(name)
+    full = search(table).reports
+    ds = [r.d_lower for r in full]
+    assert ds == sorted(set(ds))  # d strictly rises along the chain
+    mid = full[len(full) // 2]
+    for t_d in {0, ds[0], mid.d_lower, mid.d_lower + 1, ds[-1]}:
+        floored = search(table, min_d=t_d).reports
+        eligible = [r for r in full if r.d_lower >= t_d]
+        assert _points(floored) == _points(eligible)
+        best_k = sorted(eligible, key=lambda r: -r.quantum_k)[:1]
+        assert _points(floored[:1]) == _points(best_k)
+        both = search(table, min_quantum_k=mid.quantum_k, min_d=t_d).reports
+        by_k = _points(search(table, min_quantum_k=mid.quantum_k).reports)
+        assert _points(both) == [p for p in _points(floored) if p in by_k]
+    # past the top d: no report, and no matrix built
+    matrices = _counting(monkeypatch, quantum, "generator_matrix")
+    res = search(table, min_d=ds[-1] + 1)
+    assert res.reports == () and matrices == []
+    assert res.nodes == len(full)  # the walk still weighs every prefix
 
 
 def test_search_min_quantum_k_floor(t51q16):
