@@ -20,7 +20,15 @@ walk over the Hermitian matching: its output differs only in ``nodes``,
 which now counts the frontier's prefixes, not tree nodes.  The quantum
 and search cases lost their ``--ell`` option when q = ell^2 came to fix
 ell, and their digests were kept unedited, so those outputs are
-byte-identical to the ones printed with ``--ell``.  A refactor
+byte-identical to the ones printed with ``--ell``.  Six digests were
+recorded again when the search objectives gave way to two floors on the
+frontier chain.  The three JSON searches lost their ``objective``,
+``complete`` and ``nodes`` keys, and their reports are unchanged.  The
+conditional-objective case became ``search --q 4 --n 63 --min-d 6``,
+whose first line is the one report the objective printed, followed by
+the rest of the chain.  The two ``verify`` digests moved when its bounds
+were labelled (``>=d`` and "degree bound:") and its duality lines
+dropped the always-true gram and nullspace flags.  A refactor
 that changes any printed byte (a frontier, a certificate witness, a
 field description, a JSON key order, a refusal) fails here.  Do not
 update a digest to make a change pass; a change of output has to be
@@ -35,7 +43,7 @@ from cosetcodes.cli import main
 
 GOLDEN = [
     ("verify", 0,
-     "9522b96fa9dd0774510573b36b816d3102d9afc8dc912368a46a4b86b2835ef2"),
+     "81780897da8fee3278d8053217031317b49206608ebc0b37a6babb0084482b0d"),
     ("cosets --q 4 --n 51 --format json", 0,
      "89ea146ceb27d9f5cc603a4267bc351dda715578fb1447eed84ed162e7a2b609"),
     ("matrix --q 4 --n 51 --r 16", 0,
@@ -53,9 +61,9 @@ GOLDEN = [
     ("quantum --q 4 --n 51 --family 0,1,2,6", 0,
      "c977e2ae988037f0b6574e944dceb99fbf74508f699bdeb7750e624dd2f9ad8f"),
     ("search --q 64 --n 585 --min-quantum-k 532 --format json", 0,
-     "866dd9397fceb6a4144f096e99393747479a90f9d4ded640aad73cdc5151b06d"),
+     "63d2c157c7ed3f56519f892b4557bcd27917224d634e061f0bf7bf29c973e279"),
     ("search --q 16 --n 51 --format json", 0,
-     "8ffeeced5da4b82292c19cd0a7c8eb4ae8e0fc0c7cd101e96e9ce1de3509b33a"),
+     "84f6cf55ce341886490f4deeeb721e6f97ed113125745a7f158e75f9311c874c"),
     ("search --q 4 --n 51 --format csv", 0,
      "fc9e5e1ba8104127be893f35c50875193b0994d2cbfb2e58175aad09ae1f67f2"),
     ("search --q 4 --n 21", 0,
@@ -73,8 +81,8 @@ GOLDEN = [
      "4b5b853834ca88aec477214b582e087295cd3a44a07497f709df614937151e87"),
     ("quantum --q 16 --n 51 --family 0,1,2 --format csv", 0,
      "ebe4e9b047a63077c3765a659812d0f9b94beee67a95deb1f4b67259ffdfba1c"),
-    ("search --q 4 --n 63 --objective max_k_given_d --target 6", 0,
-     "731b3122dc536e0ecff0e7c8cec785a57dc7d2a242cbecf4017ad417afeddba3"),
+    ("search --q 4 --n 63 --min-d 6", 0,
+     "2f1ac72addae5fe4b2cbc617e05a628353a2c923486eb1fa2e67f66fc9e70e19"),
     # budget refusals: each output names the limit, and only the bound stands
     ("quantum --q 4 --n 21 --family 0,1,2,3 --certify-dual --budget 100", 0,
      "95756c8d5d7eb07f6760327c32c0fc7a9a88b8d65a0e817dee7bb92d10539a8d"),
@@ -84,14 +92,14 @@ GOLDEN = [
     ("classical --q 4 --n 21 --family 0,1,2,3 --certify --budget 100 --format json", 0,
      "c90f98834b8eda83c318f7d833fbc706222650e4010186b1de7265a145e3b55c"),
     ("verify --budget 100000", 0,
-     "dfcd7cf78b0192a2fec9f92499e925a8cf5296b9d5e6df09252c97754f57991b"),
+     "01b2d396a4a857c7a5d71ceb3a34df02dda6dd87a617965b870f194731935f65"),
     ("cosets --q 4 --n 21 --format text", 0,
      "f12cbd58602f00de3f50c86fa922b62035d031d1a02192c73763ab71af077675"),
     # odd characteristic, p | n+1: quantum MDS frontiers and a certified d(C_T)
     ("search --q 9 --n 26", 0,
      "82cfc82d63cb9f6166d2b4a6d860c7b65f1588256d617646b574beee0b56a450"),
     ("search --q 25 --n 24 --format json", 0,
-     "f79575ecf6612c76b6a750bcedeae8cb1499dfbe0823a0f0615e770f004d08dd"),
+     "ded4e5e119e36c58788968aa2e55b39e915d9e60aede7b211f371325c8140a7c"),
     ("quantum --q 9 --n 8 --family 0,3 --certify-dual --format json", 0,
      "56b25251d1596616d53698b77735385294222c2e914996d7998997b50fe5c87f"),
     # odd-characteristic certificates: 365 steps of 3^10 rows, 11 steps of
