@@ -10,10 +10,10 @@ Two fixture entries ("published_exceeding_bound") record published
 parameter claims whose distances exceed what the degree bound can
 certify at that dimension.  Those are reported as informational lines,
 labelled "degree bound:", with the best that bound reaches instead, not
-as failures; see the test suite for the full forced-cover argument.  So is each exhaustive
-certification that the enumeration budget refuses: its line quotes the
-refusal, and only the bound stands.  The dual-code check derives its
-quantum report first and then certifies C_T with
+as failures; see the test suite for the full forced-cover argument.  So
+is each exhaustive certification that the enumeration budget refuses:
+its line quotes the refusal, and only the bound stands.  The dual-code
+check derives its quantum report first and then certifies C_T with
 :func:`~cosetcodes.quantum.certify_dual`, a separate step that takes any
 report (C_T is a code whether or not S is self-orthogonal).
 """
@@ -170,7 +170,8 @@ def run_all(certify: bool = True, budget: int = DEFAULT_BUDGET) -> list[FixtureR
             results.append(_result(
                 name,
                 delta_k > 0 and delta_n < 0, "larger dimension, smaller length",
-                f"ours [{ours.block_length}, {ours.quantum_k}, >={ours.d_lower}], delta_k={delta_k}, delta_n={delta_n}"))
+                f"ours [{ours.block_length}, {ours.quantum_k}, >={ours.d_lower}], "
+                f"delta_k={delta_k}, delta_n={delta_n}"))
 
     fix = data["t_certification"]
     if certify:
