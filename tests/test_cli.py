@@ -393,6 +393,14 @@ def test_verify_skip_certify(capsys):
     assert "[INFO]" in out  # the published-exceeding-bound entries
 
 
+def test_verify_says_when_no_family_reaches_a_published_distance(capsys):
+    _, out, _ = run(capsys, "verify", "--skip-certify")
+    lines = [line for line in out.splitlines() if line.startswith("[INFO] published")]
+    assert lines[0].endswith("; quantum_k=18 at d>=7")
+    assert lines[1].endswith("; no family reaches d>=10")
+    assert "None" not in out
+
+
 def test_verify_catches_corrupted_fixture(capsys, monkeypatch):
     from cosetcodes import fixtures
 
