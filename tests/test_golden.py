@@ -28,7 +28,9 @@ conditional-objective case became ``search --q 4 --n 63 --min-d 6``,
 whose first line is the one report the objective printed, followed by
 the rest of the chain.  The two ``verify`` digests moved when its bounds
 were labelled (``>=d`` and "degree bound:") and its duality lines
-dropped the always-true gram and nullspace flags.  A refactor
+dropped the always-true gram and nullspace flags, and again when a
+published distance that no family reaches was said in words, not as
+``quantum_k=None``.  A refactor
 that changes any printed byte (a frontier, a certificate witness, a
 field description, a JSON key order, a refusal) fails here.  Do not
 update a digest to make a change pass; a change of output has to be
@@ -43,7 +45,7 @@ from cosetcodes.cli import main
 
 GOLDEN = [
     ("verify", 0,
-     "81780897da8fee3278d8053217031317b49206608ebc0b37a6babb0084482b0d"),
+     "e7f07cb9e1d56ba8a381f9e4c001637b3c6b5d8d1b22f170f72c6818c64e63dd"),
     ("cosets --q 4 --n 51 --format json", 0,
      "89ea146ceb27d9f5cc603a4267bc351dda715578fb1447eed84ed162e7a2b609"),
     ("matrix --q 4 --n 51 --r 16", 0,
@@ -92,7 +94,7 @@ GOLDEN = [
     ("classical --q 4 --n 21 --family 0,1,2,3 --certify --budget 100 --format json", 0,
      "c90f98834b8eda83c318f7d833fbc706222650e4010186b1de7265a145e3b55c"),
     ("verify --budget 100000", 0,
-     "01b2d396a4a857c7a5d71ceb3a34df02dda6dd87a617965b870f194731935f65"),
+     "334d1d1ec00694bb758caa76272163287badd4b9b7af51e289cb3b59ace61c73"),
     ("cosets --q 4 --n 21 --format text", 0,
      "f12cbd58602f00de3f50c86fa922b62035d031d1a02192c73763ab71af077675"),
     # odd characteristic, p | n+1: quantum MDS frontiers and a certified d(C_T)
