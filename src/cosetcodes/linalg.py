@@ -8,9 +8,9 @@ once: :attr:`GFMatrix.reduction` keeps the result of the first
 hands its result that reduction, raised entry-wise.  Row reduction and
 nullspaces run on the field's dense lookup tables: each pivot tabulates
 the q multiples of its row once, and clearing its column is a row gather
-from that table.  Rows are added by XOR in characteristic 2; for a prime
-q the symbols are the residues mod p, added as integers and wrapped once;
-odd prime powers add through the field's add table.
+from that table.  Rows are added by XOR in characteristic 2.  F_(p^e)
+adds digit by digit mod p, so in odd characteristic the symbols' base-p
+digits are added as integers and wrapped once.
 Gram products expand symbols into their base-p digits and run as float32
 matrix products over F_p (BLAS), exact by construction; :func:`gram`
 returns the product g1 g2^T, and :func:`gram_is_zero` is the test that
@@ -123,14 +123,25 @@ def gf_matrix(field: Field, rows, cols: int | None = None) -> GFMatrix:
 # Row reduction
 # ---------------------------------------------------------------------------
 
-def _residue_dtype(p: int) -> np.dtype:
-    """The narrowest unsigned dtype for residues mod p and their sums: it
-    holds 2p - 1, so neither a sum nor a residue plus p wraps."""
-    return np.min_scalar_type(2 * p - 1)
+def _digit_table(p: int, e: int) -> np.ndarray:
+    """Row v holds the base-p digits of symbol v, its coordinates on 1, x, ...,
+    x^(e-1), in the narrowest dtype that holds 2p - 1 (so neither a sum of
+    two digits nor a digit plus p wraps) and every symbol (for Horner's rule)."""
+    return (np.arange(p**e)[:, None] // p ** np.arange(e) % p).astype(
+        np.min_scalar_type(max(2 * p - 1, p**e - 1)))
+
+
+def _fold_digits(planes: np.ndarray, p: int) -> np.ndarray:
+    """Symbols of digit planes (digit d in ``planes[d]``), by Horner's rule in the last plane."""
+    acc = planes[-1]
+    for d in range(len(planes) - 2, -1, -1):
+        acc *= p
+        acc += planes[d]
+    return acc
 
 
 def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x + y mod p, for residues in a :func:`_residue_dtype` array and a sum
+    """x + y mod p, for digits in a :func:`_digit_table` dtype and a sum
     of two axes or more: s - p wraps past every residue unless s >= p, so
     the minimum is s mod p.  The sum is wrapped in place, one index of axis
     1 at a time (a multiple, in the span table), so the s - p scratch is
@@ -142,7 +153,7 @@ def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 
 def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x - y mod p, for residues in a :func:`_residue_dtype` array: d wraps
+    """x - y mod p, for digits in a :func:`_digit_table` dtype: d wraps
     past every residue when x < y, and then d + p is x - y + p."""
     d = x - y
     return np.minimum(d, d + p, out=d)
@@ -153,48 +164,49 @@ def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
     afresh on every call; :attr:`GFMatrix.reduction` keeps one result.
 
     Each pivot row is scaled to a leading 1 and its q multiples are
-    tabulated once (negated for an odd prime power).  Clearing the pivot
-    column is then one row gather of those multiples, indexed by the
-    column, plus one pass over the matrix: XOR in characteristic 2, an
-    integer subtraction mod p for a prime q, and an add-table gather for
-    an odd prime power.  The pivot row itself gathers the zero multiple.
-    The pivot row is zero left of the pivot column, so only the columns
-    from it on are touched.
+    tabulated once.  Clearing the pivot column is then one row gather of
+    those multiples, indexed by the column, plus one pass over the matrix:
+    XOR in characteristic 2.  In odd characteristic the matrix holds its
+    symbols' base-p digits, laid out [row, column, digit]; the pivot steps
+    read symbols folded from them, and the multiples, expanded through the
+    digit table, are subtracted digit by digit as integers mod p.  The pivot
+    row gathers the zero multiple, and is zero left of the pivot column, so
+    only the columns from it on are touched.
     """
-    field = m.field
-    p = field.p
-    prime = p != 2 and field.e == 1  # the symbols are the residues mod p
-    dtype = _residue_dtype(p) if prime else np.min_scalar_type(field.order - 1)
-    a = m.entries.astype(dtype)
-    rows, cols = a.shape
-    mul = field.mul_table.astype(dtype, copy=False)
-    if p != 2 and not prime:
-        neg = field.neg_table.astype(dtype, copy=False)
-        add = field.add_table.astype(dtype, copy=False)
+    field, p, (rows, cols) = m.field, m.field.p, m.entries.shape
+    if p == 2:
+        a = m.entries.astype(np.min_scalar_type(field.order - 1))
+    else:
+        digits = _digit_table(p, field.e)
+        a = digits.take(m.entries, axis=0)  # [row, column, digit]
+    mul = field.mul_table.astype(a.dtype, copy=False)
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        col_vals = a[:, c].copy() if p == 2 else _fold_digits(a[:, c].T.copy(), p)
+        nz = np.flatnonzero(col_vals[r:])
         if not nz.size:
             continue
         pivot = r + int(nz[0])
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
-        pv = int(a[r, c])
+            col_vals[[r, pivot]] = col_vals[[pivot, r]]
+        row = a[r, c:] if p == 2 else _fold_digits(a[r, c:].T, p)  # row r is rewritten below
+        pv = int(col_vals[r])
         if pv != 1:
-            a[r, c:] = mul[field.inv(pv)][a[r, c:]]
-        col_vals = a[:, c].copy()
+            row = mul[field.inv(pv)][row]
         col_vals[r] = 0
-        multiples = np.take(mul, a[r, c:], axis=1)  # row v is v * pivot row
+        multiples = mul.take(row, axis=1)  # row v is v * pivot row
         if p == 2:
-            a[:, c:] ^= np.take(multiples, col_vals, axis=0)
-        elif prime:
-            a[:, c:] = _sub_mod(a[:, c:], np.take(multiples, col_vals, axis=0), p)
+            a[r, c:] = row
+            a[:, c:] ^= multiples.take(col_vals, axis=0)
         else:
-            a[:, c:] = add[a[:, c:], np.take(neg[multiples], col_vals, axis=0)]
+            multiples = digits.take(multiples, axis=0)
+            a[r, c:] = multiples[1]
+            a[:, c:] = _sub_mod(a[:, c:], multiples.take(col_vals, axis=0), p)
         r += 1
-    return r, GFMatrix(field, a[:r])
+    return r, GFMatrix(field, a[:r] if p == 2 else _fold_digits(np.moveaxis(a[:r], -1, 0), p))
 
 
 def rank(m: GFMatrix) -> int:
@@ -270,10 +282,9 @@ def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
     field = g1.field
     p, f = field.p, field.e
     powers = p ** np.arange(f)
-    symbols = np.arange(field.order)
-    digits = (symbols[:, None] // powers % p).astype(np.float32)  # [v, j]
+    digits = _digit_table(p, f).astype(np.float32)  # [v, j]
     shifted = field.mul_table[powers].T  # [v, j] = x^j * v
-    shifted_digits = (shifted[None] // powers[:, None, None] % p).astype(np.float32)  # [t, v, j]
+    shifted_digits = digits.T.take(shifted, axis=1)  # [t, v, j]
     block = min(g1.rows, GRAM_BLOCK_ROWS)
     # columns per product: exact in float32 (at least one column for every
     # field with dense tables) and operands within GRAM_FLOATS floats
@@ -380,8 +391,9 @@ class _SpanKernel:
     symbol exactly where the row equals -h, so a step counts the slots
     where a row differs from the packed -h.  In characteristic 2, -h = h
     and packing commutes with addition, so rows are packed first and added
-    by XOR.  Odd symbols are added, then packed: for a prime q as integers
-    mod p, and for an odd prime power through the add table.
+    by XOR.  In odd characteristic symbol j of a padded row of length len
+    becomes the e digit positions d * len + j (digit-major), whose digits
+    add as integers mod p; the table is folded into symbols, then packed.
 
     The walk runs tile-outer: the table is cut into tiles of
     ``TABLE_ROWS // words`` rows (at most ``TABLE_ROWS`` words, but at
@@ -400,33 +412,25 @@ class _SpanKernel:
             b += 1
         f = (q - 1).bit_length()
         self.q, self.n, self.b, self.high, self.f = q, n, b, k - b, f
+        self.p, self.e = field.p, field.e
         self.weight_dtype = np.min_scalar_type(n)  # the narrowest that holds every weight
         self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
         slots = 64 // f
         entries = np.pad(g.entries, ((0, 0), (0, -n % slots)))  # zero symbols to whole words
         # scaled[i, j, v] = v * symbol j of row i
         scaled = field.mul_table[np.arange(q), entries[:, :, None]]
-        self.char2 = field.p == 2
-        self.prime = not self.char2 and field.e == 1  # the symbols are the residues mod p
-        if self.char2:
+        if self.p == 2:
             scaled = np.stack([_pack_rows(s, f) for s in scaled])
-        elif self.prime:
-            scaled = scaled.astype(_residue_dtype(q))
-        else:
-            self.add = field.add_table.astype(np.min_scalar_type(q - 1))
-            self.neg = field.neg_table.astype(self.add.dtype)
-            scaled = scaled.astype(self.add.dtype)
+        else:  # scaled[i, d * len + j, v] = digit d of v * symbol j of row i
+            scaled = _digit_table(self.p, self.e).take(scaled, axis=0)
+            scaled = np.moveaxis(scaled, 3, 1).reshape(k, -1, q)
         table = np.zeros((scaled.shape[1], 1), dtype=scaled.dtype)
         for i in range(b):
             x, y = scaled[i][:, :, None], table[:, None, :]
-            if self.char2:
-                table = x ^ y
-            elif self.prime:
-                table = _add_mod(x, y, q)
-            else:
-                table = self.add[x, y]
+            table = x ^ y if self.p == 2 else _add_mod(x, y, self.p)
             table = table.reshape(len(x), -1)
-        self.table = table if self.char2 else _pack_rows(table, f)
+        self.table = table if self.p == 2 else _pack_rows(
+            _fold_digits(table.reshape(self.e, -1, table.shape[1]), self.p), f)
         self.scaled_high = scaled[b:]
         ones = sum(1 << (f * s) for s in range(slots))  # bit 0 of every slot
         self.lo, self.hi = np.uint64(ones * ((1 << (f - 1)) - 1)), np.uint64(ones << (f - 1))
@@ -445,16 +449,11 @@ class _SpanKernel:
         """-(sum of the high rows scaled by the Gray digits of t_high), packed."""
         digits = _gray_digits(t_high, self.high, self.q)
         parts = self.scaled_high[np.arange(self.high), :, digits]
-        if self.char2:
+        if self.p == 2:
             return np.bitwise_xor.reduce(parts, axis=0)
-        if self.prime:  # the parts sum in uint64, so one reduction serves them all
-            h = parts.sum(axis=0) % self.q
-            minus = (self.q - h) % self.q
-        else:
-            h = np.zeros(self.scaled_high.shape[1], dtype=self.add.dtype)
-            for part in parts:
-                h = self.add[h, part]
-            minus = self.neg[h]
+        # the parts sum in uint64, so one reduction serves them all
+        minus = (self.p - parts.sum(axis=0) % self.p) % self.p
+        minus = _fold_digits(minus.reshape(self.e, -1), self.p)
         return _pack_rows(minus[:, None], self.f)[:, 0]
 
     def weights(self, start: int, stop: int):

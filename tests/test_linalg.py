@@ -11,15 +11,18 @@ from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_fiel
 from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _add_mod,
                                _codeword_for_message, _gray_digits, _pack_rows,
-                               _residue_dtype, _SpanKernel, _sub_mod, check_budget,
+                               _digit_table, _SpanKernel, _sub_mod, check_budget,
                                gf_matrix, gram, gram_is_zero, nullspace, pow_entrywise,
                                rank, rank_and_rref, row_space_equal, weight_distribution)
 
 # (p, e) of the fields the property tests draw from; ell^2 = p^e for even e.
 # p = 131 is the least prime whose sums 2p - 2 overflow uint8
-PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1),
+PROPERTY_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1),
                    (131, 1)]
 ODD_PRIMES = [p for p, e in PROPERTY_FIELDS if p > 2 and e == 1]
+# odd (p, e), prime fields and prime powers, each test id its order q = p^e
+ODD_FIELDS = [pytest.param(p, e, id=str(p**e))
+              for p, e in [(p, 1) for p in ODD_PRIMES] + [(3, 2), (5, 2), (3, 3), (3, 4)]]
 
 
 def random_full_rank(field, k, n, rng):
@@ -291,21 +294,23 @@ def test_gram_past_the_float32_bound_matches_the_oracle():
 def test_residue_add_and_subtract_match_integers_mod_p_on_every_pair(p):
     # 127 is the largest prime whose sums fit uint8; 131 and 251 need uint16
     x, y = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    rx, ry = x.astype(_residue_dtype(p)), y.astype(_residue_dtype(p))
+    dtype = _digit_table(p, 1).dtype
+    rx, ry = x.astype(dtype), y.astype(dtype)
     assert np.array_equal(_add_mod(rx, ry, p), (x + y) % p)
     assert np.array_equal(_sub_mod(rx, ry, p), (x - y) % p)
-    assert _residue_dtype(p) == (np.uint8 if p <= 127 else np.uint16)
+    assert dtype == (np.uint8 if p <= 127 else np.uint16)
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES)
-def test_rref_of_all_p_minus_1_entries_matches_scalar_gauss_jordan(p):
-    # entries p - 1 put each subtraction's operands at the ends of the range
-    field = make_field(p, 1)
-    top = p - 1
+@pytest.mark.parametrize("p,e", ODD_FIELDS)
+def test_rref_of_all_p_minus_1_entries_matches_scalar_gauss_jordan(p, e):
+    # entries q - 1, whose digits are all p - 1, put each subtraction's
+    # operands at the ends of the range
+    field = make_field(p, e)
+    top = field.order - 1
     ones = np.full((5, 8), top)
     upper = np.triu(ones)  # full rank
     mixed = np.vstack([upper[:4], ones[:1], upper[2:3]])  # rank 4 of 6 rows
-    off_diagonal = top * (1 - np.eye(6, dtype=np.int64))  # -(J - I): rank 6 unless p | 5
+    off_diagonal = top * (1 - np.eye(6, dtype=np.int64))  # top (J - I): rank 6 unless p | 5
     for entries in (ones, upper, mixed, off_diagonal, ones.T):
         m = GFMatrix(field, entries)
         r, reduced = rank_and_rref(m)
@@ -337,13 +342,14 @@ def add_table_minus_high_part(g, kernel, t_high):
     return _pack_rows(minus[:, None], kernel.f)[:, 0]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 131])
-def test_prime_span_table_and_high_parts_match_the_add_table(p):
-    field = make_field(p, 1)
-    k = {3: 12, 5: 8, 7: 7, 131: 4}[p]  # two high rows over the table's
-    rng = np.random.default_rng(p)
-    worst = np.full((k, 9), p - 1)  # every sum of two symbols reaches 2p - 2
-    for entries in (rng.integers(0, p, size=(k, 23)), worst):
+@pytest.mark.parametrize("p,e", ODD_FIELDS)
+def test_span_table_and_high_parts_match_the_add_table(p, e):
+    field = make_field(p, e)
+    q = field.order
+    k = {3: 12, 5: 8, 7: 7, 131: 4, 9: 7, 25: 5, 27: 5, 81: 4}[q]  # two high rows over the table's
+    rng = np.random.default_rng(q)
+    worst = np.full((k, 9), q - 1)  # every sum of two digits reaches 2p - 2
+    for entries in (rng.integers(0, q, size=(k, 23)), worst):
         g = GFMatrix(field, entries)
         kernel = _SpanKernel(g)
         assert kernel.high == 2
@@ -354,16 +360,17 @@ def test_prime_span_table_and_high_parts_match_the_add_table(p):
             assert np.array_equal(kernel._minus_high_part(t_high), want)
 
 
-@pytest.mark.parametrize("p,k", [(3, 6), (5, 5), (7, 4)])
-def test_prime_high_parts_of_several_rows_match_naive_scan(monkeypatch, p, k):
-    # a 64-row table leaves k - b >= 2 high rows, whose sums pass p
+@pytest.mark.parametrize("p,e,k", [pytest.param(p, e, k, id=f"{p**e}-{k}") for p, e, k in
+                                   [(3, 1, 6), (5, 1, 5), (7, 1, 4), (3, 2, 4), (5, 2, 3)]])
+def test_prime_high_parts_of_several_rows_match_naive_scan(monkeypatch, p, e, k):
+    # a 64-row table leaves k - b >= 2 high rows, whose digit sums pass p
     monkeypatch.setattr(linalg, "TABLE_ROWS", 64)
-    field = make_field(p, 1)
-    g = random_full_rank(field, k, 9, np.random.default_rng(p * k))
+    field = make_field(p, e)
+    g = random_full_rank(field, k, 9, np.random.default_rng(field.order * k))
     assert _SpanKernel(g).high >= 2
     best_t, counts = naive_gray_scan(g)
-    assert min_distance_exhaustive(g).witness == tuple(
-        map(int, _codeword_for_message(field, g.entries, _gray_digits(best_t, k, p))))
+    assert min_distance_exhaustive(g).witness == tuple(map(int, _codeword_for_message(
+        field, g.entries, _gray_digits(best_t, k, field.order))))
     assert weight_distribution(g) == counts
 
 
