@@ -346,7 +346,8 @@ def add_table_minus_high_part(g, kernel, t_high):
 def test_span_table_and_high_parts_match_the_add_table(p, e):
     field = make_field(p, e)
     q = field.order
-    k = {3: 12, 5: 8, 7: 7, 131: 4, 9: 7, 25: 5, 27: 5, 81: 4}[q]  # two high rows over the table's
+    # two high rows over the table's
+    k = {3: 12, 5: 8, 7: 7, 131: 4, 9: 7, 25: 5, 27: 5, 81: 4}[q]
     rng = np.random.default_rng(q)
     worst = np.full((k, 9), q - 1)  # every sum of two digits reaches 2p - 2
     for entries in (rng.integers(0, q, size=(k, 23)), worst):
