@@ -132,7 +132,8 @@ def _digit_table(p: int, e: int) -> np.ndarray:
 
 
 def _fold_digits(planes: np.ndarray, p: int) -> np.ndarray:
-    """Symbols of digit planes (digit d in ``planes[d]``), by Horner's rule in the last plane."""
+    """Symbols of digit planes (digit d in ``planes[d]``) by Horner's rule,
+    formed in place in the last plane."""
     acc = planes[-1]
     for d in range(len(planes) - 2, -1, -1):
         acc *= p
