@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosets import CosetFamily, CosetTable, compute_cosets, order_mod
-from .galois import (MAX_FIELD_SIZE, Field, SubfieldBasis, degree_over_prime, make_field,
-                     nth_root_of_unity, prime_power_base, subfield_power_basis)
+from .galois import (MAX_FIELD_SIZE, Field, degree_over_prime, make_field, nth_root_of_unity,
+                     prime_power_base, subfield_power_basis)
 from .linalg import GFMatrix, rank
 
 
@@ -142,14 +142,16 @@ def _table_from_json(obj: dict) -> CosetTable:
     return table
 
 
-def generator_matrix(family: CosetFamily, ctx: Field | None = None,
-                     bases: dict[int, SubfieldBasis] | None = None) -> GeneratorMatrix:
+def generator_matrix(family: CosetFamily, ctx: Field | None = None) -> GeneratorMatrix:
     """Build the generator matrix of the code attached to ``family``.
 
-    ``bases`` may override the default power basis per coset id (used for
-    basis-independence checks).  Every entry is verified to lie in the
-    F_q subfield before symbol projection; rank is verified to equal the
-    sum of member coset sizes.
+    Each coset's rows use the power basis of
+    :func:`~cosetcodes.galois.subfield_power_basis`; the row space does
+    not depend on that choice.  Every entry is verified to lie in the F_q
+    subfield before symbol projection; rank is verified to equal the sum
+    of member coset sizes.  Those two checks also reject any bad basis: a
+    value outside F_(q^s) leaves F_q in some orbit sum, and a dependent
+    basis loses rank.
     """
     if not family.members:
         raise ValueError("family must be nonempty")
@@ -167,12 +169,8 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None,
         # the orbit of a is the exponent support, so the degree is max(coset)
         if sorted(a * q**i % n for i in range(s)) != list(coset.elements):
             raise AssertionError(f"orbit of {a} under x -> {q}x is not the coset {coset}")
-        basis = (bases or {}).get(cid) or subfield_power_basis(ctx, q, s)
-        if basis.ctx is not ctx or basis.q != q or basis.s != s:
-            raise ValueError(f"coset {coset} needs a basis of F_{q}^{s} in this field, "
-                             f"got F_{basis.q}^{basis.s}")
         reps += [a] * s
-        values += basis.values
+        values += subfield_power_basis(ctx, q, s)
         sizes += [s] * s
 
     symbols = view.project[_trace_rows(ctx, q, n, reps, values, sizes)]

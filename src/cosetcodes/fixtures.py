@@ -14,8 +14,7 @@ as failures; see the test suite for the full forced-cover argument.  So
 is each exhaustive certification that the enumeration budget refuses:
 its line quotes the refusal, and only the bound stands.  The dual-code
 check derives its quantum report first and then certifies C_T with
-:func:`~cosetcodes.quantum.certify_dual`, a separate step that takes any
-report (C_T is a code whether or not S is self-orthogonal).
+:func:`~cosetcodes.quantum.certify_dual`, a separate step.
 """
 
 from __future__ import annotations

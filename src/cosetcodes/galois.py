@@ -28,8 +28,10 @@ peak resident set of about 83 MB in a fresh process.
 
 Subfields GF(q^s) of GF(q^m) are never separate contexts: they live
 inside the big field as the fixed points of x -> x^(q^s), with a
-deterministic power basis (see :func:`subfield_power_basis`) and an
-integer "symbol" relabeling (see :meth:`Field.subfield_view`).
+deterministic power basis, a plain tuple of elements (see
+:func:`subfield_power_basis`), and an integer "symbol" relabeling (see
+:meth:`Field.subfield_view`).  This module imports no other module of the
+package.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-
-from .linalg import gf_matrix, rank
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -231,7 +231,7 @@ class Field:
         self._powers = [p**i for i in range(e)]  # place values of the digits
         self._build_tables()
         self._views: dict[int, SubfieldView] = {}
-        self._bases: dict[tuple[int, int], SubfieldBasis] = {}
+        self._bases: dict[tuple[int, int], tuple[int, ...]] = {}
         self._pow_tables: dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------
@@ -427,44 +427,6 @@ class SubfieldView:
     project: np.ndarray  # parent value -> symbol, -1 for non-members
 
 
-@dataclass(frozen=True)
-class SubfieldBasis:
-    """An F_q-basis of the subfield F_(q^s) inside a larger field.
-
-    Validated at construction: every value must be an element of the
-    field fixed by x -> x^(q^s), and the values must be linearly
-    independent over F_q.
-    """
-
-    ctx: Field
-    q: int
-    s: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.s:
-            raise ValueError(f"expected {self.s} basis elements, got {len(self.values)}")
-        qs = self.q**self.s
-        for v in self.values:
-            if not 0 <= v < self.ctx.order:
-                raise ValueError(f"value {v} outside 0..{self.ctx.order - 1}")
-            if self.ctx.frobenius(v, qs) != v:
-                raise ValueError(f"element {v} is not in F_{qs}")
-        if not _independent_over_subfield(self.ctx, self.q, self.values):
-            raise ValueError("basis elements are linearly dependent over the subfield")
-
-
-def _independent_over_subfield(ctx: Field, q: int, values) -> bool:
-    """F_q-linear independence via F_p-rank of {v * u : u in basis of F_q}."""
-    wq = ctx._subfield_generator(q)
-    units = [ctx.pow(wq, j) for j in range(ctx._subfield_degree(q))]
-    rows = []
-    for val in values:
-        for u in units:
-            rows.append(_int_to_digits(ctx.mul(val, u), ctx.p, ctx.e))
-    return rank(gf_matrix(make_field(ctx.p, 1), rows, cols=ctx.e)) == len(rows)
-
-
 # ---------------------------------------------------------------------------
 # Public constructors
 # ---------------------------------------------------------------------------
@@ -513,13 +475,12 @@ def nth_root_of_unity(ctx: Field, n: int) -> int:
     return ctx.pow(ctx.generator, q1 // n)
 
 
-def subfield_power_basis(ctx: Field, q: int, s: int) -> SubfieldBasis:
-    """The power basis {1, w, ..., w^(s-1)} of F_(q^s) over F_q inside ctx.
+def subfield_power_basis(ctx: Field, q: int, s: int) -> tuple[int, ...]:
+    """The power basis (1, w, ..., w^(s-1)) of F_(q^s) over F_q inside ctx.
 
     w = gamma^((p^e-1)/(q^s-1)) generates the multiplicative group of
-    F_(q^s); the constructor re-checks Frobenius fixedness and F_q-linear
-    independence.  The basis is cached on ctx, so that check runs once
-    per (q, s).
+    F_(q^s), so its first s powers are independent over F_q.  The tuple
+    is cached on ctx per (q, s).
     """
     basis = ctx._bases.get((q, s))
     if basis is not None:
@@ -528,7 +489,5 @@ def subfield_power_basis(ctx: Field, q: int, s: int) -> SubfieldBasis:
     if s < 1 or m % s != 0:
         raise ValueError(f"F_{q}^{s} is not a subfield of F_{q}^{m}")
     w = ctx._subfield_generator(q**s)
-    values = tuple(ctx.pow(w, i) for i in range(s))
-    basis = SubfieldBasis(ctx=ctx, q=q, s=s, values=values)
-    ctx._bases[(q, s)] = basis
+    basis = ctx._bases[(q, s)] = tuple(ctx.pow(w, i) for i in range(s))
     return basis

@@ -111,14 +111,6 @@ class GFMatrix:
         return f"GFMatrix(q={self.q}, {self.rows}x{self.cols})"
 
 
-def gf_matrix(field: Field, rows, cols: int | None = None) -> GFMatrix:
-    """Build a GFMatrix from nested lists (cols needed for empty matrices)."""
-    arr = np.asarray(rows, dtype=np.uint16)
-    if arr.size == 0:
-        arr = arr.reshape(0, cols if cols is not None else 0)
-    return GFMatrix(field, arr)
-
-
 # ---------------------------------------------------------------------------
 # Row reduction
 # ---------------------------------------------------------------------------

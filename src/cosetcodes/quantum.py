@@ -16,8 +16,8 @@ conflict is its image, and a coset that is its own image can never be
 chosen.  :class:`CompatibilityGraph` holds that image map.
 
 Derivation never enumerates codewords.  :func:`certify_dual` is the
-separate step that certifies d(C_T) exhaustively, for any report: C_T is
-a code whether or not S is self-orthogonal.
+separate step that certifies d(C_T) exhaustively.  Every report is of a
+self-orthogonal family: :func:`derive_quantum` raises on any other.
 
 Over that matching the Pareto frontier is a chain: :func:`search` sorts
 the matched pairs by their higher-degree end and walks the prefixes of
@@ -58,7 +58,13 @@ class NotSelfOrthogonalError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuantumCodeReport:
-    """Derived quantum code parameters plus the self-orthogonality witness."""
+    """Derived quantum code parameters plus the self-orthogonality witness.
+
+    ``self_orthogonal`` is always true, since a family that is not
+    self-orthogonal raises before a report is made.  It stays because the
+    JSON export, the golden digests, the bundled fixtures and the
+    benchmark read it.
+    """
 
     family_s: CosetFamily
     t_family: CosetFamily
@@ -117,37 +123,34 @@ def _self_orthogonality_violations(family: CosetFamily,
                   for b in family.members if b != zero_id and image[b] in members)
 
 
-def _check_gram(family: CosetFamily, self_orthogonal: bool) -> None:
+def _check_gram(family: CosetFamily) -> None:
     """Raise unless the Hermitian Gram product G^(ell) G^T of the family's
-    generator matrix is zero exactly when the family is self-orthogonal.
+    generator matrix is zero.
 
     A zero product is zero on every row subset, so a check that passes
     for a self-orthogonal family also proves each of its subfamilies.
     """
     g = generator_matrix(family).mat
-    if gram_is_zero(pow_entrywise(g, family.table.ell), g) != self_orthogonal:
+    if not gram_is_zero(pow_entrywise(g, family.table.ell), g):
         raise VerificationError(
             "Hermitian Gram disagrees with the combinatorial containment")
 
 
-def derive_quantum(family: CosetFamily, *,
-                   require_self_orthogonal: bool = True) -> QuantumCodeReport:
+def derive_quantum(family: CosetFamily) -> QuantumCodeReport:
     """Derive the [[n+1, n+1-2k, >= d]] parameters for a coset family.
 
     Containment of the family in its Hermitian dual family is checked
     combinatorially and by the Hermitian Gram product of the generator
     matrix with itself; any disagreement between the routes raises.
     Families that fail self-orthogonality raise
-    :class:`NotSelfOrthogonalError`, before any matrix is built, unless
-    ``require_self_orthogonal`` is false, in which case a report with
-    ``self_orthogonal=False`` is returned for inspection.
+    :class:`NotSelfOrthogonalError` before any matrix is built.
     """
-    report = _derive(family, require_self_orthogonal)
-    _check_gram(family, report.self_orthogonal)
+    report = _derive(family)
+    _check_gram(family)
     return report
 
 
-def _derive(family: CosetFamily, require_self_orthogonal: bool = True) -> QuantumCodeReport:
+def _derive(family: CosetFamily) -> QuantumCodeReport:
     """The combinatorial derivation of :func:`derive_quantum` and
     :func:`search`: the pair scan, checked against containment in T."""
     table = family.table
@@ -156,17 +159,16 @@ def _derive(family: CosetFamily, require_self_orthogonal: bool = True) -> Quantu
     self_orthogonal = not violations
     if (set(family.members) <= set(t_family.members)) != self_orthogonal:
         raise VerificationError("containment check disagrees with pair scan")
-    if not self_orthogonal and require_self_orthogonal:
+    if not self_orthogonal:
         raise NotSelfOrthogonalError(violations)
     k = family.dim()
     quantum_k = table.n + 1 - 2 * k
-    if self_orthogonal and quantum_k < 0:
+    if quantum_k < 0:
         raise VerificationError("self-orthogonal family with negative quantum dimension")
     d_lower = table.n + 1 - t_family.max_degree()
     return QuantumCodeReport(family_s=family, t_family=t_family,
                              classical_k=k, quantum_k=quantum_k, d_lower=d_lower,
-                             self_orthogonal=self_orthogonal,
-                             parent=field_for_table(table))
+                             self_orthogonal=True, parent=field_for_table(table))
 
 
 def certify_dual(report: QuantumCodeReport,
@@ -176,8 +178,7 @@ def certify_dual(report: QuantumCodeReport,
     The budget is checked on q^dim(C_T) - 1 codewords before C_T's
     generator matrix is built; a refusal raises
     :class:`~cosetcodes.linalg.BudgetExceededError`, whose message names
-    the limit.  A report made with ``require_self_orthogonal=False`` is
-    certified too: C_T is a code either way.
+    the limit.
     """
     check_budget(report.q, report.t_family.dim(), budget)
     return min_distance_exhaustive(generator_matrix(report.t_family).mat, budget=budget)
@@ -309,7 +310,7 @@ def search(table: CosetTable, ell: int | None = None, min_quantum_k: int = 0,
 
     # the prefixes are nested, so the last one's zero Gram proves every prefix's
     if chain:
-        _check_gram(CosetFamily(table, chain[-1][2]), True)
+        _check_gram(CosetFamily(table, chain[-1][2]))
     reports = []
     for qk, d, ids in chain:
         report = _derive(CosetFamily(table, ids))

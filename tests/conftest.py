@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cosetcodes import compute_cosets, make_field
 from cosetcodes.fixtures import load_known_answers
-from cosetcodes.galois import SubfieldBasis, subfield_power_basis
+from cosetcodes.galois import subfield_power_basis
 from cosetcodes import linalg
 from cosetcodes.linalg import GFMatrix, rank
 
@@ -39,7 +39,8 @@ def reductions(monkeypatch):
 
 
 def random_subfield_basis(ctx, q, s, rng):
-    """A random basis of F_(q^s) over F_q: invertible mix of the power basis."""
+    """A random basis of F_(q^s) over F_q, as a tuple: an invertible mix of
+    the power basis (the rank check makes the mix independent over F_q)."""
     base = subfield_power_basis(ctx, q, s)
     view = ctx.subfield_view(q)
     while True:
@@ -49,11 +50,19 @@ def random_subfield_basis(ctx, q, s, rng):
     elems = []
     for row in mix:
         acc = 0
-        for sym, el in zip(row, base.values):
+        for sym, el in zip(row, base):
             if sym:
                 acc = ctx.add(acc, ctx.mul(int(view.embed[sym]), el))
         elems.append(acc)
-    return SubfieldBasis(ctx=ctx, q=q, s=s, values=tuple(elems))
+    return tuple(elems)
+
+
+def gf_matrix(field, rows, cols=None):
+    """A GFMatrix from nested lists (cols needed for empty matrices)."""
+    arr = np.asarray(rows, dtype=np.uint16)
+    if arr.size == 0:
+        arr = arr.reshape(0, cols if cols is not None else 0)
+    return GFMatrix(field, arr)
 
 
 def coset_families(table, with_zero=False):

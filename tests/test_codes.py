@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from cosetcodes import (classical_params, compute_cosets, generator_matrix,
                         load_matrix_json, make_field, min_distance_exhaustive,
                         truncated_family)
-from cosetcodes import galois
+from cosetcodes import codes
 from cosetcodes.codes import field_for_table
 from cosetcodes.cosets import Coset
 from cosetcodes.galois import Field, nth_root_of_unity, subfield_power_basis
-from cosetcodes.linalg import rank, row_space_equal
+from cosetcodes.linalg import GFMatrix, rank, row_space_equal
 from conftest import coset_families, random_subfield_basis
 
 
@@ -24,7 +24,8 @@ def domain_points(ctx, n):
 
 
 def oracle_rows(ctx, family, bases=None):
-    """Scalar oracle: sum_(i<s) b^(q^i) * point^(a q^i mod n) per row and point."""
+    """Scalar oracle: sum_(i<s) b^(q^i) * point^(a q^i mod n) per row and point,
+    with b over the basis tuple ``bases[cid]`` or, by default, the power basis."""
     table = family.table
     q, n = table.q, table.n
     points = domain_points(ctx, n)
@@ -32,8 +33,7 @@ def oracle_rows(ctx, family, bases=None):
     for cid in family.members:
         coset = table.cosets[cid]
         a, s = coset.min_rep, coset.size
-        basis = (bases or {}).get(cid) or subfield_power_basis(ctx, q, s)
-        for b in basis.values:
+        for b in (bases or {}).get(cid) or subfield_power_basis(ctx, q, s):
             row = []
             for point in points:
                 acc = 0
@@ -45,15 +45,31 @@ def oracle_rows(ctx, family, bases=None):
     return rows
 
 
-def test_generator_matrix_rejects_basis_mismatch(t51):
-    ctx = field_for_table(t51)
-    fam = t51.family([0, 1])
-    cid = t51.coset_of(1)  # coset size 4
-    with pytest.raises(ValueError, match="needs a basis"):
-        generator_matrix(fam, bases={cid: subfield_power_basis(ctx, 4, 2)})
-    other = Field(ctx.p, ctx.e, ctx.modulus)  # equal field, another context
-    with pytest.raises(ValueError, match="needs a basis"):
-        generator_matrix(fam, bases={cid: subfield_power_basis(other, 4, 4)})
+def projected_oracle(ctx, family, bases=None):
+    """The oracle rows as a matrix of F_q symbols, after checking that every
+    value lies in the F_q subfield."""
+    view = ctx.subfield_view(family.table.q)
+    symbols = view.project[np.asarray(oracle_rows(ctx, family, bases))]
+    assert (symbols >= 0).all()
+    return GFMatrix(view.field, symbols.astype(np.uint16))
+
+
+@pytest.mark.parametrize("name", ["t21", "t80q9"])
+def test_generator_matrix_rejects_a_bad_basis(request, monkeypatch, name):
+    # no basis is validated up front: the projection and rank checks reject
+    # a bad one, since the trace is F_q-linear (a dependent basis loses rank)
+    # and b^(q^s) != b moves every orbit sum of b out of F_q
+    table = request.getfixturevalue(name)
+    ctx = field_for_table(table)
+    fam = table.family([0, 1])
+    real = codes.subfield_power_basis
+    bad = {"dependent": lambda c, q, s: (real(c, q, s)[0],) * s,
+           "outside": lambda c, q, s: (c.generator,) * s}
+    assert ctx.frobenius(ctx.generator, table.q) != ctx.generator
+    for kind, match in (("dependent", "rank"), ("outside", "outside the F_q subfield")):
+        monkeypatch.setattr(codes, "subfield_power_basis", bad[kind])
+        with pytest.raises(ArithmeticError, match=match):
+            generator_matrix(fam)
 
 
 def test_generator_matrix_rejects_a_coset_that_is_not_an_orbit(t21):
@@ -88,16 +104,15 @@ def test_weight_sum_identity_over_the_domain(f256):
 def test_domain_evaluation_matches_scalar_oracle(q, n, reps):
     table = compute_cosets(q, n)
     ctx = field_for_table(table)
-    project = ctx.subfield_view(q).project
     fam = table.family(reps)
-    want = project[np.asarray(oracle_rows(ctx, fam))]
-    assert np.array_equal(generator_matrix(fam).mat.entries, want)
+    g = generator_matrix(fam).mat
+    assert np.array_equal(g.entries, projected_oracle(ctx, fam).entries)
+    # any other basis gives other rows of the same code
     rng = np.random.default_rng(q * n)
     for _ in range(2):
         bases = {cid: random_subfield_basis(ctx, q, table.cosets[cid].size, rng)
                  for cid in fam.members}
-        want = project[np.asarray(oracle_rows(ctx, fam, bases))]
-        assert np.array_equal(generator_matrix(fam, bases=bases).mat.entries, want)
+        assert row_space_equal(g, projected_oracle(ctx, fam, bases))
 
 
 def test_generator_matrix_zero_family_is_all_ones(t51):
@@ -151,8 +166,7 @@ def test_row_space_is_basis_independent(t51):
     for _ in range(3):
         bases = {cid: random_subfield_basis(ctx, 4, t51.cosets[cid].size, rng)
                  for cid in fam.members if t51.cosets[cid].size > 1}
-        alt = generator_matrix(fam, bases=bases)
-        assert row_space_equal(ref.mat, alt.mat)
+        assert row_space_equal(ref.mat, projected_oracle(ctx, fam, bases))
 
 
 @pytest.mark.parametrize("r,reps,params", [
@@ -216,26 +230,20 @@ def test_matrix_json_without_entries_is_rejected(t51):
         load_matrix_json(json.dumps(obj))
 
 
-def test_generator_matrix_validates_each_subfield_basis_once(t51, monkeypatch):
-    # a context of its own, so no earlier test has filled its basis cache
+def test_generator_matrix_validates_each_subfield_basis_once(t51):
+    # a context of its own, so no earlier test has filled its basis cache; the
+    # projection and rank checks of each call validate the cached bases
     shared = field_for_table(t51)
     ctx = Field(shared.p, shared.e, shared.modulus)
-    checked = []
-    real = galois._independent_over_subfield
-
-    def counting(c, q, values):
-        checked.append((q, len(values)))
-        return real(c, q, values)
-
-    monkeypatch.setattr(galois, "_independent_over_subfield", counting)
     family = t51.family([0, 1, 3, 17])
     sizes = sorted({t51.cosets[cid].size for cid in family.members})
     assert len(sizes) > 1
     first = generator_matrix(family, ctx)
+    assert sorted(ctx._bases) == [(4, s) for s in sizes]
     bases = {s: subfield_power_basis(ctx, 4, s) for s in sizes}
+    assert all(type(bases[s]) is tuple and len(bases[s]) == s for s in sizes)
     second = generator_matrix(family, ctx)
     assert all(subfield_power_basis(ctx, 4, s) is bases[s] for s in sizes)
-    assert sorted(checked) == [(4, s) for s in sizes]
     assert np.array_equal(first.mat.entries, second.mat.entries)
     assert np.array_equal(first.mat.entries, generator_matrix(family).mat.entries)
 

@@ -1,4 +1,4 @@
-"""Guards against stale imports, a stale ``__all__`` and costly import paths (no linter is required)."""
+"""Guards against stale imports, import cycles, a stale ``__all__`` and costly import paths (no linter is required)."""
 
 import ast
 import os
@@ -40,6 +40,69 @@ def test_module_has_no_unused_imports(path):
 def test_the_guard_sees_an_unused_import():
     source = "from functools import lru_cache, reduce\n\n@lru_cache\ndef f(): pass\n"
     assert unused_imports(source) == ["reduce (line 1)"]
+
+
+def package_imports(source: str, modules: set[str]) -> set[str]:
+    """The package modules that a module of the package imports, counting
+    every import statement, also those under ``if TYPE_CHECKING:``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module
+                                                 and node.module.startswith("cosetcodes")):
+            module = (node.module or "").removeprefix("cosetcodes").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import name: a module, or a name of __init__
+                found |= {a.name if a.name in modules else "__init__" for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("cosetcodes.")}
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph as a closed path of nodes, or [] if it has none."""
+    done, path = set(), []
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return []
+        path.append(node)
+        for succ in sorted(graph.get(node, ())):
+            cycle = visit(succ)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(node)
+        return []
+
+    for node in sorted(graph):
+        cycle = visit(node)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_package_import_graph_has_no_cycle():
+    sources = {p.stem: p.read_text() for p in Path(cosetcodes.__file__).parent.glob("*.py")}
+    graph = {name: package_imports(src, set(sources)) for name, src in sources.items()}
+    assert all(graph[name] <= set(sources) for name in graph)
+    assert import_cycle(graph) == []
+    assert graph["galois"] == set()
+    assert graph["linalg"] == {"galois"}  # its Field annotations, under TYPE_CHECKING
+
+
+def test_the_guard_sees_an_import_cycle():
+    modules = {"a", "b", "c"}
+    graph = {"a": package_imports("from .b import f\n", modules),
+             "b": package_imports("from typing import TYPE_CHECKING\n"
+                                  "if TYPE_CHECKING:\n    from . import c\n", modules),
+             "c": package_imports("import cosetcodes.a\n", modules)}
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    assert import_cycle({**graph, "c": set()}) == []
 
 
 def test_all_lists_exactly_the_public_names():

@@ -12,8 +12,9 @@ from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _add_mod,
                                _codeword_for_message, _gray_digits, _pack_rows,
                                _digit_table, _SpanKernel, _sub_mod, check_budget,
-                               gf_matrix, gram, gram_is_zero, nullspace, pow_entrywise,
-                               rank, rank_and_rref, row_space_equal, weight_distribution)
+                               gram, gram_is_zero, nullspace, pow_entrywise, rank,
+                               rank_and_rref, row_space_equal, weight_distribution)
+from conftest import gf_matrix
 
 # (p, e) of the fields the property tests draw from; ell^2 = p^e for even e.
 # p = 131 is the least prime whose sums 2p - 2 overflow uint8

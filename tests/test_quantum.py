@@ -105,9 +105,9 @@ def test_self_orthogonality_violation_names_the_pair(t21):
     assert "S_7" in str(exc.value)
 
 
-def test_non_orthogonal_family_report_with_flag(t21):
-    rep = derive_quantum(t21.family([0, 7]), require_self_orthogonal=False)
-    assert not rep.self_orthogonal
+def test_non_orthogonal_family_raises_and_has_a_nonzero_gram(t21):
+    with pytest.raises(NotSelfOrthogonalError):
+        derive_quantum(t21.family([0, 7]))
     g = generator_matrix(t21.family([0, 7]))
     assert not gram_is_zero(pow_entrywise(g.mat, 2), g.mat)
 
@@ -120,7 +120,8 @@ def test_family_0_5_is_actually_self_orthogonal(t21):
 
 
 def test_gram_and_containment_agree_on_random_families(t21, t51q16, t80q9, t24q25):
-    # three routes: Gram product, containment in T (derive_quantum) and the graph
+    # three routes: Gram product, containment in T (derive_quantum raises
+    # unless S lies in T) and the graph
     rng = np.random.default_rng(8)
     for table, ell in ((t21, 2), (t51q16, 4), (t80q9, 3), (t24q25, 5)):
         graph = build_compatibility_graph(table)
@@ -129,10 +130,13 @@ def test_gram_and_containment_agree_on_random_families(t21, t51q16, t80q9, t24q2
             ids = set(rng.choice(len(table), size=size, replace=False).tolist())
             ids.add(table.coset_of(0))
             fam = table.family(table.cosets[i].min_rep for i in ids)
-            rep = derive_quantum(fam, require_self_orthogonal=False)
+            try:
+                self_orthogonal = derive_quantum(fam).self_orthogonal
+            except NotSelfOrthogonalError:
+                self_orthogonal = False
             g = generator_matrix(fam)
-            assert gram_is_zero(pow_entrywise(g.mat, ell), g.mat) == rep.self_orthogonal
-            assert graph.is_admissible(fam.members) == rep.self_orthogonal
+            assert gram_is_zero(pow_entrywise(g.mat, ell), g.mat) == self_orthogonal
+            assert graph.is_admissible(fam.members) == self_orthogonal
 
 
 def test_compatibility_graph_n21(t21):
@@ -264,7 +268,7 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch):
     # 2048 x 4096 over GF(64^2), and its Hermitian Gram; the Gram route is
     # pinned by test_search_reports_equal_standalone_derivations, the
     # mutation checks and the frontier golden digests
-    monkeypatch.setattr(quantum, "_check_gram", lambda family, self_orthogonal: None)
+    monkeypatch.setattr(quantum, "_check_gram", lambda family: None)
     limit = sys.getrecursionlimit()
     res = search(table)
     assert sys.getrecursionlimit() == limit
@@ -363,8 +367,9 @@ def test_gram_blocks_of_the_whole_table_follow_the_image_map(request, name, ell)
     zero = table.coset_of(0)
     assert ({(ids[a], ids[b]) for a, b in zip(*np.nonzero(blocks))}
             == {(a, image[a]) for a in range(len(table)) if a != zero})
-    rep = derive_quantum(family, require_self_orthogonal=False)
-    assert not rep.self_orthogonal
+    assert not gram_is_zero(pow_entrywise(g, ell), g)
+    with pytest.raises(NotSelfOrthogonalError):
+        derive_quantum(family)
 
 
 def _perturb_one_block(gram):
@@ -437,15 +442,6 @@ def test_refused_certify_dual_builds_no_matrix(t21, monkeypatch):
     monkeypatch.setattr(quantum, "generator_matrix", no_matrix)
     with pytest.raises(BudgetExceededError):
         certify_dual(rep, budget=100)
-
-
-def test_certify_dual_takes_a_report_that_is_not_self_orthogonal():
-    table = compute_cosets(4, 9)  # {1,4,7} is its own image: never self-orthogonal
-    rep = derive_quantum(table.family([0, 1]), require_self_orthogonal=False)
-    assert not rep.self_orthogonal
-    cert = certify_dual(rep)
-    assert cert.enumerated == 4 ** rep.t_family.dim() - 1 == 4 ** 6 - 1
-    assert cert.value >= rep.d_lower
 
 
 def test_ell_is_the_square_root_of_q(t21, t8q9, t51q16, t24q25, t585):
