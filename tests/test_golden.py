@@ -11,12 +11,15 @@ dual checks and the Hermitian pair rule were merged, the next four
 derivation, the text coset table before the package root was cut to
 the pipeline's entry points, the next three (a ternary and a 5-ary
 frontier, and a ternary dual certificate) after odd characteristic was
-opened to every table whose characteristic divides n+1, and the last
+opened to every table whose characteristic divides n+1, the next
 three (ternary, 9-ary and 25-ary certificates whose rows span one to
 six words of packed symbols) before the odd-characteristic span table
-was packed into words like the binary one.  Three JSON search digests
-were recorded again when the branch-and-bound search became one sorted
-walk over the Hermitian matching: its output differs only in ``nodes``,
+was packed into words like the binary one, and the last four (a
+truncated family's JSON and CSV certificates, a text refusal and a text
+dual certificate) before the three report commands came to share one
+printer.  Three JSON search digests were recorded again when the
+branch-and-bound search became one sorted walk over the Hermitian
+matching: its output differs only in ``nodes``,
 which now counts the frontier's prefixes, not tree nodes.  The quantum
 and search cases lost their ``--ell`` option when q = ell^2 came to fix
 ell, and their digests were kept unedited, so those outputs are
@@ -112,6 +115,16 @@ GOLDEN = [
      "832ff96a0c5f2eb696c06b7018b6c06b729891ad115006b4e18554d7f3acead7"),
     ("classical --q 25 --n 24 --family 0,1,2,3,4 --certify --format json", 0,
      "a0d5f96bff305d037d0f71a226f770774631578b59b01a9850c3dcf97c7b3ee4"),
+    # report branches no case above prints: the "r" key with a certificate,
+    # a CSV d_exact, a text refusal and the text dual-certificate line
+    ("classical --q 4 --n 51 --r 16 --certify --format json", 0,
+     "9bb6e2fa1552fcdd39ad02aa043ccf73a65408720d98c77c07b71e888fbf83a0"),
+    ("classical --q 4 --n 63 --r 21 --certify --format csv", 0,
+     "92f456138237677d35f3fee46c296a4bbf1df5cc19944a0fa473e6ea45488f74"),
+    ("classical --q 4 --n 21 --family 0,1,2,3 --certify --budget 100", 0,
+     "ee9f749821d8b2a86740f685a96d37be29892f83958c53b1a2ee1e334e290f74"),
+    ("quantum --q 4 --n 21 --family 0,1,2,3 --certify-dual", 0,
+     "126fde622d17989cd841530e18390216983114fc6612b4d24d4b43166058b23c"),
 ]
 
 
