@@ -4,7 +4,10 @@ Subcommands cover every construction: coset tables, classical code
 parameters with optional exhaustive certification, generator matrix
 export and re-checking, quantum parameter derivation, frontier search,
 and the bundled known-answer suite.  Output formats: text (default),
-json, csv.
+json, csv.  The three report commands (classical, quantum, search) each
+build their JSON object, CSV rows and text lines, and ``_emit`` prints
+the one asked for; a certification refused by the budget is a JSON key,
+a line on stderr beside the CSV, or a text line.
 
 Exit codes: 0 success, 1 verification or fixture failure (including
 non-self-orthogonal family rejection), 2 usage errors.
@@ -122,22 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _table(args, hermitian: bool = False):
+    """The coset table of (q, n), after the field-size check and, for the
+    quantum commands, the q = ell^2 check, so bad input fails before O(n) work."""
+    check_field_size(args.q, args.n)
+    if hermitian:
+        check_hermitian(args.q)
+    return compute_cosets(args.q, args.n)
+
+
 def _family_for(args, table):
     if getattr(args, "r", None) is not None:
         return truncated_family(table, args.r)
     return table.family(args.family)
-
-
-def _csv_output(rows) -> str:
-    """One line per (q, ell, n, block_length, k, d_lower, d_exact, reps);
-    the csv module writes None as an empty field."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["q", "ell", "n", "block_length", "k_or_quantum_k",
-                     "d_lower", "d_exact", "S_representatives"])
-    for *fields, reps in rows:
-        writer.writerow([*fields, " ".join(map(str, reps))])
-    return buf.getvalue().rstrip("\n")
 
 
 def _certify(wanted: bool, certifier):
@@ -151,19 +151,33 @@ def _certify(wanted: bool, certifier):
         return None, str(exc)
 
 
-def _with_certificate(obj: dict, cert, budget_note: str | None) -> dict:
-    """The JSON object with the certificate, or the refusal, added."""
-    if cert:
-        obj["distance_certificate"] = cert.as_dict()
-    if budget_note:
-        obj["certification_skipped"] = budget_note
-    return obj
+def _emit(fmt: str, obj: dict, rows, lines: list[str], cert=None, refusal=None) -> int:
+    """Print one report as JSON, CSV or text.
 
-
-def _csv_refusal(budget_note: str | None) -> None:
-    """Say on stderr why ``d_exact`` is empty; the CSV has no column for it."""
-    if budget_note:
-        print(f"bound only: {budget_note}", file=sys.stderr)
+    JSON is ``obj`` with the certificate or the refusal added.  CSV has one
+    line per (q, ell, n, block_length, k, d_lower, d_exact, reps), None
+    written as an empty field, and names a refusal on stderr, since it has
+    no column for it.  Text is ``lines``, which word their own refusal.
+    """
+    if fmt == "json":
+        if cert:
+            obj["distance_certificate"] = cert.as_dict()
+        if refusal:
+            obj["certification_skipped"] = refusal
+        out = json.dumps(obj)
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["q", "ell", "n", "block_length", "k_or_quantum_k",
+                         "d_lower", "d_exact", "S_representatives"])
+        writer.writerows([*fields, " ".join(map(str, reps))] for *fields, reps in rows)
+        out = buf.getvalue().rstrip("\n")
+    else:
+        out = "\n".join(lines)
+    print(out)
+    if fmt == "csv" and refusal:
+        print(f"bound only: {refusal}", file=sys.stderr)
+    return 0
 
 
 def cmd_cosets(args) -> int:
@@ -176,38 +190,27 @@ def cmd_cosets(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    check_field_size(args.q, args.n)
-    table = compute_cosets(args.q, args.n)
-    family = _family_for(args, table)
+    family = _family_for(args, _table(args))
     g = generator_matrix(family)
     length, k, d_bound = classical_params(family)
-    cert, budget_note = _certify(
+    cert, refusal = _certify(
         args.certify, lambda: min_distance_exhaustive(g.mat, budget=args.budget))
-    d_exact = cert.value if cert else None
-    if args.format == "json":
-        obj = {"q": args.q, "n": args.n, "length": length, "k": k,
-               "d_lower": d_bound, "family": family.to_json_obj(),
-               "field": g.parent.describe()}
-        if getattr(args, "r", None) is not None:
-            obj["r"] = args.r
-        print(json.dumps(_with_certificate(obj, cert, budget_note)))
-    elif args.format == "csv":
-        print(_csv_output([(args.q, None, args.n, length, k, d_bound, d_exact,
-                            family.reps())]))
-        _csv_refusal(budget_note)
-    else:
-        exact = f", exact d = {d_exact} ({cert.enumerated} codewords enumerated)" if cert else ""
-        print(f"[{length}, {k}, >={d_bound}] over GF({args.q}), "
-              f"S reps {list(family.reps())}{exact}")
-        if budget_note:
-            print(f"bound only: {budget_note}")
-    return 0
+    obj = {"q": args.q, "n": args.n, "length": length, "k": k, "d_lower": d_bound,
+           "family": family.to_json_obj(), "field": g.parent.describe()}
+    if getattr(args, "r", None) is not None:
+        obj["r"] = args.r
+    lines = [f"[{length}, {k}, >={d_bound}] over GF({args.q}), S reps {list(family.reps())}"]
+    if cert:
+        lines[0] += f", exact d = {cert.value} ({cert.enumerated} codewords enumerated)"
+    if refusal:
+        lines.append(f"bound only: {refusal}")
+    row = (args.q, None, args.n, length, k, d_bound, cert.value if cert else None,
+           family.reps())
+    return _emit(args.format, obj, [row], lines, cert, refusal)
 
 
 def cmd_matrix(args) -> int:
-    check_field_size(args.q, args.n)
-    table = compute_cosets(args.q, args.n)
-    family = _family_for(args, table)
+    family = _family_for(args, _table(args))
     g = generator_matrix(family)
     out = g.to_json() if args.format == "json" else g.to_text_grid()
     if args.output:
@@ -229,51 +232,32 @@ def cmd_recheck(args) -> int:
 
 
 def cmd_quantum(args) -> int:
-    check_field_size(args.q, args.n)
-    check_hermitian(args.q)
-    table = compute_cosets(args.q, args.n)
-    family = table.family(args.family)
-    report = derive_quantum(family)
-    cert, budget_note = _certify(
+    report = derive_quantum(_table(args, hermitian=True).family(args.family))
+    cert, refusal = _certify(
         args.certify_dual, lambda: certify_dual(report, budget=args.budget))
-    if args.format == "json":
-        print(json.dumps(_with_certificate(report.to_json_obj(), cert, budget_note)))
-    elif args.format == "csv":
-        print(_csv_output([(args.q, report.ell, args.n, report.block_length,
-                            report.quantum_k, report.d_lower,
-                            cert.value if cert else None,
-                            report.family_s.reps())]))
-        _csv_refusal(budget_note)
-    else:
-        print(f"[[{report.block_length}, {report.quantum_k}, >={report.d_lower}]] "
-              f"over GF({report.ell}), S reps {list(report.family_s.reps())}, "
-              f"self_orthogonal={report.self_orthogonal}")
-        if cert:
-            print(f"dual code exact distance: {cert.value} "
-                  f"({cert.enumerated} codewords enumerated)")
-        if budget_note:
-            print(f"dual code distance not certified ({budget_note}); "
-                  "reported value is the degree bound only")
-    return 0
+    lines = [f"[[{report.block_length}, {report.quantum_k}, >={report.d_lower}]] "
+             f"over GF({report.ell}), S reps {list(report.family_s.reps())}, "
+             f"self_orthogonal={report.self_orthogonal}"]
+    if cert:
+        lines.append(f"dual code exact distance: {cert.value} "
+                     f"({cert.enumerated} codewords enumerated)")
+    if refusal:
+        lines.append(f"dual code distance not certified ({refusal}); "
+                     "reported value is the degree bound only")
+    row = (args.q, report.ell, args.n, report.block_length, report.quantum_k,
+           report.d_lower, cert.value if cert else None, report.family_s.reps())
+    return _emit(args.format, report.to_json_obj(), [row], lines, cert, refusal)
 
 
 def cmd_search(args) -> int:
-    check_field_size(args.q, args.n)
-    check_hermitian(args.q)
-    table = compute_cosets(args.q, args.n)
-    result = search(table, min_quantum_k=args.min_quantum_k, min_d=args.min_d)
-    if args.format == "json":
-        print(json.dumps({"reports": [r.to_json_obj() for r in result.reports]}))
-    elif args.format == "csv":
-        print(_csv_output([(args.q, r.ell, args.n, r.block_length, r.quantum_k,
-                            r.d_lower, None, r.family_s.reps())
-                           for r in result.reports]))
-    else:
-        print(f"frontier for GF({table.ell}) length {args.n + 1}:")
-        for r in result.reports:
-            print(f"  [[{r.block_length}, {r.quantum_k}, >={r.d_lower}]]  "
-                  f"S reps {list(r.family_s.reps())}")
-    return 0
+    table = _table(args, hermitian=True)
+    reports = search(table, min_quantum_k=args.min_quantum_k, min_d=args.min_d).reports
+    rows = [(args.q, r.ell, args.n, r.block_length, r.quantum_k, r.d_lower, None,
+             r.family_s.reps()) for r in reports]
+    lines = [f"frontier for GF({table.ell}) length {args.n + 1}:"]
+    lines += [f"  [[{r.block_length}, {r.quantum_k}, >={r.d_lower}]]  "
+              f"S reps {list(r.family_s.reps())}" for r in reports]
+    return _emit(args.format, {"reports": [r.to_json_obj() for r in reports]}, rows, lines)
 
 
 def cmd_verify(args) -> int:
