@@ -61,7 +61,6 @@ TABLE_ROWS = 1 << 16  # span-table rows, and packed words per tile, of the enume
 # over forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
 FORK_MIN_ENTRIES = 1 << 25
 F32_EXACT = 1 << 24  # float32 holds every integer up to this one exactly
-GRAM_BLOCK_ROWS = 128  # g1 rows per block of gram
 GRAM_FLOATS = 1 << 17  # float32 operands of one gram product
 
 
@@ -258,12 +257,13 @@ def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
     The products run over F_p as float32 matrix products.  A symbol's
     base-p digits are its coordinates on 1, x, ..., x^(f-1) (q = p^f), so
     digit t of <a, b> is sum_c sum_j digit_t(x^j a_c) * digit_j(b_c)
-    mod p.  For each block of g1 rows and each digit t, the sum runs over
+    mod p.  For each digit t, the sum over all rows of g1 and g2 runs over
     column chunks in float64.  A chunk of w columns has partial sums of at
     most (p-1)^2 * f * w, so w is capped to keep that below 2^24, where
     float32 holds every integer exactly; w is also capped so that both
-    operands of a product hold at most ``GRAM_FLOATS`` floats.  The digits
-    mod p, weighted by p^t, are the symbols of the product.
+    operands of a product, g1's rows and g2's, hold at most
+    ``GRAM_FLOATS`` floats together.  The digits mod p, weighted by p^t,
+    are the symbols of the product.
     """
     if g1.field is not g2.field:
         raise ValueError("matrices use different field contexts")
@@ -278,20 +278,17 @@ def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
     digits = _digit_table(p, f).astype(np.float32)  # [v, j]
     shifted = field.mul_table[powers].T  # [v, j] = x^j * v
     shifted_digits = digits.T.take(shifted, axis=1)  # [t, v, j]
-    block = min(g1.rows, GRAM_BLOCK_ROWS)
     # columns per product: exact in float32 (at least one column for every
     # field with dense tables) and operands within GRAM_FLOATS floats
     step = min((F32_EXACT - 1) // ((p - 1) ** 2 * f),
-               max(1, GRAM_FLOATS // (f * (g2.rows + block))))
-    for lo in range(0, g1.rows, block):
-        rows = g1.entries[lo:lo + block]
-        for t in range(f):
-            sums = np.zeros((len(rows), g2.rows))
-            for c in range(0, g1.cols, step):
-                a = np.take(shifted_digits[t], rows[:, c:c + step], axis=0)
-                b = np.take(digits, g2.entries[:, c:c + step], axis=0)
-                sums += a.reshape(len(rows), -1) @ b.reshape(g2.rows, -1).T
-            out[lo:lo + block] += sums.astype(np.int64) % p * int(powers[t])
+               max(1, GRAM_FLOATS // (f * (g1.rows + g2.rows))))
+    for t in range(f):
+        sums = np.zeros((g1.rows, g2.rows))
+        for c in range(0, g1.cols, step):
+            a = np.take(shifted_digits[t], g1.entries[:, c:c + step], axis=0)
+            b = np.take(digits, g2.entries[:, c:c + step], axis=0)
+            sums += a.reshape(g1.rows, -1) @ b.reshape(g2.rows, -1).T
+        out += sums.astype(np.int64) % p * int(powers[t])
     return GFMatrix(field, out)
 
 

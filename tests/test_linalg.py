@@ -273,6 +273,20 @@ def test_gram_of_a_matrix_and_its_nullspace_is_zero(case):
         assert oracle_gram_is_zero(field, m.entries, hns.entries, ell)
 
 
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 2)])
+def test_gram_of_a_tall_matrix_matches_the_oracle(p, e):
+    # 131 rows of g1, Euclidean and Hermitian over GF(16) and GF(9): every
+    # row of g1 is summed, not only the first 128
+    field = make_field(p, e)
+    rng = np.random.default_rng(p)
+    g1 = GFMatrix(field, rng.integers(0, field.order, size=(131, 9)))
+    g2 = GFMatrix(field, rng.integers(0, field.order, size=(4, 9)))
+    ell = hermitian_ell(field)
+    assert gram(g1, g2).entries.tolist() == oracle_gram(field, g1.entries, g2.entries)
+    assert (gram(pow_entrywise(g1, ell), g2).entries.tolist()
+            == oracle_gram(field, g1.entries, g2.entries, ell))
+
+
 def test_gram_past_the_float32_bound_matches_the_oracle():
     # 5063 columns of 59 over F_61: <a, a> = 5063 * 59^2 = 17624303, which is
     # odd and above 2^24, so a single float32 product cannot hold it exactly
