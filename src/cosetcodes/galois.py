@@ -232,7 +232,6 @@ class Field:
         self._build_tables()
         self._views: dict[int, SubfieldView] = {}
         self._bases: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._pow_tables: dict[int, np.ndarray] = {}
 
     # -- construction -------------------------------------------------
 
@@ -318,11 +317,6 @@ class Field:
             raise ZeroDivisionError("negative power of zero")
         return self.exp_np.item(self.log_np.item(a) * k % (self.order - 1))
 
-    def frobenius(self, a: int, q: int) -> int:
-        """x -> x^q for a subfield size q = p^j."""
-        degree_over_prime(q, self.p)
-        return self.pow(a, q)
-
     # -- dense operation tables (small fields only) ---------------------
 
     def _symbols(self, name: str) -> np.ndarray:
@@ -352,12 +346,9 @@ class Field:
 
     def pow_table(self, k: int) -> np.ndarray:
         """Entry-wise x -> x^k lookup vector."""
-        tab = self._pow_tables.get(k)
-        if tab is None:
-            r = self._symbols("power")
-            tab = np.where(r > 0, self.exp_np[self.log_np[r] * k % (self.order - 1)], 0 ** k)
-            tab = self._pow_tables[k] = tab.astype(np.uint16)
-        return tab
+        r = self._symbols("power")
+        tab = np.where(r > 0, self.exp_np[self.log_np[r] * k % (self.order - 1)], 0 ** k)
+        return tab.astype(np.uint16)
 
     # -- subfields -------------------------------------------------------
 
@@ -367,10 +358,6 @@ class Field:
         if self.e % f != 0:
             raise ValueError(f"F_{q} is not a subfield of F_{self.order}")
         return f
-
-    def _subfield_generator(self, q: int) -> int:
-        """gamma^((p^e-1)/(q-1)), a generator of the multiplicative group of F_q."""
-        return self.pow(self.generator, (self.order - 1) // (q - 1))
 
     def subfield_view(self, q: int) -> SubfieldView:
         """Relabel the embedded subfield F_q of this field as 0..q-1 symbols.
@@ -386,7 +373,7 @@ class Field:
         if view is not None:
             return view
         f = self._subfield_degree(q)
-        w = self._subfield_generator(q)
+        w = nth_root_of_unity(self, q - 1)
         # symbol sum_j c_j p^j is sum_j c_j w^j; c_j w^j has log log(c_j) + j log(w)
         digits = np.arange(q)[:, None] // self.p ** np.arange(f) % self.p
         logs = self.log_np[digits] + np.arange(f) * self.log_np[w]
@@ -488,6 +475,6 @@ def subfield_power_basis(ctx: Field, q: int, s: int) -> tuple[int, ...]:
     m = ctx.e // ctx._subfield_degree(q)
     if s < 1 or m % s != 0:
         raise ValueError(f"F_{q}^{s} is not a subfield of F_{q}^{m}")
-    w = ctx._subfield_generator(q**s)
+    w = nth_root_of_unity(ctx, q**s - 1)
     basis = ctx._bases[(q, s)] = tuple(ctx.pow(w, i) for i in range(s))
     return basis

@@ -192,7 +192,7 @@ def test_criterion_6_property_suites(t21, t51, t63, t51q16):
         assert rank(g.mat) == fam.dim()
         parent_values = view.embed[g.mat.entries]
         for v in parent_values.reshape(-1):
-            assert ctx.frobenius(int(v), table.q) == int(v)
+            assert ctx.pow(int(v), table.q) == int(v)
         checked_entries += g.mat.entries.size
         for _ in range(5):
             bases = {cid: random_subfield_basis(ctx, table.q,

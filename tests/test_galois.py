@@ -166,7 +166,7 @@ def test_frobenius_additivity_exhaustive_f1024():
 
 
 def test_frobenius_fixed_points_are_the_subfield(f256):
-    fixed = [x for x in range(256) if f256.frobenius(x, 4) == x]
+    fixed = [x for x in range(256) if f256.pow(x, 4) == x]
     assert len(fixed) == 4
 
 
@@ -175,13 +175,11 @@ def test_frobenius_is_linear_and_has_order_m(f256):
     for x in (0, 1, 7, 133, 200):
         v = x
         for _ in range(4):
-            v = f256.frobenius(v, 4)
+            v = f256.pow(v, 4)
         assert v == x
     for x, y in itertools.product((3, 91, 250), repeat=2):
-        assert (f256.frobenius(f256.add(x, y), 4)
-                == f256.add(f256.frobenius(x, 4), f256.frobenius(y, 4)))
-    with pytest.raises(ValueError):
-        f256.frobenius(5, 6)  # not a power of the characteristic
+        assert (f256.pow(f256.add(x, y), 4)
+                == f256.add(f256.pow(x, 4), f256.pow(y, 4)))
 
 
 def test_nth_root_of_unity_examples(f256, f4096):
@@ -217,7 +215,7 @@ def test_subfield_power_basis_examples(f256):
     b2 = subfield_power_basis(f256, 4, 2)
     w = b2[1]
     assert w == f256.pow(f256.generator, 17)
-    assert f256.frobenius(w, 16) == w
+    assert f256.pow(w, 16) == w
     b4 = subfield_power_basis(f256, 4, 4)
     assert b4 == tuple(f256.pow(f256.generator, i) for i in range(4))
     with pytest.raises(ValueError):
