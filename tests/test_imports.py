@@ -1,4 +1,5 @@
-"""Guards against stale imports, import cycles, a stale ``__all__`` and costly import paths (no linter is required)."""
+"""Guards against stale imports, unread constants, import cycles, a stale
+``__all__`` and costly import paths (no linter is required)."""
 
 import ast
 import os
@@ -40,6 +41,43 @@ def test_module_has_no_unused_imports(path):
 def test_the_guard_sees_an_unused_import():
     source = "from functools import lru_cache, reduce\n\n@lru_cache\ndef f(): pass\n"
     assert unused_imports(source) == ["reduce (line 1)"]
+
+
+def module_constants(source: str) -> set[str]:
+    """The UPPER_CASE names that the module's top-level statements assign."""
+    found = set()
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        found |= {n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name) and n.id.isupper()}
+    return found
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """module.NAME for each module constant that no module reads, as a
+    name or as an attribute."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, source in sources.items()
+                  for name in module_constants(source) if name not in read)
+
+
+def test_every_module_constant_is_read():
+    sources = {p.stem: p.read_text() for p in Path(cosetcodes.__file__).parent.glob("*.py")}
+    assert unread_constants(sources) == []
+
+
+def test_the_guard_sees_an_unread_constant():
+    sources = {"a": "LIMIT = 3\nSTALE: int = 4\nWIDTH, DEPTH = 1, 2\n_cache = {}\n\n"
+                    "def f(x):\n    return x < LIMIT\n",
+               "b": "from . import a\nDEPTH = a.WIDTH\n"}
+    assert unread_constants(sources) == ["a.DEPTH", "a.STALE", "b.DEPTH"]
 
 
 def package_imports(source: str, modules: set[str]) -> set[str]:
