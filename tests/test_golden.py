@@ -17,7 +17,9 @@ six words of packed symbols) before the odd-characteristic span table
 was packed into words like the binary one, and the last four (a
 truncated family's JSON and CSV certificates, a text refusal and a text
 dual certificate) before the three report commands came to share one
-printer.  Three JSON search digests were recorded again when the
+printer.  The two ``verify`` cases at the end (no certification, and a
+budget that refuses every certification) were recorded before
+``verify`` became one loop over per-section checkers.  Three JSON search digests were recorded again when the
 branch-and-bound search became one sorted walk over the Hermitian
 matching: its output differs only in ``nodes``,
 which now counts the frontier's prefixes, not tree nodes.  The quantum
@@ -125,6 +127,12 @@ GOLDEN = [
      "ee9f749821d8b2a86740f685a96d37be29892f83958c53b1a2ee1e334e290f74"),
     ("quantum --q 4 --n 21 --family 0,1,2,3 --certify-dual", 0,
      "126fde622d17989cd841530e18390216983114fc6612b4d24d4b43166058b23c"),
+    # verify branches no case above prints: no certification at all, and
+    # the classical and dual "bound only" lines of a refusing budget
+    ("verify --skip-certify", 0,
+     "04d404650a49230abb11a797e27a735e226609a13d3dc83244692138fa9b3c4f"),
+    ("verify --budget 10", 0,
+     "36d695afc2dbb7dde22a55bde04950282533aa74249f56a691ff5cb092fa6fb8"),
 ]
 
 
