@@ -6,8 +6,10 @@ export and re-checking, quantum parameter derivation, frontier search,
 and the bundled known-answer suite.  Output formats: text (default),
 json, csv.  The three report commands (classical, quantum, search) each
 build their JSON object, CSV rows and text lines, and ``_emit`` prints
-the one asked for; a certification refused by the budget is a JSON key,
-a line on stderr beside the CSV, or a text line.
+the one asked for.  Certification runs through ``linalg.within_budget``,
+as in ``verify``; a refusal is a JSON key, a line on stderr beside the
+CSV, or a text line.  ``verify`` prints each check as
+``fixtures.run_all`` yields it, then the count of each status.
 
 Exit codes: 0 success, 1 verification or fixture failure (including
 non-self-orthogonal family rejection), 2 usage errors.
@@ -21,13 +23,14 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 
 from . import fixtures
 from .cosets import check_hermitian, compute_cosets
 from .codes import (check_field_size, classical_params, generator_matrix,
                     load_matrix_json, truncated_family)
 from .duality import VerificationError
-from .linalg import DEFAULT_BUDGET, BudgetExceededError, min_distance_exhaustive
+from .linalg import DEFAULT_BUDGET, min_distance_exhaustive, within_budget
 from .quantum import NotSelfOrthogonalError, certify_dual, derive_quantum, search
 
 BUDGET_ENV = "COSETCODES_BUDGET"
@@ -140,17 +143,6 @@ def _family_for(args, table):
     return table.family(args.family)
 
 
-def _certify(wanted: bool, certifier):
-    """(certificate, refusal): the certificate, or past the budget the
-    refusal's message; (None, None) when no certificate is wanted."""
-    if not wanted:
-        return None, None
-    try:
-        return certifier(), None
-    except BudgetExceededError as exc:
-        return None, str(exc)
-
-
 def _emit(fmt: str, obj: dict, rows, lines: list[str], cert=None, refusal=None) -> int:
     """Print one report as JSON, CSV or text.
 
@@ -182,10 +174,7 @@ def _emit(fmt: str, obj: dict, rows, lines: list[str], cert=None, refusal=None) 
 
 def cmd_cosets(args) -> int:
     table = compute_cosets(args.q, args.n)
-    if args.format == "json":
-        print(json.dumps(table.to_json_obj()))
-    else:
-        print(table.to_text())
+    print(json.dumps(table.to_json_obj()) if args.format == "json" else table.to_text())
     return 0
 
 
@@ -193,8 +182,8 @@ def cmd_classical(args) -> int:
     family = _family_for(args, _table(args))
     g = generator_matrix(family)
     length, k, d_bound = classical_params(family)
-    cert, refusal = _certify(
-        args.certify, lambda: min_distance_exhaustive(g.mat, budget=args.budget))
+    cert, refusal = (within_budget(lambda: min_distance_exhaustive(g.mat, budget=args.budget))
+                     if args.certify else (None, None))
     obj = {"q": args.q, "n": args.n, "length": length, "k": k, "d_lower": d_bound,
            "family": family.to_json_obj(), "field": g.parent.describe()}
     if getattr(args, "r", None) is not None:
@@ -233,8 +222,8 @@ def cmd_recheck(args) -> int:
 
 def cmd_quantum(args) -> int:
     report = derive_quantum(_table(args, hermitian=True).family(args.family))
-    cert, refusal = _certify(
-        args.certify_dual, lambda: certify_dual(report, budget=args.budget))
+    cert, refusal = (within_budget(lambda: certify_dual(report, budget=args.budget))
+                     if args.certify_dual else (None, None))
     lines = [f"[[{report.block_length}, {report.quantum_k}, >={report.d_lower}]] "
              f"over GF({report.ell}), S reps {list(report.family_s.reps())}, "
              f"self_orthogonal={report.self_orthogonal}"]
@@ -261,14 +250,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = fixtures.run_all(certify=not args.skip_certify, budget=args.budget)
-    for r in results:
+    counts = Counter()
+    for r in fixtures.run_all(certify=not args.skip_certify, budget=args.budget):
         print(r.line())
-    failed = fixtures.failures(results)
-    passed = sum(1 for r in results if r.status == "pass")
-    info = sum(1 for r in results if r.status == "info")
-    print(f"{passed} passed, {len(failed)} failed, {info} informational")
-    return 1 if failed else 0
+        counts[r.status] += 1
+    print(f"{counts['pass']} passed, {counts['fail']} failed, {counts['info']} informational")
+    return 1 if counts["fail"] else 0
 
 
 def main(argv=None) -> int:

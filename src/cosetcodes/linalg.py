@@ -542,6 +542,15 @@ def check_budget(q: int, k: int, budget: int) -> None:
             f"enumeration of {total} codewords reaches the int64 count cap 2^62")
 
 
+def within_budget(certifier) -> tuple[DistanceCertificate | None, str | None]:
+    """(certificate, None) from ``certifier()``, or (None, the message) when
+    the budget refuses it: the one place a refusal leaves only the bound."""
+    try:
+        return certifier(), None
+    except BudgetExceededError as exc:
+        return None, str(exc)
+
+
 def _enumerable_kernel(g: GFMatrix, budget: int) -> _SpanKernel:
     """The kernel for g after the budget and rank checks."""
     k = g.rows

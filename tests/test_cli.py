@@ -412,6 +412,26 @@ def test_verify_catches_corrupted_fixture(capsys, monkeypatch):
     assert "[FAIL] order of 4 mod 51" in out
 
 
+def test_verify_compares_the_references_without_their_search_point(capsys, monkeypatch):
+    # with no search_points entry at (8, 585) the references read a search with no floor
+    from cosetcodes import fixtures
+
+    data = fixtures.load_known_answers()
+    data["search_points"] = [p for p in data["search_points"] if (p["ell"], p["n"]) != (8, 585)]
+    monkeypatch.setattr(fixtures, "load_known_answers", lambda: data)
+    code, out, _ = run(capsys, "verify", "--skip-certify")
+    assert code == 0
+    lines = [line for line in out.splitlines() if "reference comparison" in line]
+    assert len(lines) == 8
+    assert all(line.startswith("[PASS]") for line in lines)
+
+
+def test_every_section_has_a_checker_and_every_checker_a_section():
+    from cosetcodes import fixtures
+
+    assert set(fixtures.CHECKS) == set(fixtures.load_known_answers())
+
+
 def test_verify_budget_too_small_for_any_certification(capsys):
     code, out, err = run(capsys, "verify", "--budget", "10")
     assert code == 0, err

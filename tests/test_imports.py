@@ -80,6 +80,43 @@ def test_the_guard_sees_an_unread_constant():
     assert unread_constants(sources) == ["a.DEPTH", "a.STALE", "b.DEPTH"]
 
 
+def budget_handlers(sources: dict[str, str]) -> list[str]:
+    """module.function for each ``except`` handler that names
+    BudgetExceededError, as a name or an attribute, alone or in a tuple;
+    the function is the innermost one that holds the handler."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if "BudgetExceededError" in names:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, source in sorted(sources.items()):
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_budget_refusals_are_caught_in_one_place():
+    # a refusal becomes a "bound only" result in linalg.within_budget alone
+    sources = {p.stem: p.read_text() for p in Path(cosetcodes.__file__).parent.glob("*.py")}
+    assert budget_handlers(sources) == ["linalg.within_budget"]
+
+
+def test_the_guard_sees_a_second_budget_handler():
+    sources = {"a": "def f(g):\n    try:\n        return g()\n"
+                    "    except BudgetExceededError as exc:\n        return str(exc)\n",
+               "b": "from . import linalg\n\nclass C:\n    def h(self, g):\n        try:\n"
+                    "            g()\n        except (ValueError, linalg.BudgetExceededError):\n"
+                    "            pass\n        except KeyError:\n            pass\n"}
+    assert budget_handlers(sources) == ["a.f", "b.h"]
+
+
 def package_imports(source: str, modules: set[str]) -> set[str]:
     """The package modules that a module of the package imports, counting
     every import statement, also those under ``if TYPE_CHECKING:``."""
