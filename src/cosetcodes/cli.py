@@ -174,7 +174,10 @@ def _emit(fmt: str, obj: dict, rows, lines: list[str], cert=None, refusal=None) 
 
 def cmd_cosets(args) -> int:
     table = compute_cosets(args.q, args.n)
-    print(json.dumps(table.to_json_obj()) if args.format == "json" else table.to_text())
+    if args.format == "json":
+        print(json.dumps(table.to_json_obj()))
+    else:
+        print(table.to_text())
     return 0
 
 

@@ -54,9 +54,7 @@ def _result(name: str, ok: bool, expected, computed) -> FixtureResult:
 
 
 class _Run:
-    """What the checkers share: whether to certify and the budget, one coset
-    table per (q, n), and one frontier per (ell, n), searched at the floor
-    of its ``search_points`` entry or else at 0."""
+    """What the checkers share: certify, budget, and cached tables and frontiers."""
 
     def __init__(self, data: dict, certify: bool, budget: int):
         self.certify, self.budget = certify, budget
@@ -66,8 +64,7 @@ class _Run:
             self.table(ell**2, n), min_quantum_k=floors.get((ell, n), 0)))
 
     def certified(self, name: str, expected, certifier, check) -> FixtureResult:
-        """The (ok, computed) of ``check(certificate)``, or an INFO line
-        quoting the budget's refusal of ``certifier``."""
+        """The (ok, computed) of ``check(certificate)``, or an INFO line quoting a refusal."""
         cert, refusal = within_budget(certifier)
         if refusal is not None:
             return FixtureResult(name, "info", str(expected), f"bound only: {refusal}")
