@@ -19,7 +19,8 @@ truncated family's JSON and CSV certificates, a text refusal and a text
 dual certificate) before the three report commands came to share one
 printer.  The two ``verify`` cases at the end (no certification, and a
 budget that refuses every certification) were recorded before
-``verify`` became one loop over per-section checkers.  Three JSON search digests were recorded again when the
+``verify`` became one loop over per-section checkers.
+Three JSON search digests were recorded again when the
 branch-and-bound search became one sorted walk over the Hermitian
 matching: its output differs only in ``nodes``,
 which now counts the frontier's prefixes, not tree nodes.  The quantum

@@ -1,5 +1,6 @@
 """Guards against stale imports, unread constants, import cycles, a stale
-``__all__`` and costly import paths (no linter is required)."""
+``__all__``, costly import paths and a second place that catches budget
+refusals (no linter is required)."""
 
 import ast
 import os
@@ -86,19 +87,19 @@ def budget_handlers(sources: dict[str, str]) -> list[str]:
     the function is the innermost one that holds the handler."""
     found = []
 
-    def visit(node, where):
+    def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where.split('.')[0]}.{node.name}"
+            function = node.name
         if isinstance(node, ast.ExceptHandler) and node.type is not None:
             names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
                      if isinstance(n, (ast.Name, ast.Attribute))}
             if "BudgetExceededError" in names:
-                found.append(where)
+                found.append(f"{module}.{function}")
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, module, function)
 
     for module, source in sorted(sources.items()):
-        visit(ast.parse(source), module)
+        visit(ast.parse(source), module, "<module>")
     return found
 
 
