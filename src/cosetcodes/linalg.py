@@ -20,19 +20,15 @@ The module also houses the exhaustive minimum-distance certifier, the
 performance-critical piece of the package.  Messages are indexed in
 q-ary modular Gray order, and one codeword of each scalar class is
 weighed.  One split-table kernel serves every q: it packs the span of the
-low generator rows (at most ``TABLE_ROWS`` codewords) into uint64 words
-of (q - 1).bit_length()-bit symbol slots, and for the zero high part and
-each high Gray index whose leading base-q digit is 1 (a step) it adds one
-vector onto the table and counts nonzero symbols per row.  The walk is
-tiled: a tile is a run of table rows holding at most ``TABLE_ROWS``
-packed words, and every step weighs one tile before the walk moves to
-the next, so a tile and its scratch stay in cache across the steps.  A
-table of one word per row is a single tile.  The same steps yield the
-weight distribution, each class outside the table q - 1 times.
+low generator rows (at most ``TABLE_ROWS`` codewords) into a store of
+uint64 words of (q - 1).bit_length()-bit symbol slots, and streams one
+packed offset for the zero high part and for each high Gray index whose
+leading base-q digit is 1 (a step).  :func:`_walk`, the one place that
+weighs packed words, counts per store row the slots that differ from each
+offset, tile by tile; its docstring describes the tiling.  The same steps
+yield the weight distribution, each class outside the table q - 1 times.
 
-Each step weighs the Gray-first member of each class, and the walk keeps
-the least (weight, Gray index) over all tiles and steps, so the reported
-witness is still the first minimum-weight codeword in Gray order,
+The reported witness is the first minimum-weight codeword in Gray order,
 whatever order the tiles come in.  Certification can split the
 steps into contiguous chunks over the calling process and a forked pool;
 results, witness included, are identical to the sequential traversal.
@@ -47,6 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from multiprocessing import get_context
 from typing import TYPE_CHECKING
 
@@ -327,11 +324,7 @@ class DistanceCertificate:
 
 def _gray_digits(t: int, k: int, q: int) -> list[int]:
     """Digits of the q-ary modular Gray code of t: g_i = (t_i - t_{i+1}) mod q."""
-    base = []
-    v = t
-    for _ in range(k + 1):
-        v, r = divmod(v, q)
-        base.append(r)
+    base = [t // q**i % q for i in range(k + 1)]
     return [(base[i] - base[i + 1]) % q for i in range(k)]
 
 
@@ -354,6 +347,56 @@ def _pack_rows(symbols: np.ndarray, f: int) -> np.ndarray:
     place = np.uint64(1) << np.arange(0, slots * f, f, dtype=np.uint64)
     words = symbols.reshape(-1, slots, symbols.shape[1])
     return np.einsum("wsr,s->wr", words, place, dtype=np.uint64)
+
+
+def _walk(store: np.ndarray, offsets, f: int, n: int):
+    """Yield (i, start, weights) for each offset i of the stream ``offsets``
+    and each tile of ``store``: ``weights[m]`` counts the f-bit slots in
+    which store row start + m differs from offset i.
+
+    ``store`` is word-major packed uint64 of shape (words, rows), each row
+    a run of words of 64 // f slots (see :func:`_pack_rows`), and an offset
+    is a packed row of the same words.  The walk is tiled: a tile is a run
+    of rows that holds at most ``TABLE_ROWS`` packed words, but at least
+    two rows (so that the span kernel's first tile holds a codeword besides
+    zero), and each tile is weighed against a whole batch of as many
+    offsets as it has rows before the walk moves to the next tile; then the
+    next batch is read from the stream.  So a tile and its x/y scratch stay
+    in cache while a batch weighs it, and the offsets read at a time never
+    outgrow a tile, however long the stream.  A store of one word per row
+    is one tile.
+
+    A slot of x = row ^ offset is nonzero iff ((x & lo) + lo | x) & hi
+    sets its top bit; after shifts 0..f-1 the flags of f words occupy
+    disjoint bits, so one ``np.bitwise_count`` counts f words.  The weights
+    are in the narrowest dtype that holds n, a bound on every weight, and
+    the array may be reused between yields.
+    """
+    words, rows = store.shape
+    tile = max(2, TABLE_ROWS // words)
+    lo, hi = (np.uint64(sum(m << f * s for s in range(64 // f)))
+              for m in ((1 << f - 1) - 1, 1 << f - 1))
+    weight_dtype = np.min_scalar_type(n)
+    x, y = np.empty_like(store[:, :tile]), np.empty_like(store[:, :tile])
+    offsets = enumerate(offsets)
+    while batch := list(islice(offsets, tile)):
+        for start in range(0, rows, tile):
+            block = store[:, start:start + tile]
+            bx, by = x[:, :block.shape[1]], y[:, :block.shape[1]]
+            for i, h in batch:
+                np.bitwise_xor(block, h[:, None], out=bx)
+                np.bitwise_and(bx, lo, out=by)
+                np.add(by, lo, out=by)
+                np.bitwise_or(by, bx, out=by)
+                np.bitwise_and(by, hi, out=by)
+                counts = None
+                for g0 in range(0, words, f):
+                    acc = by[g0]
+                    for j in range(1, min(f, words - g0)):
+                        acc |= by[g0 + j] >> np.uint64(j)
+                    c = np.bitwise_count(acc)
+                    counts = c if counts is None else np.add(counts, c, dtype=weight_dtype)
+                yield i, start, counts
 
 
 class _SpanKernel:
@@ -385,13 +428,11 @@ class _SpanKernel:
     becomes the e digit positions d * len + j (digit-major), whose digits
     add as integers mod p; the table is folded into symbols, then packed.
 
-    The walk runs tile-outer: the table is cut into tiles of
-    ``TABLE_ROWS // words`` rows (at most ``TABLE_ROWS`` words, but at
-    least two rows), and each tile is weighed against every step before
-    the next tile.  A step's Gray indices all exceed those of a step with
-    a smaller T, so the first minimum is the least (w, t) over tiles and
-    steps, and t is formed only on a lower weight or on a tie whose T is
-    at most the best one's.
+    :func:`_walk` weighs the table against the stream of packed -h of the
+    steps (:meth:`offsets`).  A step's Gray indices all exceed those of an
+    earlier step, so the first minimum is the least (w, t) over tiles and
+    steps, and t is formed only on a lower weight or on a tie at a step no
+    later than the best one's.
     """
 
     def __init__(self, g: GFMatrix):
@@ -403,7 +444,6 @@ class _SpanKernel:
         f = (q - 1).bit_length()
         self.q, self.n, self.b, self.high, self.f = q, n, b, k - b, f
         self.p, self.e = field.p, field.e
-        self.weight_dtype = np.min_scalar_type(n)  # the narrowest that holds every weight
         self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
         slots = 64 // f
         entries = np.pad(g.entries, ((0, 0), (0, -n % slots)))  # zero symbols to whole words
@@ -422,8 +462,6 @@ class _SpanKernel:
         self.table = table if self.p == 2 else _pack_rows(
             _fold_digits(table.reshape(self.e, -1, table.shape[1]), self.p), f)
         self.scaled_high = scaled[b:]
-        ones = sum(1 << (f * s) for s in range(slots))  # bit 0 of every slot
-        self.lo, self.hi = np.uint64(ones * ((1 << (f - 1)) - 1)), np.uint64(ones << (f - 1))
 
     def _high_index(self, step: int) -> int:
         """T of a step: 0, then the integers whose leading base-q digit is 1."""
@@ -446,50 +484,9 @@ class _SpanKernel:
         minus = _fold_digits(minus.reshape(self.e, -1), self.p)
         return _pack_rows(minus[:, None], self.f)[:, 0]
 
-    def weights(self, start: int, stop: int):
-        """Yield (T, lo, weights) for each tile of the table and each step in
-        [start, stop): every step weighs one tile before the next tile.
-
-        ``weights[m]`` is the weight of span-table row lo + m plus the
-        high part of T; row 0 of step 0 is the zero codeword.  A tile is
-        the rows lo, lo + 1, ... that hold at most ``TABLE_ROWS`` packed
-        words, so it and its x/y scratch stay in cache while the steps
-        weigh it.  The packed -h of the steps are formed once, in batches
-        of as many steps as a tile has rows, so they never outgrow a tile
-        however many steps there are.  The array may be reused between
-        yields.
-        """
-        words, rows = self.table.shape
-        tile = max(2, TABLE_ROWS // words)  # step 0's first tile weighs a nonzero codeword
-        x, y = np.empty_like(self.table[:, :tile]), np.empty_like(self.table[:, :tile])
-        for first in range(start, stop, tile):
-            steps = [(t, self._minus_high_part(t)) for t in
-                     map(self._high_index, range(first, min(first + tile, stop)))]
-            for lo in range(0, rows, tile):
-                block = self.table[:, lo:lo + tile]
-                bx, by = x[:, :block.shape[1]], y[:, :block.shape[1]]
-                for t_high, h in steps:
-                    yield t_high, lo, self._packed_weights(block, h, bx, by)
-
-    def _packed_weights(self, block: np.ndarray, h: np.ndarray,
-                        x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Slots per row of a table tile that differ from the packed -h,
-        using x and y as scratch."""
-        np.bitwise_xor(block, h[:, None], out=x)
-        # ((x & lo) + lo | x) & hi sets bit f-1 of a slot iff its symbol is nonzero
-        np.bitwise_and(x, self.lo, out=y)
-        np.add(y, self.lo, out=y)
-        np.bitwise_or(y, x, out=y)
-        np.bitwise_and(y, self.hi, out=y)
-        # after shifts 0..f-1 the flags of f words occupy disjoint bits
-        counts = None
-        for g0 in range(0, len(y), self.f):
-            acc = y[g0]
-            for j in range(1, min(self.f, len(y) - g0)):
-                acc |= y[g0 + j] >> np.uint64(j)
-            c = np.bitwise_count(acc)
-            counts = c if counts is None else np.add(counts, c, dtype=self.weight_dtype)
-        return counts
+    def offsets(self, start: int, stop: int):
+        """The packed -h of steps [start, stop), a lazy stream for :func:`_walk`."""
+        return map(self._minus_high_part, map(self._high_index, range(start, stop)))
 
     def _first_low_index(self, rows: np.ndarray, t_b: int) -> int:
         """Smallest t_low whose low Gray digits, shifted by t_b, index one of ``rows``."""
@@ -504,16 +501,18 @@ class _SpanKernel:
     def first_minimum(self, start: int, stop: int) -> tuple[int, int]:
         """(weight, t) of the first nonzero minimum-weight codeword of steps
         [start, stop): the least (w, t) over every tile and step."""
-        best_w, best_t = self.n + 1, -1
-        for t_high, lo, wts in self.weights(start, stop):
-            skip = 1 if t_high == 0 and lo == 0 else 0  # the zero codeword
+        best_w, best_t, best_step = self.n + 1, -1, -1
+        for i, lo, wts in _walk(self.table, self.offsets(start, stop), self.f, self.n):
+            step = start + i
+            skip = 1 if step == 0 and lo == 0 else 0  # the zero codeword
             w = int(wts[skip:].min())
-            if w < best_w or (w == best_w and t_high <= best_t // self.q**self.b):
+            if w < best_w or (w == best_w and step <= best_step):
+                t_high = self._high_index(step)  # only for a candidate
                 rows = np.flatnonzero(wts[skip:] == w) + (lo + skip)
                 t = (t_high * self.q**self.b
                      + self._first_low_index(rows, t_high % self.q))
                 if w < best_w or t < best_t:
-                    best_w, best_t = w, t
+                    best_w, best_t, best_step = w, t, step
         return best_w, best_t
 
 
@@ -618,6 +617,6 @@ def weight_distribution(g: GFMatrix, budget: int = DEFAULT_BUDGET) -> list[int]:
     """
     kernel = _enumerable_kernel(g, budget)
     counts = np.zeros(g.cols + 1, dtype=np.int64)
-    for t_high, _, wts in kernel.weights(0, kernel.steps):
-        counts += np.bincount(wts, minlength=g.cols + 1) * (g.q - 1 if t_high else 1)
+    for step, _, wts in _walk(kernel.table, kernel.offsets(0, kernel.steps), kernel.f, g.cols):
+        counts += np.bincount(wts, minlength=g.cols + 1) * (g.q - 1 if step else 1)
     return counts.tolist()

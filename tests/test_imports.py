@@ -1,6 +1,6 @@
 """Guards against stale imports, unread constants, import cycles, a stale
-``__all__``, costly import paths and a second place that catches budget
-refusals (no linter is required)."""
+``__all__``, costly import paths, a second place that catches budget
+refusals and a second packed slot count (no linter is required)."""
 
 import ast
 import os
@@ -81,26 +81,46 @@ def test_the_guard_sees_an_unread_constant():
     assert unread_constants(sources) == ["a.DEPTH", "a.STALE", "b.DEPTH"]
 
 
-def budget_handlers(sources: dict[str, str]) -> list[str]:
-    """module.function for each ``except`` handler that names
-    BudgetExceededError, as a name or an attribute, alone or in a tuple;
-    the function is the innermost one that holds the handler."""
+def holders(sources: dict[str, str], matches) -> list[str]:
+    """module.function for each node that ``matches``, module by module in
+    name order; the function is the innermost one that holds the node."""
     found = []
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
-                     if isinstance(n, (ast.Name, ast.Attribute))}
-            if "BudgetExceededError" in names:
-                found.append(f"{module}.{function}")
+        if matches(node):
+            found.append(f"{module}.{function}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
     for module, source in sorted(sources.items()):
         visit(ast.parse(source), module, "<module>")
     return found
+
+
+def budget_handlers(sources: dict[str, str]) -> list[str]:
+    """module.function for each ``except`` handler that names
+    BudgetExceededError, as a name or an attribute, alone or in a tuple."""
+
+    def names_budget(node):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        return "BudgetExceededError" in names
+
+    return holders(sources, names_budget)
+
+
+def slot_counters(sources: dict[str, str]) -> list[str]:
+    """module.function for each call of bitwise_count, as a name or an attribute."""
+
+    def counts_slots(node):
+        func = getattr(node, "func", None)  # only a call has one
+        return getattr(func, "attr", getattr(func, "id", None)) == "bitwise_count"
+
+    return holders(sources, counts_slots)
 
 
 def test_budget_refusals_are_caught_in_one_place():
@@ -116,6 +136,19 @@ def test_the_guard_sees_a_second_budget_handler():
                     "            g()\n        except (ValueError, linalg.BudgetExceededError):\n"
                     "            pass\n        except KeyError:\n            pass\n"}
     assert budget_handlers(sources) == ["a.f", "b.h"]
+
+
+def test_packed_slots_are_counted_in_one_place():
+    # linalg._walk is the one walk that weighs packed words
+    sources = {p.stem: p.read_text() for p in Path(cosetcodes.__file__).parent.glob("*.py")}
+    assert slot_counters(sources) == ["linalg._walk"]
+
+
+def test_the_guard_sees_a_second_slot_count():
+    sources = {"a": "import numpy as np\n\ndef _walk(x):\n    return np.bitwise_count(x)\n",
+               "b": "from numpy import bitwise_count\n\nclass Buckets:\n"
+                    "    def weigh(self, x):\n        return bitwise_count(x).sum()\n"}
+    assert slot_counters(sources) == ["a._walk", "b.weigh"]
 
 
 def package_imports(source: str, modules: set[str]) -> set[str]:

@@ -11,7 +11,7 @@ from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_fiel
 from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _add_mod,
                                _codeword_for_message, _gray_digits, _pack_rows,
-                               _digit_table, _SpanKernel, _sub_mod, check_budget,
+                               _digit_table, _SpanKernel, _sub_mod, _walk, check_budget,
                                gram, gram_is_zero, nullspace, pow_entrywise, rank,
                                rank_and_rref, row_space_equal, weight_distribution)
 from conftest import gf_matrix
@@ -480,9 +480,14 @@ def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
     assert_matches_gray_oracle(g)
 
 
+def whole_walk(kernel):
+    """(step, tile start, weights) of one whole walk of the kernel's table."""
+    return _walk(kernel.table, kernel.offsets(0, kernel.steps), kernel.f, kernel.n)
+
+
 def table_tiles(kernel):
     """The number of tiles one whole walk of the kernel weighs."""
-    return len({lo for _, lo, _ in kernel.weights(0, kernel.steps)})
+    return len({lo for _, lo, _ in whole_walk(kernel)})
 
 
 @pytest.mark.parametrize("p,k,copies", [pytest.param(2, 18, 2, id="2-18"),
@@ -502,7 +507,7 @@ def test_repeated_columns_witness_matches_vectorized_oracle(p, k, copies):
     d = weights[1:].min()
     assert np.count_nonzero(weights == d) > 10 * (g.q - 1)
     if copies > 2:
-        tied = {lo for _, lo, wts in kernel.weights(0, kernel.steps) if (wts == d).any()}
+        tied = {lo for _, lo, wts in whole_walk(kernel) if (wts == d).any()}
         assert len(tied) >= 2  # minimum-weight ties in different tiles
 
 
@@ -551,17 +556,17 @@ def leading_digit(t, q):
 def test_walk_weighs_one_codeword_per_scalar_class(monkeypatch, p, e, k, n):
     field = make_field(p, e)
     g = random_full_rank(field, k, n, np.random.default_rng(k + n))
-    q, high = g.q, _SpanKernel(g).high
+    kernel = _SpanKernel(g)
+    q, high = g.q, kernel.high
     assert high >= 2
     tiles = {}  # tile start -> the T of the steps that weighed it, in order
-    walk = _SpanKernel.weights
 
-    def counted(self, start, stop):
-        for t_high, lo, wts in walk(self, start, stop):
-            tiles.setdefault(lo, []).append(t_high)
-            yield t_high, lo, wts
+    def counted(store, offsets, f, n):  # one worker, so offset i is step i
+        for i, lo, wts in _walk(store, offsets, f, n):
+            tiles.setdefault(lo, []).append(kernel._high_index(i))
+            yield i, lo, wts
 
-    monkeypatch.setattr(_SpanKernel, "weights", counted)
+    monkeypatch.setattr(linalg, "_walk", counted)
     expected = 1 + (q**high - 1) // (q - 1)
     assert min_distance_exhaustive(g).enumerated == q**k - 1
     steps = tiles[0]
@@ -577,6 +582,60 @@ def test_walk_weighs_one_codeword_per_scalar_class(monkeypatch, p, e, k, n):
     assert sorted(tiles) == starts and all(seen == steps for seen in tiles.values())
     assert sum(dist) == q**k
     assert all(a % (q - 1) == 0 for a in dist[1:])
+
+
+# q = 2 and the orders of conftest.py's fields and coset tables: slots of
+# 1, 2, 2, 3, 4, 4, 5, 6, 8 and 12 bits
+WALK_ORDERS = [2, 3, 4, 5, 9, 16, 25, 64, 256, 4096]
+
+
+def packed(symbols, f):
+    """Rows of symbols as a word-major packed store, padded to whole words."""
+    return _pack_rows(np.pad(symbols, ((0, 0), (0, -symbols.shape[1] % (64 // f)))).T, f)
+
+
+@pytest.mark.parametrize("table_rows", [TABLE_ROWS, 64])
+@pytest.mark.parametrize("q", WALK_ORDERS)
+def test_walk_counts_the_differing_symbols_tile_by_tile(monkeypatch, q, table_rows):
+    # 100 rows and 70 offsets of 70 symbols: one tile and one batch, or
+    # (64 words a tile) tiles of at most 32 rows and as many offsets a batch
+    monkeypatch.setattr(linalg, "TABLE_ROWS", table_rows)
+    f, n = (q - 1).bit_length(), 70
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, q, size=(100, n), dtype=np.uint16)
+    offs = rng.integers(0, q, size=(70, n), dtype=np.uint16)
+    offs[0], offs[1, ::2] = rows[5], rows[37, ::2]  # weight 0, and a near miss
+    want = np.count_nonzero(offs[:, None, :] != rows[None, :, :], axis=2)  # [offset, row]
+    store = packed(rows, f)
+    tile = max(2, table_rows // len(store))
+    assert (tile < len(offs)) == (table_rows == 64)  # several tiles and batches
+    seen = []
+    for i, start, wts in _walk(store, iter(packed(offs, f).T), f, n):
+        assert wts.dtype == np.min_scalar_type(n)
+        assert np.array_equal(wts, want[i, start:start + tile])
+        seen.append((i, start))
+    # each tile is weighed against a whole batch before the next tile
+    assert seen == [(i, start) for first in range(0, len(offs), tile)
+                    for start in range(0, len(rows), tile)
+                    for i in range(first, min(first + tile, len(offs)))]
+
+
+def test_walk_of_no_offsets_yields_nothing():
+    store = packed(np.ones((4, 10), dtype=np.uint16), 2)
+    assert list(_walk(store, iter([]), 2, 10)) == []
+
+
+def test_rows_wider_than_half_a_tile_make_tiles_of_two_rows(monkeypatch):
+    # 2100 binary symbols take 33 words a row, more than the 32 that half a
+    # 64-word tile holds, so the tiles are cut at the floor of two rows
+    monkeypatch.setattr(linalg, "TABLE_ROWS", 64)
+    g = random_full_rank(make_field(2, 1), 8, 2100, np.random.default_rng(2100))
+    kernel = _SpanKernel(g)
+    words, rows = kernel.table.shape
+    assert (words, rows, kernel.steps) == (33, 64, 4)
+    tiles = {lo: len(wts) for _, lo, wts in whole_walk(kernel)}
+    assert tiles == dict.fromkeys(range(0, rows, 2), 2)
+    assert_matches_gray_oracle(g)
 
 
 def test_weight_distribution_invariants(f4, f16):
