@@ -21,11 +21,12 @@ performance-critical piece of the package.  Messages are indexed in
 q-ary modular Gray order, and one codeword of each scalar class is
 weighed.  One split-table kernel serves every q: it packs the span of the
 low generator rows (at most ``TABLE_ROWS`` codewords) into a store of
-uint64 words of (q - 1).bit_length()-bit symbol slots, and streams one
-packed offset for the zero high part and for each high Gray index whose
-leading base-q digit is 1 (a step).  :func:`_walk`, the one place that
-weighs packed words, counts per store row the slots that differ from each
-offset, tile by tile; its docstring describes the tiling.  The same steps
+uint64 words, f = (q - 1).bit_length() bit planes of ceil(n / 64) words
+per row, and streams one packed offset for the zero high part and for
+each high Gray index whose leading base-q digit is 1 (a step).
+:func:`_walk`, the one place that weighs packed words, counts per store
+row the symbols that differ from each offset (an OR of the f XORed
+planes), tile by tile; its docstring describes the tiling.  The same steps
 yield the weight distribution, each class outside the table q - 1 times.
 
 The reported witness is the first minimum-weight codeword in Gray order,
@@ -56,7 +57,7 @@ DEFAULT_BUDGET = 1 << 26
 TABLE_ROWS = 1 << 16  # span-table rows, and packed words per tile, of the enumeration kernel
 # packed span-table words per worker from which splitting an enumeration
 # over forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
-FORK_MIN_ENTRIES = 1 << 25
+FORK_MIN_ENTRIES = 1 << 27
 F32_EXACT = 1 << 24  # float32 holds every integer up to this one exactly
 GRAM_FLOATS = 1 << 17  # float32 operands of one gram product
 
@@ -338,65 +339,76 @@ def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray
 
 
 def _pack_rows(symbols: np.ndarray, f: int) -> np.ndarray:
-    """Pack symbol-major rows (``symbols[j, r]`` is symbol j of row r, and
-    ``len(symbols)`` a multiple of 64 // f) into word-major uint64 words,
-    each of 64 // f slots of f bits from bit 0 up: no symbol straddles a
-    word.  A word is the sum of its symbols times 2^(f * slot), which einsum
-    forms in small buffers of its own, so no uint64 transient grows with n."""
-    slots = 64 // f
-    place = np.uint64(1) << np.arange(0, slots * f, f, dtype=np.uint64)
-    words = symbols.reshape(-1, slots, symbols.shape[1])
-    return np.einsum("wsr,s->wr", words, place, dtype=np.uint64)
+    """Pack symbol-major rows (``symbols[j, r]`` is symbol j of row r) into
+    f bit planes of w = ceil(n / 64) uint64 words each, word-major: word
+    i * w + c of a row holds bit i of its symbols 64c..64c+63, symbol j at
+    bit j % 64, and the bits past n are zero.
+
+    Each word's 64 symbols of a chunk of rows are copied into a buffer
+    along its contiguous axis, zero past n, where one ``np.packbits`` per
+    plane packs the ravelled buffer into little-endian bytes, one word per
+    row.  A chunk is ``TABLE_ROWS // 16`` rows (2^12 by default, the
+    fastest of 2^11..2^13 on a 3^10-row table), so no transient grows with
+    the table, and copying 64 symbols at a time keeps the transposing read
+    in cache."""
+    n, rows = symbols.shape
+    w = -(-n // 64)
+    block = min(rows, max(1, TABLE_ROWS // 16))
+    planes = np.empty((f, w, rows), dtype=np.uint64)
+    buf = np.zeros((block, 64), dtype=symbols.dtype)
+    bits = np.empty_like(buf)
+    for c in range(w):
+        word = symbols[64 * c:64 * c + 64]
+        buf[:, len(word):] = 0  # the last word's symbols past n
+        for r0 in range(0, rows, block):
+            m = min(block, rows - r0)
+            buf[:m, :len(word)] = word[:, r0:r0 + m].T
+            for i in range(f):
+                np.bitwise_and(buf[:m], 1 << i, out=bits[:m])
+                planes[i, c, r0:r0 + m] = np.packbits(bits[:m], bitorder="little").view("<u8")
+    return planes.reshape(f * w, rows)
 
 
 def _walk(store: np.ndarray, offsets, f: int, n: int):
     """Yield (i, start, weights) for each offset i of the stream ``offsets``
-    and each tile of ``store``: ``weights[m]`` counts the f-bit slots in
-    which store row start + m differs from offset i.
+    and each tile of ``store``: ``weights[m]`` counts the symbols in which
+    store row start + m differs from offset i.
 
-    ``store`` is word-major packed uint64 of shape (words, rows), each row
-    a run of words of 64 // f slots (see :func:`_pack_rows`), and an offset
-    is a packed row of the same words.  The walk is tiled: a tile is a run
-    of rows that holds at most ``TABLE_ROWS`` packed words, but at least
-    two rows (so that the span kernel's first tile holds a codeword besides
+    ``store`` is word-major packed uint64 of shape (f * w, rows), each row
+    f bit planes of w words (see :func:`_pack_rows`), and an offset is a
+    packed row of the same words.  The walk is tiled: a tile is a run of
+    rows that holds at most ``TABLE_ROWS`` packed words, but at least two
+    rows (so that the span kernel's first tile holds a codeword besides
     zero), and each tile is weighed against a whole batch of as many
     offsets as it has rows before the walk moves to the next tile; then the
-    next batch is read from the stream.  So a tile and its x/y scratch stay
-    in cache while a batch weighs it, and the offsets read at a time never
+    next batch is read from the stream.  So a tile and its scratch stay in
+    cache while a batch weighs it, and the offsets read at a time never
     outgrow a tile, however long the stream.  A store of one word per row
     is one tile.
 
-    A slot of x = row ^ offset is nonzero iff ((x & lo) + lo | x) & hi
-    sets its top bit; after shifts 0..f-1 the flags of f words occupy
-    disjoint bits, so one ``np.bitwise_count`` counts f words.  The weights
-    are in the narrowest dtype that holds n, a bound on every weight, and
-    the array may be reused between yields.
+    A symbol of a row differs from the offset iff one of its f bits does:
+    one XOR of the f * w words, then f - 1 ORs fold the planes into w flag
+    words, and ``np.bitwise_count`` counts the flags.  The weights are in
+    the narrowest dtype that holds n, a bound on every weight, and the
+    array may be reused between yields.
     """
     words, rows = store.shape
+    w = words // f
     tile = max(2, TABLE_ROWS // words)
-    lo, hi = (np.uint64(sum(m << f * s for s in range(64 // f)))
-              for m in ((1 << f - 1) - 1, 1 << f - 1))
     weight_dtype = np.min_scalar_type(n)
-    x, y = np.empty_like(store[:, :tile]), np.empty_like(store[:, :tile])
+    x = np.empty_like(store[:, :tile])
     offsets = enumerate(offsets)
     while batch := list(islice(offsets, tile)):
         for start in range(0, rows, tile):
             block = store[:, start:start + tile]
-            bx, by = x[:, :block.shape[1]], y[:, :block.shape[1]]
+            bx = x[:, :block.shape[1]]
+            flags = bx[:w]
             for i, h in batch:
                 np.bitwise_xor(block, h[:, None], out=bx)
-                np.bitwise_and(bx, lo, out=by)
-                np.add(by, lo, out=by)
-                np.bitwise_or(by, bx, out=by)
-                np.bitwise_and(by, hi, out=by)
-                counts = None
-                for g0 in range(0, words, f):
-                    acc = by[g0]
-                    for j in range(1, min(f, words - g0)):
-                        acc |= by[g0 + j] >> np.uint64(j)
-                    c = np.bitwise_count(acc)
-                    counts = c if counts is None else np.add(counts, c, dtype=weight_dtype)
-                yield i, start, counts
+                for j in range(w, words, w):
+                    np.bitwise_or(flags, bx[j:j + w], out=flags)
+                counts = np.bitwise_count(flags)
+                yield i, start, counts[0] if w == 1 else counts.sum(axis=0, dtype=weight_dtype)
 
 
 class _SpanKernel:
@@ -419,13 +431,13 @@ class _SpanKernel:
     steps instead of q^h, still in Gray order, so the first minimum they
     meet is the first of the whole code.
 
-    The table is word-major packed uint64, shape (words, q^b), its rows
-    padded with zero symbols to whole words.  Row + high part h has a zero
-    symbol exactly where the row equals -h, so a step counts the slots
-    where a row differs from the packed -h.  In characteristic 2, -h = h
-    and packing commutes with addition, so rows are packed first and added
-    by XOR.  In odd characteristic symbol j of a padded row of length len
-    becomes the e digit positions d * len + j (digit-major), whose digits
+    The table is word-major packed uint64, shape (f * ceil(n / 64), q^b):
+    f bit planes per row (see :func:`_pack_rows`).  Row + high part h has
+    a zero symbol exactly where the row equals -h, so a step counts the
+    symbols where a row differs from the packed -h.  In characteristic 2,
+    -h = h and plane packing commutes with addition, so rows are packed
+    first and added by XOR.  In odd characteristic symbol j of a row
+    becomes the e digit positions d * n + j (digit-major), whose digits
     add as integers mod p; the table is folded into symbols, then packed.
 
     :func:`_walk` weighs the table against the stream of packed -h of the
@@ -445,13 +457,11 @@ class _SpanKernel:
         self.q, self.n, self.b, self.high, self.f = q, n, b, k - b, f
         self.p, self.e = field.p, field.e
         self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
-        slots = 64 // f
-        entries = np.pad(g.entries, ((0, 0), (0, -n % slots)))  # zero symbols to whole words
         # scaled[i, j, v] = v * symbol j of row i
-        scaled = field.mul_table[np.arange(q), entries[:, :, None]]
+        scaled = field.mul_table[np.arange(q), g.entries[:, :, None]]
         if self.p == 2:
             scaled = np.stack([_pack_rows(s, f) for s in scaled])
-        else:  # scaled[i, d * len + j, v] = digit d of v * symbol j of row i
+        else:  # scaled[i, d * n + j, v] = digit d of v * symbol j of row i
             scaled = _digit_table(self.p, self.e).take(scaled, axis=0)
             scaled = np.moveaxis(scaled, 3, 1).reshape(k, -1, q)
         table = np.zeros((scaled.shape[1], 1), dtype=scaled.dtype)
@@ -459,6 +469,7 @@ class _SpanKernel:
             x, y = scaled[i][:, :, None], table[:, None, :]
             table = x ^ y if self.p == 2 else _add_mod(x, y, self.p)
             table = table.reshape(len(x), -1)
+        del x, y  # y holds the table before the last sum; free it before the pack
         self.table = table if self.p == 2 else _pack_rows(
             _fold_digits(table.reshape(self.e, -1, table.shape[1]), self.p), f)
         self.scaled_high = scaled[b:]
@@ -579,11 +590,12 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
     steps while a forked pool weighs the others; the workers inherit the
     kernel by the fork, so only (start, stop) pairs are pickled.
 
-    Medians on a 2-vCPU VM, one worker against two forced ones: q=4 k=13
-    (22M words) took 73 and 78 ms, q=2 k=25 (34M) 95 and 99 ms, while
-    q=16 k=7 (72M) went from 188 to 115 ms (0.61), q=4 k=14 (90M) from
-    245 to 132 ms (0.54) and q=3 n=242 k=16 (172M) from 622 to 387 ms
-    (0.62), measured on the tiled walk; hence 2^25 words per worker.
+    Medians on a 2-vCPU VM, one worker against two forced ones, on the
+    bit-plane walk: q=4 n=21 k=13 (45M words) took 36 and 38 ms, q=2 n=63
+    k=25 (34M) 36 and 34 ms, q=16 n=51 k=7 (72M) 44 to 49 and 44 to 52
+    ms, q=4 n=21 k=14 (179M) 83 to 93 and 86 to 92 ms, and q=3 n=242 k=16
+    (172M) 174 and 169 to 171 ms, while q=4 n=21 k=15 (716M) went from 609
+    to 390 ms (0.64); hence 2^27 words per worker.
     """
     kernel = _enumerable_kernel(g, budget)
     if jobs is None:  # the CPUs this process may run on; taskset narrows them

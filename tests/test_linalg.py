@@ -337,9 +337,8 @@ def test_rref_of_all_p_minus_1_entries_matches_scalar_gauss_jordan(p, e):
 
 def add_table_span(g, b, f):
     """The packed span table of g's first b rows, each sum an add-table gather."""
-    field, q, n = g.field, g.q, g.cols
-    entries = np.pad(g.entries, ((0, 0), (0, -n % (64 // f))))
-    scaled = field.mul_table[np.arange(q), entries[:, :, None]]
+    field, q = g.field, g.q
+    scaled = field.mul_table[np.arange(q), g.entries[:, :, None]]
     table = np.zeros((scaled.shape[1], 1), dtype=np.uint16)
     for i in range(b):
         table = field.add_table[scaled[i][:, :, None], table[:, None, :]].reshape(len(table), -1)
@@ -352,9 +351,7 @@ def add_table_minus_high_part(g, kernel, t_high):
     h = np.zeros(g.cols, dtype=np.uint16)
     for row, digit in zip(g.entries[kernel.b:], _gray_digits(t_high, kernel.high, g.q)):
         h = field.add_table[h, field.mul_table[digit][row]]
-    slots = 64 // kernel.f
-    minus = np.pad(field.neg_table[h], (0, -g.cols % slots))
-    return _pack_rows(minus[:, None], kernel.f)[:, 0]
+    return _pack_rows(field.neg_table[h][:, None], kernel.f)[:, 0]
 
 
 @pytest.mark.parametrize("p,e", ODD_FIELDS)
@@ -467,8 +464,8 @@ def assert_matches_gray_oracle(g):
 @pytest.mark.parametrize("p,e,k,n", [(2, 1, 18, 24), (2, 1, 18, 66), (3, 1, 11, 20),
                                      (2, 2, 9, 30), (2, 2, 9, 70), (2, 3, 6, 30),
                                      (7, 1, 7, 10), (3, 1, 12, 16),
-                                     # odd rows over several packed words: 2-bit,
-                                     # 3-bit, 4-bit, 5-bit and 10-bit (uint16) slots
+                                     # odd rows over several packed words: 2, 3,
+                                     # 4, 5 and 10 (uint16 symbols) bit planes
                                      (3, 1, 11, 70), (5, 1, 8, 30), (3, 2, 6, 40),
                                      (5, 2, 4, 30), (3, 6, 2, 10)])
 def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
@@ -576,7 +573,10 @@ def test_walk_weighs_one_codeword_per_scalar_class(monkeypatch, p, e, k, n):
     assert steps[0] == 0
     assert all(leading_digit(t, q) == 1 for t in steps[1:])
     starts = sorted(tiles)
-    assert len(starts) == (2 if q == 16 else 1)  # 20 symbols of 4 bits take two words
+    words = kernel.f * -(-n // 64)  # f bit planes of ceil(n / 64) words each
+    assert kernel.table.shape == (words, q**kernel.b)
+    # tiles of TABLE_ROWS words: one at q = 2 and 5, two at q = 3 and 4, four at q = 16
+    assert len(starts) == -(-q**kernel.b // (TABLE_ROWS // words))
     tiles.clear()
     dist = weight_distribution(g)
     assert sorted(tiles) == starts and all(seen == steps for seen in tiles.values())
@@ -584,40 +584,68 @@ def test_walk_weighs_one_codeword_per_scalar_class(monkeypatch, p, e, k, n):
     assert all(a % (q - 1) == 0 for a in dist[1:])
 
 
-# q = 2 and the orders of conftest.py's fields and coset tables: slots of
-# 1, 2, 2, 3, 4, 4, 5, 6, 8 and 12 bits
+# q = 2 and the orders of conftest.py's fields and coset tables: 1, 2, 2,
+# 3, 4, 4, 5, 6, 8 and 12 bit planes
 WALK_ORDERS = [2, 3, 4, 5, 9, 16, 25, 64, 256, 4096]
 
 
 def packed(symbols, f):
-    """Rows of symbols as a word-major packed store, padded to whole words."""
-    return _pack_rows(np.pad(symbols, ((0, 0), (0, -symbols.shape[1] % (64 // f)))).T, f)
+    """Rows of symbols as a word-major packed store of f bit planes."""
+    return _pack_rows(symbols.T, f)
+
+
+def unpacked_planes(store, f):
+    """[plane, row, bit]: bit b of word c of each plane, by shifts, at b + 64c."""
+    words = store.reshape(f, -1, store.shape[1])  # [plane, word, row]
+    bits = words[..., None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)
+    return bits.transpose(0, 2, 1, 3).reshape(f, store.shape[1], -1)
+
+
+@pytest.mark.parametrize("table_rows", [TABLE_ROWS, 64])
+@pytest.mark.parametrize("q", WALK_ORDERS)
+def test_pack_rows_puts_bit_i_of_every_symbol_in_plane_i(monkeypatch, q, table_rows):
+    # 64 words a tile packs 20 rows in chunks of 8, 4 or 2 rows
+    monkeypatch.setattr(linalg, "TABLE_ROWS", table_rows)
+    f = (q - 1).bit_length()
+    rng = np.random.default_rng(q)
+    for n in (1, 63, 64, 65, 130):
+        rows = rng.integers(0, q, size=(20, n), dtype=np.uint16)
+        rows[0] = q - 1  # every plane set
+        store = _pack_rows(rows.T.astype(np.min_scalar_type(q - 1)), f)
+        assert store.dtype == np.uint64
+        assert store.shape == (f * -(-n // 64), 20)
+        bits = unpacked_planes(store, f)
+        for i in range(f):
+            assert np.array_equal(bits[i, :, :n], rows >> i & 1)
+        assert not bits[:, :, n:].any()  # zero past n
 
 
 @pytest.mark.parametrize("table_rows", [TABLE_ROWS, 64])
 @pytest.mark.parametrize("q", WALK_ORDERS)
 def test_walk_counts_the_differing_symbols_tile_by_tile(monkeypatch, q, table_rows):
-    # 100 rows and 70 offsets of 70 symbols: one tile and one batch, or
-    # (64 words a tile) tiles of at most 32 rows and as many offsets a batch
+    # 100 rows and 70 offsets of n symbols: one tile and one batch, or
+    # (64 words a tile) tiles of at most 32 rows and as many offsets a batch;
+    # n = 64 and 65 fill one word a plane and spill one symbol into a second
     monkeypatch.setattr(linalg, "TABLE_ROWS", table_rows)
-    f, n = (q - 1).bit_length(), 70
+    f = (q - 1).bit_length()
     rng = np.random.default_rng(q)
-    rows = rng.integers(0, q, size=(100, n), dtype=np.uint16)
-    offs = rng.integers(0, q, size=(70, n), dtype=np.uint16)
-    offs[0], offs[1, ::2] = rows[5], rows[37, ::2]  # weight 0, and a near miss
-    want = np.count_nonzero(offs[:, None, :] != rows[None, :, :], axis=2)  # [offset, row]
-    store = packed(rows, f)
-    tile = max(2, table_rows // len(store))
-    assert (tile < len(offs)) == (table_rows == 64)  # several tiles and batches
-    seen = []
-    for i, start, wts in _walk(store, iter(packed(offs, f).T), f, n):
-        assert wts.dtype == np.min_scalar_type(n)
-        assert np.array_equal(wts, want[i, start:start + tile])
-        seen.append((i, start))
-    # each tile is weighed against a whole batch before the next tile
-    assert seen == [(i, start) for first in range(0, len(offs), tile)
-                    for start in range(0, len(rows), tile)
-                    for i in range(first, min(first + tile, len(offs)))]
+    for n in (70, 64, 65):
+        rows = rng.integers(0, q, size=(100, n), dtype=np.uint16)
+        offs = rng.integers(0, q, size=(70, n), dtype=np.uint16)
+        offs[0], offs[1, ::2] = rows[5], rows[37, ::2]  # weight 0, and a near miss
+        want = np.count_nonzero(offs[:, None, :] != rows[None, :, :], axis=2)  # [offset, row]
+        store = packed(rows, f)
+        tile = max(2, table_rows // len(store))
+        assert (tile < len(offs)) == (table_rows == 64)  # several tiles and batches
+        seen = []
+        for i, start, wts in _walk(store, iter(packed(offs, f).T), f, n):
+            assert wts.dtype == np.min_scalar_type(n)
+            assert np.array_equal(wts, want[i, start:start + tile])
+            seen.append((i, start))
+        # each tile is weighed against a whole batch before the next tile
+        assert seen == [(i, start) for first in range(0, len(offs), tile)
+                        for start in range(0, len(rows), tile)
+                        for i in range(first, min(first + tile, len(offs)))]
 
 
 def test_walk_of_no_offsets_yields_nothing():
@@ -693,9 +721,9 @@ def test_parallel_enumeration_matches_sequential(f4, monkeypatch):
                                      ((3, 1), 16, 27)])
 def test_small_job_runs_in_process(monkeypatch, q_e, k, n):
     # the sizes of the certify benchmark codes, and a ternary k = 16 code:
-    # each weighs at most 21.5M table words (365 steps of 3^10 one-word
-    # rows), under FORK_MIN_ENTRIES, so neither jobs=2 nor the default
-    # worker count starts a pool
+    # each weighs at most 43.1M table words (365 steps of 3^10 rows of two
+    # plane words), under FORK_MIN_ENTRIES, so neither jobs=2 nor the
+    # default worker count starts a pool
     g = random_full_rank(make_field(*q_e), k, n, np.random.default_rng(17))
 
     def no_fork(method):
