@@ -348,9 +348,9 @@ def _pack_rows(symbols: np.ndarray, f: int) -> np.ndarray:
     along its contiguous axis, zero past n, where one ``np.packbits`` per
     plane packs the ravelled buffer into little-endian bytes, one word per
     row.  A chunk is ``TABLE_ROWS // 16`` rows (2^12 by default, the
-    fastest of 2^11..2^13 on a 3^10-row table), so no transient grows with
-    the table, and copying 64 symbols at a time keeps the transposing read
-    in cache."""
+    fastest of 2^11..2^13 on a 242-symbol 3^10-row table), so no transient
+    grows with the table, and copying 64 symbols at a time keeps the
+    transposing read in cache."""
     n, rows = symbols.shape
     w = -(-n // 64)
     block = min(rows, max(1, TABLE_ROWS // 16))
