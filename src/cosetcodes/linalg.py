@@ -11,10 +11,15 @@ the q multiples of its row once, and clearing its column is a row gather
 from that table.  Rows are added by XOR in characteristic 2.  F_(p^e)
 adds digit by digit mod p, so in odd characteristic the symbols' base-p
 digits are added as integers and wrapped once.
-Gram products expand symbols into their base-p digits and run as float32
-matrix products over F_p (BLAS), exact by construction; :func:`gram`
-returns the product g1 g2^T, and :func:`gram_is_zero` is the test that
-it vanishes.
+Gram products expand symbols into their base-p digits and run as float64
+matrix products over F_p (BLAS), exact by construction: each output
+digit's sum over all columns, at most (p-1)^2 * f * n for q = p^f, has
+its own s-bit field of the g1 operand (s that bound's bit length), so
+one product carries floor(53 / s) digits below 2^53 and ceil(f /
+floor(53 / s)) products per column chunk give all f; chunks are capped
+at ``GRAM_FLOATS`` operand floats for memory only.  :func:`gram` returns
+the product g1 g2^T, and :func:`gram_is_zero` is the test that it
+vanishes.
 
 The module also houses the exhaustive minimum-distance certifier, the
 performance-critical piece of the package.  Messages are indexed in
@@ -58,8 +63,7 @@ TABLE_ROWS = 1 << 16  # span-table rows, and packed words per tile, of the enume
 # packed span-table words per worker from which splitting an enumeration
 # over forked workers pays; measured on a 2-vCPU VM, see min_distance_exhaustive
 FORK_MIN_ENTRIES = 1 << 27
-F32_EXACT = 1 << 24  # float32 holds every integer up to this one exactly
-GRAM_FLOATS = 1 << 17  # float32 operands of one gram product
+GRAM_FLOATS = 1 << 16  # float64 operands of one gram product
 
 
 class BudgetExceededError(RuntimeError):
@@ -252,16 +256,22 @@ def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
     For the Hermitian product over F_(ell^2), pass ``pow_entrywise(g1, ell)``
     as the first argument.
 
-    The products run over F_p as float32 matrix products.  A symbol's
-    base-p digits are its coordinates on 1, x, ..., x^(f-1) (q = p^f), so
-    digit t of <a, b> is sum_c sum_j digit_t(x^j a_c) * digit_j(b_c)
-    mod p.  For each digit t, the sum over all rows of g1 and g2 runs over
-    column chunks in float64.  A chunk of w columns has partial sums of at
-    most (p-1)^2 * f * w, so w is capped to keep that below 2^24, where
-    float32 holds every integer exactly; w is also capped so that both
-    operands of a product, g1's rows and g2's, hold at most
-    ``GRAM_FLOATS`` floats together.  The digits mod p, weighted by p^t,
-    are the symbols of the product.
+    The products run over F_p as exact float64 matrix products.  A
+    symbol's base-p digits are its coordinates on 1, x, ..., x^(f-1)
+    (q = p^f), so digit t of <a, b> is S_t mod p, where S_t = sum_c sum_j
+    digit_t(x^j a_c) * digit_j(b_c) is a sum of f * n products of digits
+    below p: S_t <= (p-1)^2 * f * n < 2^s, s that bound's bit length (see
+    :func:`_digit_fields`, which refuses s >= 53).  The digits go in
+    groups of m = floor(53 / s): the g1 operand of group g holds
+    sum_t digit_t(x^j a_c) * 2^(s (t - g m)) over its digits t, so one
+    product leaves each S_t in its own s-bit field, below 2^53, where
+    float64 holds every integer and so every partial sum of these
+    nonnegative terms exactly.  ceil(f / m) products per column chunk give
+    all f digits (one at q = 4 and 16; two at q = 64 from 43 columns on).
+    The sums accumulate packed over the chunks, which are capped only so
+    that a product's operands, g1's rows and g2's, hold at most
+    ``GRAM_FLOATS`` floats together.  Shifts and masks unpack them once;
+    the digits mod p, weighted by p^t, are the symbols of the product.
     """
     if g1.field is not g2.field:
         raise ValueError("matrices use different field contexts")
@@ -272,22 +282,41 @@ def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
         return GFMatrix(g1.field, out)
     field = g1.field
     p, f = field.p, field.e
+    s, m = _digit_fields(p, f, g1.cols)
     powers = p ** np.arange(f)
-    digits = _digit_table(p, f).astype(np.float32)  # [v, j]
+    digits = _digit_table(p, f).astype(np.int64)  # [v, j]
     shifted = field.mul_table[powers].T  # [v, j] = x^j * v
     shifted_digits = digits.T.take(shifted, axis=1)  # [t, v, j]
-    # columns per product: exact in float32 (at least one column for every
-    # field with dense tables) and operands within GRAM_FLOATS floats
-    step = min((F32_EXACT - 1) // ((p - 1) ** 2 * f),
-               max(1, GRAM_FLOATS // (f * (g1.rows + g2.rows))))
+    # [g, v, j]: the digits t of x^j * v in group g = t // m, in bit fields t mod m
+    packed = np.add.reduceat(shifted_digits << s * (np.arange(f) % m)[:, None, None],
+                             range(0, f, m), axis=0).astype(np.float64)
+    digits = digits.astype(np.float64)
+    step = max(1, GRAM_FLOATS // (f * (g1.rows + g2.rows)))
+    sums = np.zeros((len(packed), g1.rows, g2.rows))
+    for c in range(0, g1.cols, step):
+        b = np.take(digits, g2.entries[:, c:c + step], axis=0).reshape(g2.rows, -1)
+        for grp, acc in zip(packed, sums):
+            acc += np.take(grp, g1.entries[:, c:c + step], axis=0).reshape(g1.rows, -1) @ b.T
+    sums = sums.astype(np.int64)
     for t in range(f):
-        sums = np.zeros((g1.rows, g2.rows))
-        for c in range(0, g1.cols, step):
-            a = np.take(shifted_digits[t], g1.entries[:, c:c + step], axis=0)
-            b = np.take(digits, g2.entries[:, c:c + step], axis=0)
-            sums += a.reshape(g1.rows, -1) @ b.reshape(g2.rows, -1).T
-        out += sums.astype(np.int64) % p * int(powers[t])
+        out += ((sums[t // m] >> s * (t % m)) & ((1 << s) - 1)) % p * int(powers[t])
     return GFMatrix(field, out)
+
+
+def _digit_fields(p: int, f: int, cols: int) -> tuple[int, int]:
+    """(s, m) of a :func:`gram` over F_(p^f) with ``cols`` columns: s-bit
+    fields hold every digit sum, at most (p-1)^2 * f * cols, and m of them
+    fit in the 53 bits of a float64 significand.
+
+    s < 53 for every field with dense tables and fewer than 2^20 columns:
+    q <= 2^12 gives (p-1)^2 * f < 2^24 (p <= 4093 when f = 1, and p <= 64
+    with f <= 12 otherwise), so the bound is below 2^44 and s <= 44.
+    """
+    s = ((p - 1) ** 2 * f * cols).bit_length()
+    if s >= 53:
+        raise ValueError(f"a {cols}-column Gram over F_({p}^{f}) has digit sums "
+                         f"of {s} bits, past a float64's 53")
+    return s, 53 // s
 
 
 def gram_is_zero(g1: GFMatrix, g2: GFMatrix) -> bool:
@@ -344,28 +373,33 @@ def _pack_rows(symbols: np.ndarray, f: int) -> np.ndarray:
     i * w + c of a row holds bit i of its symbols 64c..64c+63, symbol j at
     bit j % 64, and the bits past n are zero.
 
-    Each word's 64 symbols of a chunk of rows are copied into a buffer
-    along its contiguous axis, zero past n, where one ``np.packbits`` per
-    plane packs the ravelled buffer into little-endian bytes, one word per
-    row.  A chunk is ``TABLE_ROWS // 16`` rows (2^12 by default, the
-    fastest of 2^11..2^13 on a 242-symbol 3^10-row table), so no transient
-    grows with the table, and copying 64 symbols at a time keeps the
-    transposing read in cache."""
+    The symbols of a run of words and a chunk of rows are copied into a
+    buffer along its contiguous axis, zero past n, where one
+    ``np.packbits`` per plane packs the ravelled buffer into little-endian
+    bytes, one word per row and word of the run.  A chunk is
+    ``TABLE_ROWS // 16`` rows (2^12 by default, the fastest of 2^11..2^13
+    on a 242-symbol 3^10-row table), so no transient grows with the table.
+    A run is one word when the chunk is that full, since copying 64 symbols
+    at a time keeps the transposing read in cache, and as many words as
+    fill the same buffer otherwise: a single row (a span kernel's offset)
+    is packed whole, in a few numpy calls per plane."""
     n, rows = symbols.shape
     w = -(-n // 64)
     block = min(rows, max(1, TABLE_ROWS // 16))
+    run = min(w, max(1, TABLE_ROWS // 16 // block))  # words copied at a time
     planes = np.empty((f, w, rows), dtype=np.uint64)
-    buf = np.zeros((block, 64), dtype=symbols.dtype)
+    buf = np.zeros((block, 64 * run), dtype=symbols.dtype)
     bits = np.empty_like(buf)
-    for c in range(w):
-        word = symbols[64 * c:64 * c + 64]
-        buf[:, len(word):] = 0  # the last word's symbols past n
+    for c in range(0, w, run):
+        part = symbols[64 * c:64 * (c + run)]
+        buf[:, len(part):] = 0  # the last run's symbols past n
         for r0 in range(0, rows, block):
             m = min(block, rows - r0)
-            buf[:m, :len(word)] = word[:, r0:r0 + m].T
+            buf[:m, :len(part)] = part[:, r0:r0 + m].T
             for i in range(f):
                 np.bitwise_and(buf[:m], 1 << i, out=bits[:m])
-                planes[i, c, r0:r0 + m] = np.packbits(bits[:m], bitorder="little").view("<u8")
+                packed = np.packbits(bits[:m], bitorder="little").view("<u8").reshape(m, run)
+                planes[i, c:c + run, r0:r0 + m] = packed[:, :w - c].T
     return planes.reshape(f * w, rows)
 
 

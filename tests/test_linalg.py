@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_field,
                         min_distance_exhaustive)
 from cosetcodes.codes import field_for_table
-from cosetcodes.linalg import (F32_EXACT, TABLE_ROWS, GFMatrix, _add_mod,
-                               _codeword_for_message, _gray_digits, _pack_rows,
-                               _digit_table, _SpanKernel, _sub_mod, _walk, check_budget,
+from cosetcodes.linalg import (TABLE_ROWS, GFMatrix, _add_mod, _codeword_for_message,
+                               _digit_fields, _digit_table, _gray_digits, _pack_rows, _SpanKernel, _sub_mod, _walk, check_budget,
                                gram, gram_is_zero, nullspace, pow_entrywise, rank,
                                rank_and_rref, row_space_equal, weight_distribution)
 from conftest import gf_matrix
@@ -287,11 +286,11 @@ def test_gram_of_a_tall_matrix_matches_the_oracle(p, e):
             == oracle_gram(field, g1.entries, g2.entries, ell))
 
 
-def test_gram_past_the_float32_bound_matches_the_oracle():
+def test_gram_of_a_25_bit_digit_sum_matches_the_oracle():
     # 5063 columns of 59 over F_61: <a, a> = 5063 * 59^2 = 17624303, which is
-    # odd and above 2^24, so a single float32 product cannot hold it exactly
+    # odd and needs 25 bits, the width of the one digit field of the product
     p, cols = 61, 61 * 83
-    assert (p - 1) ** 2 * cols >= F32_EXACT
+    assert (cols * 59**2).bit_length() == 25 == _digit_fields(p, 1, cols)[0]
     field = make_field(p, 1)
     a = gf_matrix(field, [[59] * cols])
     b = gf_matrix(field, [[59] * (cols - 1) + [58]])
@@ -303,6 +302,71 @@ def test_gram_past_the_float32_bound_matches_the_oracle():
     assert gram(a, b).entries.tolist() == oracle_gram(field, a.entries, b.entries) == [[2]]
     assert gram_is_zero(a, a)
     assert not gram_is_zero(a, b)
+
+
+def products_per_chunk(p, e, cols):
+    """Float64 products per column chunk of a :func:`gram` over F_(p^e)."""
+    return -(-e // _digit_fields(p, e, cols)[1])
+
+
+# (p, e, columns, products per chunk): q = 64 from the width that needs a
+# second product on (42 columns need one), q = 256 and 4096 past it, and
+# the odd prime powers
+PACKED_CASES = [(2, 6, 43, 2), (2, 6, 586, 2), (2, 8, 8, 2), (2, 8, 40, 2), (2, 12, 2, 2),
+                (2, 12, 9, 2), (3, 2, 100, 1), (3, 3, 100, 1), (3, 4, 100, 1), (3, 4, 600, 2)]
+
+
+@pytest.mark.parametrize("p,e,cols,products", PACKED_CASES)
+def test_gram_of_wide_matrices_matches_the_oracle(p, e, cols, products):
+    # the hypothesis Gram tests draw at most 12 columns, where every field
+    # of theirs fits one product
+    field = make_field(p, e)
+    assert products_per_chunk(p, e, cols) == products
+    assert products_per_chunk(2, 6, 42) == 1
+    rng = np.random.default_rng(cols)
+    g1 = GFMatrix(field, rng.integers(0, field.order, size=(3, cols)))
+    g2 = GFMatrix(field, rng.integers(0, field.order, size=(4, cols)))
+    assert gram(g1, g2).entries.tolist() == oracle_gram(field, g1.entries, g2.entries)
+    ell = hermitian_ell(field)
+    if ell is not None:
+        assert (gram(pow_entrywise(g1, ell), g2).entries.tolist()
+                == oracle_gram(field, g1.entries, g2.entries, ell))
+
+
+@pytest.mark.parametrize("p,e,cols", [(2, 4, 63), (2, 6, 682), (2, 12, 5), (3, 2, 511),
+                                      (3, 4, 600), (5, 2, 81)])
+def test_gram_digit_sums_at_the_top_of_their_field_match_the_oracle(p, e, cols):
+    # row t of g1 repeats a symbol a_t whose multiples x^j a_t all have
+    # digit t equal to p - 1, row t of g2 the symbol q - 1 of e digits p - 1:
+    # digit sum t of entry (t, t) is (p-1)^2 * e * cols, the bound itself,
+    # so it sets the top bit of its field and a carry out of it would show
+    field = make_field(p, e)
+    q, digits = field.order, _digit_table(p, e).astype(int)
+    multiples = field.mul_table[p ** np.arange(e)]  # [j, v] = x^j * v
+    tops = [int(np.flatnonzero((digits[multiples, t] == p - 1).all(axis=0))[0])
+            for t in range(e)]
+    g1 = GFMatrix(field, np.repeat(np.array(tops)[:, None], cols, axis=1))
+    g2 = GFMatrix(field, np.full((e, cols), q - 1))
+    bound = (p - 1) ** 2 * e * cols
+    for t, a in enumerate(tops):
+        assert sum(int(digits[field.mul(p**j, a), t]) * (p - 1) for j in range(e)) * cols == bound
+    assert bound >= 1 << _digit_fields(p, e, cols)[0] - 1
+    assert gram(g1, g2).entries.tolist() == oracle_gram(field, g1.entries, g2.entries)
+
+
+def test_digit_fields_fit_a_float64_for_every_dense_field():
+    # q <= 2^12 and n < 2^20 keep every digit sum below 2^44; past 2^53 a
+    # float64 would round it, so the width is refused
+    cols = (1 << 20) - 1
+    primes = [p for p in range(2, 1 << 12) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    widths = {(p, e): _digit_fields(p, e, cols)[0]
+              for p in primes for e in range(1, 13) if p**e <= 1 << 12}
+    assert max(widths.values()) == widths[(4093, 1)] == 44
+    assert _digit_fields(4093, 1, 1 << 28) == (52, 1)
+    with pytest.raises(ValueError, match="53"):
+        _digit_fields(4093, 1, 1 << 29)
+    with pytest.raises(ValueError, match="53"):
+        _digit_fields(2, 12, 1 << 49)
 
 
 @pytest.mark.parametrize("p", [3, 127, 131, 251])
@@ -618,6 +682,24 @@ def test_pack_rows_puts_bit_i_of_every_symbol_in_plane_i(monkeypatch, q, table_r
         for i in range(f):
             assert np.array_equal(bits[i, :, :n], rows >> i & 1)
         assert not bits[:, :, n:].any()  # zero past n
+
+
+@pytest.mark.parametrize("q", [3, 16, 4096])
+def test_pack_rows_copies_runs_of_words_that_need_not_divide_a_row(monkeypatch, q):
+    # TABLE_ROWS // 16 = 16 symbols a buffer row: 8 rows in runs of two
+    # words, so 130 symbols (3 words a plane) end on a run of one, and a
+    # single row (an offset) in one run of every word
+    monkeypatch.setattr(linalg, "TABLE_ROWS", 256)
+    f = (q - 1).bit_length()
+    rng = np.random.default_rng(q)
+    for count, n in ((8, 130), (8, 129), (1, 130), (1, 1)):
+        rows = rng.integers(0, q, size=(count, n), dtype=np.uint16)
+        store = _pack_rows(rows.T.astype(np.min_scalar_type(q - 1)), f)
+        assert store.shape == (f * -(-n // 64), count)
+        bits = unpacked_planes(store, f)
+        for i in range(f):
+            assert np.array_equal(bits[i, :, :n], rows >> i & 1)
+        assert not bits[:, :, n:].any()
 
 
 @pytest.mark.parametrize("table_rows", [TABLE_ROWS, 64])
