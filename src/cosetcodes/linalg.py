@@ -284,13 +284,12 @@ def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
     p, f = field.p, field.e
     s, m = _digit_fields(p, f, g1.cols)
     powers = p ** np.arange(f)
-    digits = _digit_table(p, f).astype(np.int64)  # [v, j]
+    digits = _digit_table(p, f).astype(np.float64)  # [v, j]
     shifted = field.mul_table[powers].T  # [v, j] = x^j * v
     shifted_digits = digits.T.take(shifted, axis=1)  # [t, v, j]
     # [g, v, j]: the digits t of x^j * v in group g = t // m, in bit fields t mod m
-    packed = np.add.reduceat(shifted_digits << s * (np.arange(f) % m)[:, None, None],
-                             range(0, f, m), axis=0).astype(np.float64)
-    digits = digits.astype(np.float64)
+    fields = np.ldexp(1.0, s * (np.arange(f) % m))[:, None, None]
+    packed = np.add.reduceat(shifted_digits * fields, range(0, f, m), axis=0)
     step = max(1, GRAM_FLOATS // (f * (g1.rows + g2.rows)))
     sums = np.zeros((len(packed), g1.rows, g2.rows))
     for c in range(0, g1.cols, step):
