@@ -10,9 +10,10 @@ from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_fiel
                         min_distance_exhaustive)
 from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import (TABLE_ROWS, GFMatrix, _add_mod, _codeword_for_message,
-                               _digit_fields, _digit_table, _gray_digits, _pack_rows, _SpanKernel, _sub_mod, _walk, check_budget,
-                               gram, gram_is_zero, nullspace, pow_entrywise, rank,
-                               rank_and_rref, row_space_equal, weight_distribution)
+                               _digit_fields, _digit_table, _gray_digits, _pack_rows,
+                               _SpanKernel, _sub_mod, _walk, check_budget, gram, gram_is_zero,
+                               nullspace, pow_entrywise, rank, rank_and_rref, row_space_equal,
+                               weight_distribution)
 from conftest import gf_matrix
 
 # (p, e) of the fields the property tests draw from; ell^2 = p^e for even e.
@@ -322,7 +323,6 @@ def test_gram_of_wide_matrices_matches_the_oracle(p, e, cols, products):
     # of theirs fits one product
     field = make_field(p, e)
     assert products_per_chunk(p, e, cols) == products
-    assert products_per_chunk(2, 6, 42) == 1
     rng = np.random.default_rng(cols)
     g1 = GFMatrix(field, rng.integers(0, field.order, size=(3, cols)))
     g2 = GFMatrix(field, rng.integers(0, field.order, size=(4, cols)))
@@ -362,6 +362,7 @@ def test_digit_fields_fit_a_float64_for_every_dense_field():
     widths = {(p, e): _digit_fields(p, e, cols)[0]
               for p in primes for e in range(1, 13) if p**e <= 1 << 12}
     assert max(widths.values()) == widths[(4093, 1)] == 44
+    assert products_per_chunk(2, 6, 42) == 1 < products_per_chunk(2, 6, 43)
     assert _digit_fields(4093, 1, 1 << 28) == (52, 1)
     with pytest.raises(ValueError, match="53"):
         _digit_fields(4093, 1, 1 << 29)
@@ -686,9 +687,9 @@ def test_pack_rows_puts_bit_i_of_every_symbol_in_plane_i(monkeypatch, q, table_r
 
 @pytest.mark.parametrize("q", [3, 16, 4096])
 def test_pack_rows_copies_runs_of_words_that_need_not_divide_a_row(monkeypatch, q):
-    # TABLE_ROWS // 16 = 16 symbols a buffer row: 8 rows in runs of two
-    # words, so 130 symbols (3 words a plane) end on a run of one, and a
-    # single row (an offset) in one run of every word
+    # TABLE_ROWS // 16 = 16 rows of one word, or 8 rows in runs of two
+    # words, so 130 symbols (3 words a plane) end on a run of one word; a
+    # single row (an offset) is one run of every word
     monkeypatch.setattr(linalg, "TABLE_ROWS", 256)
     f = (q - 1).bit_length()
     rng = np.random.default_rng(q)
