@@ -23,19 +23,19 @@ vanishes.
 
 The module also houses the exhaustive minimum-distance certifier, the
 performance-critical piece of the package.  Messages are indexed in
-q-ary modular Gray order, and one codeword of each scalar class is
-weighed.  One split-table kernel serves every q: it packs the span of the
-low generator rows (at most ``TABLE_ROWS`` codewords) into a store of
-uint64 words, f = (q - 1).bit_length() bit planes of ceil(n / 64) words
-per row, and streams one packed offset for the zero high part and for
-each high Gray index whose leading base-q digit is 1 (a step).
+base-q order, digit i on generator row i, and one codeword of each scalar
+class is weighed.  One split-table kernel serves every q: it packs the
+span of the low generator rows (at most ``TABLE_ROWS`` codewords) into a
+store of uint64 words, f = (q - 1).bit_length() bit planes of ceil(n / 64)
+words per row, and streams one packed offset for the zero high part and
+for each high index whose leading base-q digit is 1 (a step).
 :func:`_walk`, the one place that weighs packed words, counts per store
 row the symbols that differ from each offset (an OR of the f XORed
 planes), tile by tile; its docstring describes the tiling.  The same steps
 yield the weight distribution, each class outside the table q - 1 times.
 
-The reported witness is the first minimum-weight codeword in Gray order,
-whatever order the tiles come in.  Certification can split the
+The reported witness is the first minimum-weight codeword in base-q
+message order, whatever order the tiles come in.  Certification can split the
 steps into contiguous chunks over the calling process and a forked pool;
 results, witness included, are identical to the sequential traversal.
 The split is made only when each worker gets at least
@@ -335,6 +335,9 @@ class DistanceCertificate:
     ``enumerated`` counts the nonzero codewords whose weight is
     certified, q^k - 1; the kernel weighs one codeword per scalar class
     and covers the other q - 2 multiples by their equal weight.
+    ``witness`` is the first nonzero minimum-weight codeword in base-q
+    message order, message digit i on generator row i: the codeword of
+    the least message sum_i m_i q^i.
     """
 
     method: str               # always "exhaustive"
@@ -351,10 +354,10 @@ class DistanceCertificate:
         }
 
 
-def _gray_digits(t: int, k: int, q: int) -> list[int]:
-    """Digits of the q-ary modular Gray code of t: g_i = (t_i - t_{i+1}) mod q."""
-    base = [t // q**i % q for i in range(k + 1)]
-    return [(base[i] - base[i + 1]) % q for i in range(k)]
+def _base_digits(t: int, k: int, q: int) -> list[int]:
+    """The k base-q digits of t, least significant first: message t's digit i
+    is the coefficient of generator row i."""
+    return [t // q**i % q for i in range(k)]
 
 
 def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray:
@@ -447,22 +450,20 @@ def _walk(store: np.ndarray, offsets, f: int, n: int):
 class _SpanKernel:
     """Split-table enumeration of a full-rank k x n matrix, one codeword per scalar class.
 
-    Gray index t splits as t = t_low + q^b * T.  The high Gray digits
-    (rows b..k-1) are the Gray digits of T; the low ones are the Gray
-    digits of t_low, except that digit b-1 is shifted by -(T mod q).  So
-    for each high index T the q^b codewords t_low + q^b * T are exactly
-    the span table of the low b rows plus one high-part vector, in an
-    order fixed by T mod q.  ``b`` is the largest value with q^b <=
-    TABLE_ROWS, but at least 1.
+    Message t has base-q digit i on row i and splits as t = T * q^b + r:
+    r indexes row r of the span table of the low b rows, and the high
+    digits T scale the high rows b..k-1 into one high-part vector.  So for
+    each high index T the q^b codewords T * q^b + r are the span table
+    plus that vector, in table row order.  ``b`` is the largest value with
+    q^b <= TABLE_ROWS, but at least 1.
 
-    The leading nonzero digit of T equals that of its Gray digits (the
-    high message u), and lambda * u has leading digit lambda.  So each
-    scalar class of codewords outside the span table has exactly one
-    member whose T has leading base-q digit 1, and no member with a
-    smaller T.  The steps are T = 0 (the table itself) and, in increasing
-    order, every T in [q^j, 2 q^j) for j < h = k - b: 1 + (q^h - 1)/(q - 1)
-    steps instead of q^h, still in Gray order, so the first minimum they
-    meet is the first of the whole code.
+    lambda * u has leading digit lambda times the leading nonzero digit of
+    the high message u.  So each scalar class of codewords outside the span
+    table has exactly one member whose T has leading base-q digit 1, and no
+    member with a smaller T.  The steps are T = 0 (the table itself) and,
+    in increasing order, every T in [q^j, 2 q^j) for j < h = k - b: 1 +
+    (q^h - 1)/(q - 1) steps instead of q^h, still in message order, so the
+    first minimum they meet is the first of the whole code.
 
     The table is word-major packed uint64, shape (f * ceil(n / 64), q^b):
     f bit planes per row (see :func:`_pack_rows`).  Row + high part h has
@@ -471,13 +472,14 @@ class _SpanKernel:
     -h = h and plane packing commutes with addition, so rows are packed
     first and added by XOR.  In odd characteristic symbol j of a row
     becomes the e digit positions d * n + j (digit-major), whose digits
-    add as integers mod p; the table is folded into symbols, then packed.
+    add as integers mod p; the last low row's sums are folded into symbols
+    one digit plane at a time, so the full table's e planes are never held
+    at once, and the symbols are packed.
 
     :func:`_walk` weighs the table against the stream of packed -h of the
-    steps (:meth:`offsets`).  A step's Gray indices all exceed those of an
-    earlier step, so the first minimum is the least (w, t) over tiles and
-    steps, and t is formed only on a lower weight or on a tie at a step no
-    later than the best one's.
+    steps (:meth:`offsets`).  t grows with the step and, within a step,
+    with the table row, so the first minimum is the least (w, step, row)
+    over tiles and steps: one ``np.argmin`` per tile and step.
     """
 
     def __init__(self, g: GFMatrix):
@@ -487,24 +489,29 @@ class _SpanKernel:
         while b < k and q ** (b + 1) <= TABLE_ROWS:
             b += 1
         f = (q - 1).bit_length()
-        self.q, self.n, self.b, self.high, self.f = q, n, b, k - b, f
-        self.p, self.e = field.p, field.e
+        p, e = field.p, field.e
+        self.q, self.n, self.b, self.high, self.f, self.p = q, n, b, k - b, f, p
         self.steps = 1 + (q ** (k - b) - 1) // (q - 1)
         # scaled[i, j, v] = v * symbol j of row i
         scaled = field.mul_table[np.arange(q), g.entries[:, :, None]]
-        if self.p == 2:
+        if p == 2:
             scaled = np.stack([_pack_rows(s, f) for s in scaled])
         else:  # scaled[i, d * n + j, v] = digit d of v * symbol j of row i
-            scaled = _digit_table(self.p, self.e).take(scaled, axis=0)
+            scaled = _digit_table(p, e).take(scaled, axis=0)
             scaled = np.moveaxis(scaled, 3, 1).reshape(k, -1, q)
         table = np.zeros((scaled.shape[1], 1), dtype=scaled.dtype)
-        for i in range(b):
+        for i in range(b if p == 2 else b - 1):
             x, y = scaled[i][:, :, None], table[:, None, :]
-            table = x ^ y if self.p == 2 else _add_mod(x, y, self.p)
-            table = table.reshape(len(x), -1)
-        del x, y  # y holds the table before the last sum; free it before the pack
-        self.table = table if self.p == 2 else _pack_rows(
-            _fold_digits(table.reshape(self.e, -1, table.shape[1]), self.p), f)
+            table = (x ^ y if p == 2 else _add_mod(x, y, p)).reshape(len(x), -1)
+        if p != 2:  # the last row's digit planes, folded by Horner's rule
+            x, y = scaled[b - 1].reshape(e, n, q, 1), table.reshape(e, n, 1, -1)
+            table = _add_mod(x[-1], y[-1], p)
+            for d in range(e - 2, -1, -1):
+                table *= p
+                table += _add_mod(x[d], y[d], p)
+            del x, y  # y holds the table before the last row; free it before the pack
+            table = _pack_rows(table.reshape(n, -1), f)
+        self.table = table
         self.scaled_high = scaled[b:]
 
     def _high_index(self, step: int) -> int:
@@ -518,46 +525,30 @@ class _SpanKernel:
         return lead + rest
 
     def _minus_high_part(self, t_high: int) -> np.ndarray:
-        """-(sum of the high rows scaled by the Gray digits of t_high), packed."""
-        digits = _gray_digits(t_high, self.high, self.q)
+        """-(sum of the high rows scaled by the base-q digits of t_high), packed."""
+        digits = _base_digits(t_high, self.high, self.q)
         parts = self.scaled_high[np.arange(self.high), :, digits]
         if self.p == 2:
             return np.bitwise_xor.reduce(parts, axis=0)
         # the parts sum in uint64, so one reduction serves them all
         minus = (self.p - parts.sum(axis=0) % self.p) % self.p
-        minus = _fold_digits(minus.reshape(self.e, -1), self.p)
+        minus = _fold_digits(minus.reshape(-1, self.n), self.p)
         return _pack_rows(minus[:, None], self.f)[:, 0]
 
     def offsets(self, start: int, stop: int):
         """The packed -h of steps [start, stop), a lazy stream for :func:`_walk`."""
         return map(self._minus_high_part, map(self._high_index, range(start, stop)))
 
-    def _first_low_index(self, rows: np.ndarray, t_b: int) -> int:
-        """Smallest t_low whose low Gray digits, shifted by t_b, index one of ``rows``."""
-        q = self.q
-        t_low = np.zeros_like(rows)
-        digit = np.full_like(rows, t_b)
-        for i in reversed(range(self.b)):
-            digit = (rows // q**i % q + digit) % q
-            t_low += digit * q**i
-        return int(t_low.min())
-
     def first_minimum(self, start: int, stop: int) -> tuple[int, int]:
         """(weight, t) of the first nonzero minimum-weight codeword of steps
-        [start, stop): the least (w, t) over every tile and step."""
-        best_w, best_t, best_step = self.n + 1, -1, -1
+        [start, stop): the least (w, step, row) over every tile and step."""
+        best = (self.n + 1, 0, 0)
         for i, lo, wts in _walk(self.table, self.offsets(start, stop), self.f, self.n):
-            step = start + i
-            skip = 1 if step == 0 and lo == 0 else 0  # the zero codeword
-            w = int(wts[skip:].min())
-            if w < best_w or (w == best_w and step <= best_step):
-                t_high = self._high_index(step)  # only for a candidate
-                rows = np.flatnonzero(wts[skip:] == w) + (lo + skip)
-                t = (t_high * self.q**self.b
-                     + self._first_low_index(rows, t_high % self.q))
-                if w < best_w or t < best_t:
-                    best_w, best_t, best_step = w, t, step
-        return best_w, best_t
+            skip = 1 if start + i == 0 and lo == 0 else 0  # the zero codeword
+            row = skip + int(np.argmin(wts[skip:]))
+            best = min(best, (int(wts[row]), start + i, lo + row))
+        w, step, row = best
+        return w, self._high_index(step) * self.q**self.b + row
 
 
 _worker_kernel: _SpanKernel | None = None  # set only in pool workers
@@ -610,8 +601,8 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
     One codeword of each scalar class is weighed.  The witness is the
-    first codeword attaining the minimum in the q-ary modular Gray order
-    of messages, at every worker count.  Raises
+    first codeword attaining the minimum in base-q message order (digit i
+    on row i of g), at every worker count.  Raises
     :class:`BudgetExceededError` when q^k - 1 exceeds ``budget`` (or
     does not fit int64 counts) and ValueError for rank-deficient input.
 
@@ -644,7 +635,7 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
             rest = pool.map_async(_first_minimum_chunk, list(zip(cuts[1:-1], cuts[2:])))
             best_w, best_t = min(kernel.first_minimum(cuts[0], cuts[1]), *rest.get())
     k = g.rows
-    message = _gray_digits(best_t, k, g.q)
+    message = _base_digits(best_t, k, g.q)
     witness = _codeword_for_message(g.field, g.entries, message)
     w = int(np.count_nonzero(witness))
     if w != best_w:

@@ -10,7 +10,7 @@ from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_fiel
                         min_distance_exhaustive)
 from cosetcodes.codes import field_for_table
 from cosetcodes.linalg import (TABLE_ROWS, GFMatrix, _add_mod, _codeword_for_message,
-                               _digit_fields, _digit_table, _gray_digits, _pack_rows,
+                               _base_digits, _digit_fields, _digit_table, _pack_rows,
                                _SpanKernel, _sub_mod, _walk, check_budget, gram, gram_is_zero,
                                nullspace, pow_entrywise, rank, rank_and_rref, row_space_equal,
                                weight_distribution)
@@ -33,13 +33,14 @@ def random_full_rank(field, k, n, rng):
             return g
 
 
-def naive_gray_scan(g):
-    """(first minimum-weight Gray index, weight histogram), one codeword at a time."""
+def naive_scan(g):
+    """(first minimum-weight message in base-q order, weight histogram), one
+    codeword at a time."""
     q, k = g.q, g.rows
     counts = [0] * (g.cols + 1)
     best_w, best_t = g.cols + 1, -1
     for t in range(q**k):
-        cw = _codeword_for_message(g.field, g.entries, _gray_digits(t, k, q))
+        cw = _codeword_for_message(g.field, g.entries, _base_digits(t, k, q))
         w = int(np.count_nonzero(cw))
         counts[w] += 1
         if t and w < best_w:
@@ -47,15 +48,15 @@ def naive_gray_scan(g):
     return best_t, counts
 
 
-def vectorized_gray_codewords(g):
-    """All q^k codewords, row t the Gray-order message t, built column-wise."""
+def vectorized_codewords(g):
+    """All q^k codewords, row t the message t (base-q digit i on row i),
+    built column-wise."""
     field, q, k = g.field, g.q, g.rows
     t = np.arange(q**k, dtype=np.int64)
-    base = [t // q**i % q for i in range(k + 1)]
     cw = np.zeros((q**k, g.cols), dtype=np.uint16)
     for i in range(k):
         scaled = field.mul_table[np.arange(q)[:, None], g.entries[i][None, :]]
-        part = scaled[(base[i] - base[i + 1]) % q]
+        part = scaled[t // q**i % q]
         cw = cw ^ part if field.p == 2 else field.add_table[cw, part]
     return cw
 
@@ -411,10 +412,10 @@ def add_table_span(g, b, f):
 
 
 def add_table_minus_high_part(g, kernel, t_high):
-    """-(sum of g's high rows scaled by the Gray digits of t_high), by add and neg tables."""
+    """-(sum of g's high rows scaled by the base-q digits of t_high), by add and neg tables."""
     field = g.field
     h = np.zeros(g.cols, dtype=np.uint16)
-    for row, digit in zip(g.entries[kernel.b:], _gray_digits(t_high, kernel.high, g.q)):
+    for row, digit in zip(g.entries[kernel.b:], _base_digits(t_high, kernel.high, g.q)):
         h = field.add_table[h, field.mul_table[digit][row]]
     return _pack_rows(field.neg_table[h][:, None], kernel.f)[:, 0]
 
@@ -446,9 +447,9 @@ def test_prime_high_parts_of_several_rows_match_naive_scan(monkeypatch, p, e, k)
     field = make_field(p, e)
     g = random_full_rank(field, k, 9, np.random.default_rng(field.order * k))
     assert _SpanKernel(g).high >= 2
-    best_t, counts = naive_gray_scan(g)
+    best_t, counts = naive_scan(g)
     assert min_distance_exhaustive(g).witness == tuple(map(int, _codeword_for_message(
-        field, g.entries, _gray_digits(best_t, k, field.order))))
+        field, g.entries, _base_digits(best_t, k, field.order))))
     assert weight_distribution(g) == counts
 
 
@@ -460,24 +461,17 @@ def test_enumeration_past_uint8_sums_matches_vectorized_oracle(monkeypatch, p, t
     field = make_field(p, 1)
     g = random_full_rank(field, 2, 7, np.random.default_rng(p))
     assert _SpanKernel(g).high == (0 if table_rows == TABLE_ROWS else 1)
-    assert_matches_gray_oracle(g)
+    assert_matches_oracle(g)
     worst = GFMatrix(field, np.full((1, 7), p - 1))
-    assert_matches_gray_oracle(worst)
+    assert_matches_oracle(worst)
 
 
-def test_gray_sequence_changes_one_symbol_per_step():
-    for q, k in ((2, 5), (4, 3), (8, 2)):
-        prev = _gray_digits(0, k, q)
-        seen = {tuple(prev)}
-        for t in range(1, q**k):
-            cur = _gray_digits(t, k, q)
-            diffs = [i for i in range(k) if cur[i] != prev[i]]
-            assert len(diffs) == 1
-            i = diffs[0]
-            assert cur[i] == (prev[i] + 1) % q
-            seen.add(tuple(cur))
-            prev = cur
-        assert len(seen) == q**k  # bijective traversal
+def test_base_digits_index_every_message_once():
+    for q, k in ((2, 5), (4, 3), (8, 2), (27, 2)):
+        for t in range(q**k):
+            digits = _base_digits(t, k, q)
+            assert len(digits) == k and all(0 <= d < q for d in digits)
+            assert sum(d * q**i for i, d in enumerate(digits)) == t
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)])
@@ -489,11 +483,11 @@ def test_enumerator_matches_naive_recomputation(p, e):
         if q**k > 1 << 14:
             continue
         g = random_full_rank(field, k, int(rng.integers(4, 12)), rng)
-        best_t, counts = naive_gray_scan(g)
-        first = _codeword_for_message(field, g.entries, _gray_digits(best_t, k, q))
+        best_t, counts = naive_scan(g)
+        first = _codeword_for_message(field, g.entries, _base_digits(best_t, k, q))
         cert = min_distance_exhaustive(g)
         assert cert.value == int(np.count_nonzero(first))
-        assert cert.witness == tuple(map(int, first))  # the first minimum in Gray order
+        assert cert.witness == tuple(map(int, first))  # the first minimum in base-q order
         assert cert.enumerated == q**k - 1
         assert weight_distribution(g) == counts
 
@@ -507,16 +501,16 @@ def test_weights_past_255_sum_over_several_words(p):
     m[0] = 1
     g = GFMatrix(field, m)
     assert rank(g) == 4
-    best_t, counts = naive_gray_scan(g)
+    best_t, counts = naive_scan(g)
     assert max(w for w, a in enumerate(counts) if a) > 255
     assert weight_distribution(g) == counts
-    first = _codeword_for_message(field, m, _gray_digits(best_t, 4, p))
+    first = _codeword_for_message(field, m, _base_digits(best_t, 4, p))
     assert min_distance_exhaustive(g).witness == tuple(map(int, first))
 
 
-def assert_matches_gray_oracle(g):
-    """Distance, Gray-first witness and weight distribution against every codeword."""
-    cw = vectorized_gray_codewords(g)
+def assert_matches_oracle(g):
+    """Distance, base-q-first witness and weight distribution against every codeword."""
+    cw = vectorized_codewords(g)
     weights = np.count_nonzero(cw, axis=1)
     first = 1 + int(np.argmin(weights[1:]))
     cert = min_distance_exhaustive(g)
@@ -539,7 +533,31 @@ def test_multi_block_enumeration_matches_vectorized_oracle(p, e, k, n):
     assert g.q**k > TABLE_ROWS  # more than one span table's worth of codewords
     if (p, e, k, n) in {(2, 1, 18, 66), (2, 2, 9, 70), (3, 1, 11, 70)}:
         assert table_tiles(_SpanKernel(g)) >= 2  # rows over several words
-    assert_matches_gray_oracle(g)
+    assert_matches_oracle(g)
+
+
+# every q of the oracle tests, and a dimension that gives q^k >= 2000
+ORACLE_FIELDS = {2: (2, 1, 11), 3: (3, 1, 7), 4: (2, 2, 6), 5: (5, 1, 5), 7: (7, 1, 4),
+                 8: (2, 3, 4), 9: (3, 2, 4), 16: (2, 4, 3), 25: (5, 2, 3), 131: (131, 1, 2),
+                 251: (251, 1, 2), 729: (3, 6, 2)}
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_forked_witness_is_the_first_minimum_in_base_q_order(monkeypatch, q):
+    # a 64-row table leaves two steps or more, which a forced 2-worker job
+    # splits between the calling process and a forked one
+    monkeypatch.setattr(linalg, "TABLE_ROWS", 64)
+    monkeypatch.setattr(linalg, "FORK_MIN_ENTRIES", 1)
+    p, e, k = ORACLE_FIELDS[q]
+    g = random_full_rank(make_field(p, e), k, 12, np.random.default_rng(q))
+    assert _SpanKernel(g).steps >= 2
+    cw = vectorized_codewords(g)
+    weights = np.count_nonzero(cw, axis=1)
+    first = 1 + int(np.argmin(weights[1:]))
+    for jobs in (1, 2):
+        cert = min_distance_exhaustive(g, jobs=jobs)
+        assert (cert.value, cert.witness) == (weights[first], tuple(map(int, cw[first])))
+        assert not multiprocessing.active_children()
 
 
 def whole_walk(kernel):
@@ -565,7 +583,7 @@ def test_repeated_columns_witness_matches_vectorized_oracle(p, k, copies):
     g = GFMatrix(field, np.hstack([base] * copies))
     kernel = _SpanKernel(g)
     assert kernel.high >= 2
-    weights = assert_matches_gray_oracle(g)
+    weights = assert_matches_oracle(g)
     d = weights[1:].min()
     assert np.count_nonzero(weights == d) > 10 * (g.q - 1)
     if copies > 2:
@@ -583,28 +601,31 @@ def test_small_tiles_and_step_batches_match_vectorized_oracle(monkeypatch, p, k,
     kernel = _SpanKernel(g)
     assert table_tiles(kernel) >= 2
     assert kernel.steps > 64 // kernel.table.shape[0]  # two step batches or more
-    assert_matches_gray_oracle(g)
+    assert_matches_oracle(g)
 
 
 def test_a_later_tile_wins_a_tie_at_an_earlier_step():
-    # weight 2 is reached only by the high row h = e0 + e1 and by h + r15 =
-    # e2 + e3.  Low row 15 = e0 + ... + e3 is the table's top digit, so with
-    # 70 symbols over two words it splits the table into two tiles, and at
-    # T = 1 the Gray-first of the pair, h + r15, lies in the second tile
+    # weight 2 is reached only by low row 15 = e0 + e1 and by the high row
+    # 16 = e2 + e3.  Row 15 is the table's top digit, so with 70 symbols
+    # over two words it sits in the second tile at T = 0, message 2^15; row
+    # 16 is table row 0 plus the high part at T = 1, message 2^16, in the
+    # first tile, which the walk weighs at T = 1 before the second tile
     field = make_field(2, 1)
     rng = np.random.default_rng(0)
     while True:
         m = rng.integers(0, 2, size=(17, 70)).astype(np.uint16)
         m[15:] = 0
-        m[15, :4] = m[16, :2] = 1
+        m[15, :2] = m[16, 2:4] = 1
         g = GFMatrix(field, m)
         if rank(g) == 17:
             break
     kernel = _SpanKernel(g)
     assert (kernel.b, kernel.steps, table_tiles(kernel)) == (16, 2, 2)
-    weights = assert_matches_gray_oracle(g)
+    met = [(kernel._high_index(i), lo) for i, lo, wts in whole_walk(kernel) if (wts == 2).any()]
+    assert met == [(1, 0), (0, TABLE_ROWS // 2)]
+    weights = assert_matches_oracle(g)
     assert np.count_nonzero(weights == 2) == 2
-    assert min_distance_exhaustive(g).witness == (0, 0, 1, 1) + (0,) * 66
+    assert min_distance_exhaustive(g).witness == (1, 1) + (0,) * 68
 
 
 def leading_digit(t, q):
@@ -634,7 +655,7 @@ def test_walk_weighs_one_codeword_per_scalar_class(monkeypatch, p, e, k, n):
     steps = tiles[0]
     assert len(steps) == len(set(steps)) == expected
     assert all(seen == steps for seen in tiles.values())  # each tile, each step once
-    # the zero high part, then high Gray indices with leading base-q digit 1
+    # the zero high part, then high indices with leading base-q digit 1
     assert steps[0] == 0
     assert all(leading_digit(t, q) == 1 for t in steps[1:])
     starts = sorted(tiles)
@@ -746,7 +767,7 @@ def test_rows_wider_than_half_a_tile_make_tiles_of_two_rows(monkeypatch):
     assert (words, rows, kernel.steps) == (33, 64, 4)
     tiles = {lo: len(wts) for _, lo, wts in whole_walk(kernel)}
     assert tiles == dict.fromkeys(range(0, rows, 2), 2)
-    assert_matches_gray_oracle(g)
+    assert_matches_oracle(g)
 
 
 def test_weight_distribution_invariants(f4, f16):
