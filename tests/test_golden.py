@@ -36,7 +36,13 @@ the rest of the chain.  The two ``verify`` digests moved when its bounds
 were labelled (``>=d`` and "degree bound:") and its duality lines
 dropped the always-true gram and nullspace flags, and again when a
 published distance that no family reaches was said in words, not as
-``quantum_k=None``.  A refactor
+``quantum_k=None``.  Five JSON certificate digests (``quantum --q 4
+--n 21 --family 0,1,2,3 --certify-dual``, ``classical --q 5 --n 24
+--family 0,1,2 --certify``, ``quantum --q 9 --n 8 --family 0,3
+--certify-dual``, ``classical --q 25 --n 24 --family 0,1,2,3,4
+--certify`` and ``classical --q 4 --n 51 --r 16 --certify``) moved only
+in their witness, of unchanged weight, when the certifier came to index
+messages in base-q order instead of q-ary Gray order.  A refactor
 that changes any printed byte (a frontier, a certificate witness, a
 field description, a JSON key order, a refusal) fails here.  Do not
 update a digest to make a change pass; a change of output has to be
@@ -65,7 +71,7 @@ GOLDEN = [
     ("classical --q 4 --n 51 --r 16 --certify", 0,
      "3859fe6b734876b869afa71f8c787906ec67041233e9895d2b21ce34dd6482e3"),
     ("quantum --q 4 --n 21 --family 0,1,2,3 --certify-dual --format json", 0,
-     "b9e77ca9f79e7779083cfb4aed943fd7a50426734c6de2f5a0a42ff2c8a3f4d0"),
+     "9afffd5ddd861fd4eb2c7957348331f64cb27ebf5d551e183aebed6a40c875dc"),
     ("quantum --q 4 --n 51 --family 0,1,2,6", 0,
      "c977e2ae988037f0b6574e944dceb99fbf74508f699bdeb7750e624dd2f9ad8f"),
     ("search --q 64 --n 585 --min-quantum-k 532 --format json", 0,
@@ -86,7 +92,7 @@ GOLDEN = [
     ("matrix --q 4 --n 257 --family 0,1", 0,
      "e4fb41e2b1237147a81d509a0d2e17877c6ae88ba038b44f279fb3d451e74ff5"),
     ("classical --q 5 --n 24 --family 0,1,2 --certify --format json", 0,
-     "4b5b853834ca88aec477214b582e087295cd3a44a07497f709df614937151e87"),
+     "6b62ce0ec819ac16d8bcbcfbc7f58439e75b5e7f633ffccfc37efbe4351c8e56"),
     ("quantum --q 16 --n 51 --family 0,1,2 --format csv", 0,
      "ebe4e9b047a63077c3765a659812d0f9b94beee67a95deb1f4b67259ffdfba1c"),
     ("search --q 4 --n 63 --min-d 6", 0,
@@ -109,7 +115,7 @@ GOLDEN = [
     ("search --q 25 --n 24 --format json", 0,
      "ded4e5e119e36c58788968aa2e55b39e915d9e60aede7b211f371325c8140a7c"),
     ("quantum --q 9 --n 8 --family 0,3 --certify-dual --format json", 0,
-     "56b25251d1596616d53698b77735385294222c2e914996d7998997b50fe5c87f"),
+     "0f4f23009d2cff2322d8125464b9d4b017b68e3a2273c4ff191379ce40361431"),
     # odd-characteristic certificates: 365 steps of 3^10 rows, 11 steps of
     # rows of 81 symbols of 4 bits, and 27 steps of 25^3 rows
     ("classical --q 3 --n 26 --family 0,1,2,4,5,7 --certify --format json", 0,
@@ -117,11 +123,11 @@ GOLDEN = [
     ("classical --q 9 --n 80 --family 0,1,2,3 --certify --format json", 0,
      "832ff96a0c5f2eb696c06b7018b6c06b729891ad115006b4e18554d7f3acead7"),
     ("classical --q 25 --n 24 --family 0,1,2,3,4 --certify --format json", 0,
-     "a0d5f96bff305d037d0f71a226f770774631578b59b01a9850c3dcf97c7b3ee4"),
+     "0916115d5efbc38851425d699acea01268fbff11414fd0b7a607605bc44c6e28"),
     # report branches no case above prints: the "r" key with a certificate,
     # a CSV d_exact, a text refusal and the text dual-certificate line
     ("classical --q 4 --n 51 --r 16 --certify --format json", 0,
-     "9bb6e2fa1552fcdd39ad02aa043ccf73a65408720d98c77c07b71e888fbf83a0"),
+     "4ec444e3d66c549d19eb8d0b3d580a9d8346632f26345d87ac57b4e66fa1d5c8"),
     ("classical --q 4 --n 63 --r 21 --certify --format csv", 0,
      "92f456138237677d35f3fee46c296a4bbf1df5cc19944a0fa473e6ea45488f74"),
     ("classical --q 4 --n 21 --family 0,1,2,3 --certify --budget 100", 0,
