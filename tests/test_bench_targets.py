@@ -8,6 +8,7 @@ package would otherwise surface only when the benchmark runs.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -103,6 +104,21 @@ def test_workload_digests_read_real_results(monkeypatch, t21):
     got = frontier.digest(dual_job, hermitian_dual(t21.family([0, 1]), ell=2))
     assert got == {"excluded": [10], "dim_s": 4, "dim_dual": 18,
                    "gram": True, "nullspace": True}
+
+
+def test_one_checked_pass_of_each_workload(monkeypatch):
+    # what the benchmark would count as a failed check (a wrong distance, a
+    # frontier off the reference, a .j2 witness that differs from .j1)
+    # fails here first
+    workloads = _load(monkeypatch, "workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    for cls in workloads.WORKLOADS.values():
+        tables = workloads.setup(cls.settings())
+        for seed in (1, 2):
+            wl = cls(tables, reference, seed)
+            outputs = {job: wl.digest(job, call()) for job, call in wl.jobs()}
+            failed = [name for name, ok in wl.check(outputs) if not ok]
+            assert outputs and not failed, (cls.name, seed, failed)
 
 
 def test_make_reference_pool_is_admissible(monkeypatch, t51):
