@@ -35,8 +35,8 @@ planes), tile by tile; its docstring describes the tiling.  The same steps
 yield the weight distribution, each class outside the table q - 1 times.
 
 The reported witness is the first minimum-weight codeword in base-q
-message order, whatever order the tiles come in.  Certification can split the
-steps into contiguous chunks over the calling process and a forked pool;
+message order, whatever order the tiles come in.  Certification can split
+the steps into contiguous chunks over the calling process and a forked pool;
 results, witness included, are identical to the sequential traversal.
 The split is made only when each worker gets at least
 ``FORK_MIN_ENTRIES`` packed table words to weigh, since on a smaller
@@ -462,8 +462,8 @@ class _SpanKernel:
     table has exactly one member whose T has leading base-q digit 1, and no
     member with a smaller T.  The steps are T = 0 (the table itself) and,
     in increasing order, every T in [q^j, 2 q^j) for j < h = k - b: 1 +
-    (q^h - 1)/(q - 1) steps instead of q^h, still in message order, so the
-    first minimum they meet is the first of the whole code.
+    (q^h - 1)/(q - 1) steps instead of q^h, in message order, so the first
+    minimum they meet is the first of the whole code.
 
     The table is word-major packed uint64, shape (f * ceil(n / 64), q^b):
     f bit planes per row (see :func:`_pack_rows`).  Row + high part h has

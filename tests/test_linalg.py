@@ -466,14 +466,6 @@ def test_enumeration_past_uint8_sums_matches_vectorized_oracle(monkeypatch, p, t
     assert_matches_oracle(worst)
 
 
-def test_base_digits_index_every_message_once():
-    for q, k in ((2, 5), (4, 3), (8, 2), (27, 2)):
-        for t in range(q**k):
-            digits = _base_digits(t, k, q)
-            assert len(digits) == k and all(0 <= d < q for d in digits)
-            assert sum(d * q**i for i, d in enumerate(digits)) == t
-
-
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)])
 def test_enumerator_matches_naive_recomputation(p, e):
     field = make_field(p, e)
