@@ -6,8 +6,8 @@ quantum parameter triples, must-contain frontier points, and the
 reference comparisons.  :data:`CHECKS` maps each section to a checker
 that yields one entry's results, and :func:`run_all` is one loop over
 every entry of every section.  The checkers share each coset table and
-each frontier, searched once at the floor of the setting's one
-``search_points`` entry, or with no floor where it has none.
+each frontier, searched once per setting and floor: a ``search_points``
+entry at its own floor, other checks at the least one listed, or at 0.
 
 Two fixture entries ("published_exceeding_bound") record published
 parameter claims whose distances exceed what the degree bound can
@@ -59,9 +59,15 @@ class _Run:
     def __init__(self, data: dict, certify: bool, budget: int):
         self.certify, self.budget = certify, budget
         self.table = functools.cache(cosets.compute_cosets)
-        floors = {(f["ell"], f["n"]): f["min_quantum_k"] for f in data["search_points"]}
-        self.frontier = functools.cache(lambda ell, n: quantum.search(
-            self.table(ell**2, n), min_quantum_k=floors.get((ell, n), 0)))
+        # the least floor listed per setting, the last that a descending sort writes
+        self.floors = {(f["ell"], f["n"]): f["min_quantum_k"] for f in sorted(
+            data["search_points"], key=lambda f: f["min_quantum_k"], reverse=True)}
+        self._search = functools.cache(lambda ell, n, floor: quantum.search(
+            self.table(ell**2, n), min_quantum_k=floor))
+
+    def frontier(self, ell: int, n: int, floor: int | None = None) -> quantum.SearchResult:
+        """The (ell, n) search at ``floor``, by default the least listed there, or 0."""
+        return self._search(ell, n, self.floors.get((ell, n), 0) if floor is None else floor)
 
     def certified(self, name: str, expected, certifier, check) -> FixtureResult:
         """The (ok, computed) of ``check(certificate)``, or an INFO line quoting a refusal."""
@@ -122,7 +128,7 @@ def _quantum(run: _Run, fix) -> Iterator[FixtureResult]:
 
 
 def _search_points(run: _Run, fix) -> Iterator[FixtureResult]:
-    got = run.frontier(fix["ell"], fix["n"]).frontier()
+    got = run.frontier(fix["ell"], fix["n"], fix["min_quantum_k"]).frontier()
     missing = [tuple(p) for p in fix["points"] if tuple(p) not in got]
     yield _result(
         f"search frontier ell={fix['ell']} n={fix['n']}", not missing,

@@ -3,9 +3,12 @@
 Field elements are plain integers in ``0 .. p^e - 1``.  The base-p digits
 of an element are the coefficients of its polynomial representative over
 F_p (digit i = coefficient of x^i), so for p = 2 an element is the usual
-bit mask and addition is XOR.  A :class:`Field` is built from a monic
-primitive modulus of degree e alone; multiplication, inversion and
-powering run through exp/log tables built once at construction.
+bit mask and addition is XOR.  This module is the one home of that digit
+model (:meth:`Field.add`, :attr:`Field.digit_table` and the digit-array
+helpers), and -a is (p - 1) * a, row p - 1 of the multiplication table.
+A :class:`Field` is built from a monic primitive modulus of degree e
+alone; multiplication, inversion and powering run through exp/log tables
+built once at construction.
 Arithmetic mod the modulus f has one model, the same for every p: the
 companion matrix C of f, the F_p-linear map y -> x*y on the digits, whose
 row i holds the digits of x^(i+1).  C^k multiplies by x^k, and two checks
@@ -142,11 +145,52 @@ def degree_over_prime(q: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _int_to_digits(v: int, p: int, width: int) -> list[int]:
+    """The ``width`` base-p digits of v, least significant first."""
     digits = []
     for _ in range(width):
         v, r = divmod(v, p)
         digits.append(r)
     return digits
+
+
+def _digit_table(p: int, e: int) -> np.ndarray:
+    """Row v holds the base-p digits of symbol v, its coordinates on 1, x, ...,
+    x^(e-1), in the narrowest dtype that holds 2p - 1 (so neither a sum of
+    two digits nor a digit plus p wraps) and every symbol (for Horner's rule)."""
+    return (np.arange(p**e)[:, None] // p ** np.arange(e) % p).astype(
+        np.min_scalar_type(max(2 * p - 1, p**e - 1)))
+
+
+def _fold_digits(planes, p: int) -> np.ndarray:
+    """Symbols of digit planes, given most significant first as an iterable,
+    by Horner's rule: formed in place in the first plane, and each later plane
+    is dropped once it has been added, before the next one is drawn."""
+    planes = iter(planes)
+    acc = next(planes)
+    for plane in planes:
+        acc *= p
+        acc += plane
+        del plane
+    return acc
+
+
+def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x + y mod p, for digits in a :func:`_digit_table` dtype and a sum
+    of two axes or more: s - p wraps past every residue unless s >= p, so
+    the minimum is s mod p.  The sum is wrapped in place, one index of axis
+    1 at a time (a multiple, in the span table), so the s - p scratch is
+    one such slice, not a second copy of the sum."""
+    s = x + y
+    for part in np.moveaxis(s, 1, 0):
+        np.minimum(part, part - p, out=part)
+    return s
+
+
+def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x - y mod p, for digits in a :func:`_digit_table` dtype: d wraps
+    past every residue when x < y, and then d + p is x - y + p."""
+    d = x - y
+    return np.minimum(d, d + p, out=d)
 
 
 def _companion(modulus: tuple[int, ...] | list[int], p: int) -> np.ndarray:
@@ -283,20 +327,14 @@ class Field:
         self.log_np = log
 
     # -- arithmetic on integer-coded elements ----------------------------
-    # add and neg take ints or numpy arrays (element-wise, broadcasting);
-    # both act on each base-p digit, which for p = 2 is XOR.
+    # add takes ints or numpy arrays (element-wise, broadcasting) of any
+    # size; it adds each base-p digit mod p, which for p = 2 is XOR.
 
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
         p = self.p
         return sum((a // w % p + b // w % p) % p * w for w in self._powers)
-
-    def neg(self, a):
-        if self.p == 2:
-            return a
-        p = self.p
-        return sum((p - a // w % p) % p * w for w in self._powers)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -341,8 +379,10 @@ class Field:
         return tab
 
     @cached_property
-    def neg_table(self) -> np.ndarray:
-        return np.asarray(self.neg(self._symbols("neg")), dtype=np.uint16)
+    def digit_table(self) -> np.ndarray:
+        """Row v holds the base-p digits of symbol v (see :func:`_digit_table`)."""
+        self._symbols("digit")  # the size check
+        return _digit_table(self.p, self.e)
 
     def pow_table(self, k: int) -> np.ndarray:
         """Entry-wise x -> x^k lookup vector."""
@@ -375,7 +415,7 @@ class Field:
         f = self._subfield_degree(q)
         w = nth_root_of_unity(self, q - 1)
         # symbol sum_j c_j p^j is sum_j c_j w^j; c_j w^j has log log(c_j) + j log(w)
-        digits = np.arange(q)[:, None] // self.p ** np.arange(f) % self.p
+        digits = _digit_table(self.p, f)
         logs = self.log_np[digits] + np.arange(f) * self.log_np[w]
         terms = np.where(digits > 0, self.exp_np[logs % (self.order - 1)], 0)
         embed = reduce(self.add, terms.T)

@@ -8,9 +8,10 @@ once: :attr:`GFMatrix.reduction` keeps the result of the first
 hands its result that reduction, raised entry-wise.  Row reduction and
 nullspaces run on the field's dense lookup tables: each pivot tabulates
 the q multiples of its row once, and clearing its column is a row gather
-from that table.  Rows are added by XOR in characteristic 2.  F_(p^e)
-adds digit by digit mod p, so in odd characteristic the symbols' base-p
-digits are added as integers and wrapped once.
+from that table.  Rows are added by XOR in characteristic 2, and in odd
+characteristic in :mod:`~cosetcodes.galois`'s digit model: the symbols'
+base-p digits, from the field's digit table, are added as integers and
+wrapped once.
 Gram products expand symbols into their base-p digits and run as float64
 matrix products over F_p (BLAS), exact by construction: each output
 digit's sum over all columns, at most (p-1)^2 * f * n for q = p^f, has
@@ -51,12 +52,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from multiprocessing import get_context
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .galois import Field
+from .galois import Field, _add_mod, _fold_digits, _int_to_digits, _sub_mod
 
 DEFAULT_BUDGET = 1 << 26
 TABLE_ROWS = 1 << 16  # span-table rows, and packed words per tile, of the enumeration kernel
@@ -116,43 +115,6 @@ class GFMatrix:
 # Row reduction
 # ---------------------------------------------------------------------------
 
-def _digit_table(p: int, e: int) -> np.ndarray:
-    """Row v holds the base-p digits of symbol v, its coordinates on 1, x, ...,
-    x^(e-1), in the narrowest dtype that holds 2p - 1 (so neither a sum of
-    two digits nor a digit plus p wraps) and every symbol (for Horner's rule)."""
-    return (np.arange(p**e)[:, None] // p ** np.arange(e) % p).astype(
-        np.min_scalar_type(max(2 * p - 1, p**e - 1)))
-
-
-def _fold_digits(planes: np.ndarray, p: int) -> np.ndarray:
-    """Symbols of digit planes (digit d in ``planes[d]``) by Horner's rule,
-    formed in place in the last plane."""
-    acc = planes[-1]
-    for d in range(len(planes) - 2, -1, -1):
-        acc *= p
-        acc += planes[d]
-    return acc
-
-
-def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x + y mod p, for digits in a :func:`_digit_table` dtype and a sum
-    of two axes or more: s - p wraps past every residue unless s >= p, so
-    the minimum is s mod p.  The sum is wrapped in place, one index of axis
-    1 at a time (a multiple, in the span table), so the s - p scratch is
-    one such slice, not a second copy of the sum."""
-    s = x + y
-    for part in np.moveaxis(s, 1, 0):
-        np.minimum(part, part - p, out=part)
-    return s
-
-
-def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x - y mod p, for digits in a :func:`_digit_table` dtype: d wraps
-    past every residue when x < y, and then d + p is x - y + p."""
-    d = x - y
-    return np.minimum(d, d + p, out=d)
-
-
 def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
     """Rank and the unique reduced row echelon form (canonical), reduced
     afresh on every call; :attr:`GFMatrix.reduction` keeps one result.
@@ -163,22 +125,21 @@ def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
     XOR in characteristic 2.  In odd characteristic the matrix holds its
     symbols' base-p digits, laid out [row, column, digit]; the pivot steps
     read symbols folded from them, and the multiples, expanded through the
-    digit table, are subtracted digit by digit as integers mod p.  The pivot
-    row gathers the zero multiple, and is zero left of the pivot column, so
-    only the columns from it on are touched.
+    field's digit table, are subtracted digit by digit as integers mod p.
+    The pivot row gathers the zero multiple, and is zero left of the pivot
+    column, so only the columns from it on are touched.
     """
     field, p, (rows, cols) = m.field, m.field.p, m.entries.shape
     if p == 2:
         a = m.entries.astype(np.min_scalar_type(field.order - 1))
     else:
-        digits = _digit_table(p, field.e)
-        a = digits.take(m.entries, axis=0)  # [row, column, digit]
+        a = field.digit_table.take(m.entries, axis=0)  # [row, column, digit]
     mul = field.mul_table.astype(a.dtype, copy=False)
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        col_vals = a[:, c].copy() if p == 2 else _fold_digits(a[:, c].T.copy(), p)
+        col_vals = a[:, c].copy() if p == 2 else _fold_digits(a[:, c, ::-1].T.copy(), p)
         nz = np.flatnonzero(col_vals[r:])
         if not nz.size:
             continue
@@ -186,7 +147,7 @@ def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
             col_vals[[r, pivot]] = col_vals[[pivot, r]]
-        row = a[r, c:] if p == 2 else _fold_digits(a[r, c:].T, p)  # row r is rewritten below
+        row = a[r, c:] if p == 2 else _fold_digits(a[r, c:, ::-1].T, p)  # row r is rewritten below
         pv = int(col_vals[r])
         if pv != 1:
             row = mul[field.inv(pv)][row]
@@ -196,11 +157,11 @@ def rank_and_rref(m: GFMatrix) -> tuple[int, GFMatrix]:
             a[r, c:] = row
             a[:, c:] ^= multiples.take(col_vals, axis=0)
         else:
-            multiples = digits.take(multiples, axis=0)
+            multiples = field.digit_table.take(multiples, axis=0)
             a[r, c:] = multiples[1]
             a[:, c:] = _sub_mod(a[:, c:], multiples.take(col_vals, axis=0), p)
         r += 1
-    return r, GFMatrix(field, a[:r] if p == 2 else _fold_digits(np.moveaxis(a[:r], -1, 0), p))
+    return r, GFMatrix(field, a[:r] if p == 2 else _fold_digits(a[:r, :, ::-1].T, p).T)
 
 
 def rank(m: GFMatrix) -> int:
@@ -225,7 +186,7 @@ def nullspace(m: GFMatrix) -> GFMatrix:
     free = np.flatnonzero(~is_pivot)
     basis = np.zeros((len(free), m.cols), dtype=np.uint16)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = m.field.neg_table[ent[:, free]].T
+    basis[:, pivots] = m.field.mul_table[m.field.p - 1][ent[:, free]].T  # -1 = p - 1
     return GFMatrix(m.field, basis)
 
 
@@ -284,7 +245,7 @@ def gram(g1: GFMatrix, g2: GFMatrix) -> GFMatrix:
     p, f = field.p, field.e
     s, m = _digit_fields(p, f, g1.cols)
     powers = p ** np.arange(f)
-    digits = _digit_table(p, f).astype(np.float64)  # [v, j]
+    digits = field.digit_table.astype(np.float64)  # [v, j]
     shifted = field.mul_table[powers].T  # [v, j] = x^j * v
     shifted_digits = digits.T.take(shifted, axis=1)  # [t, v, j]
     # [g, v, j]: the digits t of x^j * v in group g = t // m, in bit fields t mod m
@@ -352,12 +313,6 @@ class DistanceCertificate:
             "enumerated": self.enumerated,
             "witness": list(self.witness) if self.witness is not None else None,
         }
-
-
-def _base_digits(t: int, k: int, q: int) -> list[int]:
-    """The k base-q digits of t, least significant first: message t's digit i
-    is the coefficient of generator row i."""
-    return [t // q**i % q for i in range(k)]
 
 
 def _codeword_for_message(field: Field, rows: np.ndarray, message) -> np.ndarray:
@@ -447,6 +402,16 @@ def _walk(store: np.ndarray, offsets, f: int, n: int):
                 yield i, start, counts[0] if w == 1 else counts.sum(axis=0, dtype=weight_dtype)
 
 
+def _span(rows: np.ndarray, add) -> np.ndarray:
+    """The span table of ``rows``, each [position, multiple]: entry [j, r] is
+    position j of the sum of the rows scaled by the base-q digits of r,
+    digit i on row i, and ``add`` forms each row's sums."""
+    table = np.zeros((rows.shape[1], 1), dtype=rows.dtype)
+    for x in rows:
+        table = add(x[:, :, None], table[:, None, :]).reshape(len(x), -1)
+    return table
+
+
 class _SpanKernel:
     """Split-table enumeration of a full-rank k x n matrix, one codeword per scalar class.
 
@@ -470,11 +435,11 @@ class _SpanKernel:
     a zero symbol exactly where the row equals -h, so a step counts the
     symbols where a row differs from the packed -h.  In characteristic 2,
     -h = h and plane packing commutes with addition, so rows are packed
-    first and added by XOR.  In odd characteristic symbol j of a row
-    becomes the e digit positions d * n + j (digit-major), whose digits
-    add as integers mod p; the last low row's sums are folded into symbols
-    one digit plane at a time, so the full table's e planes are never held
-    at once, and the symbols are packed.
+    first and added by XOR.  In odd characteristic digit plane d of the
+    table is the F_p span of digit plane d of the rows, added as integers
+    mod p.  The one row loop :func:`_span` builds either.  The e planes
+    are built most significant first and each is folded into the symbols
+    by Horner's rule before the next is built, and the symbols are packed.
 
     :func:`_walk` weighs the table against the stream of packed -h of the
     steps (:meth:`offsets`).  t grows with the step and, within a step,
@@ -496,22 +461,12 @@ class _SpanKernel:
         scaled = field.mul_table[np.arange(q), g.entries[:, :, None]]
         if p == 2:
             scaled = np.stack([_pack_rows(s, f) for s in scaled])
-        else:  # scaled[i, d * n + j, v] = digit d of v * symbol j of row i
-            scaled = _digit_table(p, e).take(scaled, axis=0)
-            scaled = np.moveaxis(scaled, 3, 1).reshape(k, -1, q)
-        table = np.zeros((scaled.shape[1], 1), dtype=scaled.dtype)
-        for i in range(b if p == 2 else b - 1):
-            x, y = scaled[i][:, :, None], table[:, None, :]
-            table = (x ^ y if p == 2 else _add_mod(x, y, p)).reshape(len(x), -1)
-        if p != 2:  # the last row's digit planes, folded by Horner's rule
-            x, y = scaled[b - 1].reshape(e, n, q, 1), table.reshape(e, n, 1, -1)
-            table = _add_mod(x[-1], y[-1], p)
-            for d in range(e - 2, -1, -1):
-                table *= p
-                table += _add_mod(x[d], y[d], p)
-            del x, y  # y holds the table before the last row; free it before the pack
-            table = _pack_rows(table.reshape(n, -1), f)
-        self.table = table
+            self.table = _span(scaled[:b], np.bitwise_xor)
+        else:  # scaled[i, d, j, v] = digit d of v * symbol j of row i
+            scaled = np.moveaxis(field.digit_table.take(scaled, axis=0), 3, 1)
+            planes = (_span(scaled[:b, d], lambda x, y: _add_mod(x, y, p))
+                      for d in range(e - 1, -1, -1))
+            self.table = _pack_rows(_fold_digits(planes, p), f)
         self.scaled_high = scaled[b:]
 
     def _high_index(self, step: int) -> int:
@@ -526,14 +481,13 @@ class _SpanKernel:
 
     def _minus_high_part(self, t_high: int) -> np.ndarray:
         """-(sum of the high rows scaled by the base-q digits of t_high), packed."""
-        digits = _base_digits(t_high, self.high, self.q)
-        parts = self.scaled_high[np.arange(self.high), :, digits]
+        digits = _int_to_digits(t_high, self.q, self.high)
+        parts = self.scaled_high[np.arange(self.high), ..., digits]
         if self.p == 2:
             return np.bitwise_xor.reduce(parts, axis=0)
         # the parts sum in uint64, so one reduction serves them all
         minus = (self.p - parts.sum(axis=0) % self.p) % self.p
-        minus = _fold_digits(minus.reshape(-1, self.n), self.p)
-        return _pack_rows(minus[:, None], self.f)[:, 0]
+        return _pack_rows(_fold_digits(minus[::-1], self.p)[:, None], self.f)[:, 0]
 
     def offsets(self, start: int, stop: int):
         """The packed -h of steps [start, stop), a lazy stream for :func:`_walk`."""
@@ -635,8 +589,7 @@ def min_distance_exhaustive(g: GFMatrix, budget: int = DEFAULT_BUDGET,
             rest = pool.map_async(_first_minimum_chunk, list(zip(cuts[1:-1], cuts[2:])))
             best_w, best_t = min(kernel.first_minimum(cuts[0], cuts[1]), *rest.get())
     k = g.rows
-    message = _base_digits(best_t, k, g.q)
-    witness = _codeword_for_message(g.field, g.entries, message)
+    witness = _codeword_for_message(g.field, g.entries, _int_to_digits(best_t, g.q, k))
     w = int(np.count_nonzero(witness))
     if w != best_w:
         raise AssertionError("witness weight disagrees with enumerated minimum")

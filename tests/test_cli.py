@@ -426,6 +426,24 @@ def test_verify_compares_the_references_without_their_search_point(capsys, monke
     assert all(line.startswith("[PASS]") for line in lines)
 
 
+def test_verify_checks_two_search_points_at_one_setting_each_at_its_own_floor(
+        capsys, monkeypatch):
+    # (2, 6) is on the ell=2 n=21 frontier with no floor, but not with floor 10
+    from cosetcodes import fixtures
+
+    data = fixtures.load_known_answers()
+    data["search_points"] = [
+        {"ell": 2, "n": 21, "min_quantum_k": 0, "points": [[2, 6]]},
+        {"ell": 2, "n": 21, "min_quantum_k": 10, "points": [[14, 3]]},
+    ]
+    monkeypatch.setattr(fixtures, "load_known_answers", lambda: data)
+    code, out, _ = run(capsys, "verify", "--skip-certify")
+    assert code == 0
+    lines = [line for line in out.splitlines() if "search frontier ell=2 n=21" in line]
+    assert len(lines) == 2
+    assert all(line.startswith("[PASS]") for line in lines), lines
+
+
 def test_every_section_has_a_checker_and_every_checker_a_section():
     from cosetcodes import fixtures
 

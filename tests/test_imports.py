@@ -1,6 +1,7 @@
 """Guards against stale imports, unread constants, import cycles, a stale
 ``__all__``, costly import paths, a second place that catches budget
-refusals and a second packed slot count (no linter is required)."""
+refusals, a second packed slot count and base-p digits formed outside
+``galois`` (no linter is required)."""
 
 import ast
 import os
@@ -151,6 +152,34 @@ def test_the_guard_sees_a_second_slot_count():
     assert slot_counters(sources) == ["a._walk", "b.weigh"]
 
 
+def digit_formers(sources: dict[str, str]) -> list[str]:
+    """module.function for each ``X // Y % Z`` expression and each call of
+    divmod, as a name or an attribute: the ways a base-p digit is formed."""
+
+    def forms_digits(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            return isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.FloorDiv)
+        func = getattr(node, "func", None)  # only a call has one
+        return getattr(func, "attr", getattr(func, "id", None)) == "divmod"
+
+    return holders(sources, forms_digits)
+
+
+def test_base_p_digits_are_formed_in_one_module():
+    # galois is the one home of the digit model
+    sources = {p.stem: p.read_text() for p in Path(cosetcodes.__file__).parent.glob("*.py")}
+    found = digit_formers(sources)
+    assert found and {name.split(".")[0] for name in found} == {"galois"}, found
+
+
+def test_the_guard_sees_a_second_digit_former():
+    sources = {"a": "def _int_to_digits(v, p):\n    return divmod(v, p)\n",
+               "b": "import numpy as np\n\nclass K:\n    def digits(self, t):\n"
+                    "        return [t // self.q**i % self.q for i in range(3)]\n\n"
+                    "def split(t, q):\n    return np.divmod(t, q), t % q // 2, t // q\n"}
+    assert digit_formers(sources) == ["a._int_to_digits", "b.digits", "b.split"]
+
+
 def package_imports(source: str, modules: set[str]) -> set[str]:
     """The package modules that a module of the package imports, counting
     every import statement, also those under ``if TYPE_CHECKING:``."""
@@ -200,7 +229,7 @@ def test_package_import_graph_has_no_cycle():
     assert all(graph[name] <= set(sources) for name in graph)
     assert import_cycle(graph) == []
     assert graph["galois"] == set()
-    assert graph["linalg"] == {"galois"}  # its Field annotations, under TYPE_CHECKING
+    assert graph["linalg"] == {"galois"}  # the digit model and its Field annotations
 
 
 def test_the_guard_sees_an_import_cycle():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_field,
                         min_distance_exhaustive)
 from cosetcodes.codes import field_for_table
-from cosetcodes.linalg import (TABLE_ROWS, GFMatrix, _add_mod, _codeword_for_message,
-                               _base_digits, _digit_fields, _digit_table, _pack_rows,
-                               _SpanKernel, _sub_mod, _walk, check_budget, gram, gram_is_zero,
+from cosetcodes.galois import _add_mod, _digit_table, _int_to_digits, _sub_mod
+from cosetcodes.linalg import (TABLE_ROWS, GFMatrix, _codeword_for_message, _digit_fields,
+                               _pack_rows, _SpanKernel, _walk, check_budget, gram, gram_is_zero,
                                nullspace, pow_entrywise, rank, rank_and_rref, row_space_equal,
                                weight_distribution)
 from conftest import gf_matrix
@@ -27,6 +27,7 @@ ODD_FIELDS = [pytest.param(p, e, id=str(p**e))
 
 
 def random_full_rank(field, k, n, rng):
+    assert k <= n, "no k x n matrix has rank k > n"
     while True:
         g = GFMatrix(field, rng.integers(0, field.order, size=(k, n)).astype(np.uint16))
         if rank(g) == k:
@@ -40,7 +41,7 @@ def naive_scan(g):
     counts = [0] * (g.cols + 1)
     best_w, best_t = g.cols + 1, -1
     for t in range(q**k):
-        cw = _codeword_for_message(g.field, g.entries, _base_digits(t, k, q))
+        cw = _codeword_for_message(g.field, g.entries, _int_to_digits(t, q, k))
         w = int(np.count_nonzero(cw))
         counts[w] += 1
         if t and w < best_w:
@@ -172,7 +173,7 @@ def test_gram_edge_cases(f4, f16):
 
 
 def oracle_rref(field, entries):
-    """Scalar Gauss-Jordan elimination with Field.mul/add/inv/neg."""
+    """Scalar Gauss-Jordan elimination with Field.mul/add/inv, -x as (p - 1) x."""
     a = [[int(x) for x in row] for row in entries]
     r = 0
     for c in range(len(a[0]) if a else 0):
@@ -184,7 +185,7 @@ def oracle_rref(field, entries):
         a[r] = [field.mul(inv, x) for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c]:
-                factor = field.neg(a[i][c])
+                factor = field.mul(field.p - 1, a[i][c])
                 a[i] = [field.add(x, field.mul(factor, y)) for x, y in zip(a[i], a[r])]
         r += 1
     return r, a[:r]
@@ -382,6 +383,14 @@ def test_residue_add_and_subtract_match_integers_mod_p_on_every_pair(p):
     assert dtype == (np.uint8 if p <= 127 else np.uint16)
 
 
+@pytest.mark.parametrize("p,e", sorted(set(PROPERTY_FIELDS) | {f.values for f in ODD_FIELDS}))
+def test_mul_table_row_p_minus_1_is_the_digit_negation(p, e):
+    # -a = (p - 1) a, the one negation that nullspace reads
+    field = make_field(p, e)
+    digits = np.asarray([_int_to_digits(x, p, e) for x in range(field.order)])
+    assert np.array_equal(field.mul_table[p - 1], -digits % p @ p ** np.arange(e))
+
+
 @pytest.mark.parametrize("p,e", ODD_FIELDS)
 def test_rref_of_all_p_minus_1_entries_matches_scalar_gauss_jordan(p, e):
     # entries q - 1, whose digits are all p - 1, put each subtraction's
@@ -412,12 +421,13 @@ def add_table_span(g, b, f):
 
 
 def add_table_minus_high_part(g, kernel, t_high):
-    """-(sum of g's high rows scaled by the base-q digits of t_high), by add and neg tables."""
+    """-(sum of g's high rows scaled by the base-q digits of t_high), by the add
+    table, negated by the mul table's row p - 1."""
     field = g.field
     h = np.zeros(g.cols, dtype=np.uint16)
-    for row, digit in zip(g.entries[kernel.b:], _base_digits(t_high, kernel.high, g.q)):
+    for row, digit in zip(g.entries[kernel.b:], _int_to_digits(t_high, g.q, kernel.high)):
         h = field.add_table[h, field.mul_table[digit][row]]
-    return _pack_rows(field.neg_table[h][:, None], kernel.f)[:, 0]
+    return _pack_rows(field.mul_table[field.p - 1][h][:, None], kernel.f)[:, 0]
 
 
 @pytest.mark.parametrize("p,e", ODD_FIELDS)
@@ -449,7 +459,7 @@ def test_prime_high_parts_of_several_rows_match_naive_scan(monkeypatch, p, e, k)
     assert _SpanKernel(g).high >= 2
     best_t, counts = naive_scan(g)
     assert min_distance_exhaustive(g).witness == tuple(map(int, _codeword_for_message(
-        field, g.entries, _base_digits(best_t, k, field.order))))
+        field, g.entries, _int_to_digits(best_t, field.order, k))))
     assert weight_distribution(g) == counts
 
 
@@ -476,7 +486,7 @@ def test_enumerator_matches_naive_recomputation(p, e):
             continue
         g = random_full_rank(field, k, int(rng.integers(4, 12)), rng)
         best_t, counts = naive_scan(g)
-        first = _codeword_for_message(field, g.entries, _base_digits(best_t, k, q))
+        first = _codeword_for_message(field, g.entries, _int_to_digits(best_t, q, k))
         cert = min_distance_exhaustive(g)
         assert cert.value == int(np.count_nonzero(first))
         assert cert.witness == tuple(map(int, first))  # the first minimum in base-q order
@@ -496,7 +506,7 @@ def test_weights_past_255_sum_over_several_words(p):
     best_t, counts = naive_scan(g)
     assert max(w for w, a in enumerate(counts) if a) > 255
     assert weight_distribution(g) == counts
-    first = _codeword_for_message(field, m, _base_digits(best_t, 4, p))
+    first = _codeword_for_message(field, m, _int_to_digits(best_t, p, 4))
     assert min_distance_exhaustive(g).witness == tuple(map(int, first))
 
 
