@@ -8,7 +8,12 @@ that polynomial is exactly the coset, so its degree is the coset's
 largest element.  At alpha^t it is the trace Tr_(F_(q^s)/F_q)(b_j *
 alpha^(a t)), a sum over one Frobenius orbit, so every value lies in F_q
 and the rows form a generator matrix over F_q.  All rows of a family are
-evaluated at once, as one array expression over exp/log tables.
+evaluated at once on the parent field's tables: each coset
+representative a gets one power row of logs, the first orbit term of each
+row is one gather from the doubled exp table (a log plus a power row
+entry is below 2(Q-1), so no reduction is needed), and each later term
+is the q-th power of the one before, read from the cached Frobenius
+lookup :func:`~cosetcodes.galois.frobenius_lookup`.
 
 The generator matrix builder verifies subfield membership of every entry
 (a projection table miss raises) and checks that the matrix has full row
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosets import CosetFamily, CosetTable, compute_cosets, order_mod
-from .galois import (MAX_FIELD_SIZE, Field, degree_over_prime, make_field, nth_root_of_unity,
-                     prime_power_base, subfield_power_basis)
+from .galois import (MAX_FIELD_SIZE, Field, degree_over_prime, frobenius_lookup, make_field,
+                     nth_root_of_unity, prime_power_base, subfield_power_basis)
 from .linalg import GFMatrix, rank
 
 
@@ -190,23 +195,32 @@ def _trace_rows(ctx: Field, q: int, n: int, reps, values, sizes) -> np.ndarray:
     """Parent values at (0, alpha^0, ..., alpha^(n-1)) of the rows (a, b, s).
 
     Row r is sum_(i<s) (b * x^a)^(q^i) for a, b, s = reps[r], values[r],
-    sizes[r].  With alpha = gamma^L, L = (Q-1)/n, its value at alpha^t is
-    sum_(i<s) exp[q^i * (log b + (L*a mod Q-1) * t) mod Q-1].  At 0 only
-    the zero coset (a = 0, s = 1) is nonzero, with value b.
+    sizes[r].  With alpha = gamma^L, L = (Q-1)/n, each distinct a gets one
+    power row of logs, (L*a mod Q-1) * t mod Q-1 for t < n.  The first term
+    at alpha^t is exp[log b + that row's entry t]: both addends are below
+    Q-1, so the sum is below 2(Q-1), the length of the doubled exp table,
+    and needs no reduction.  Term i+1 is the q-th power of term i, read from
+    :func:`~cosetcodes.galois.frobenius_lookup` in its narrow dtype; a row
+    whose orbit has i terms is zeroed at term i, and the lookup keeps zero
+    at zero.  At 0 only the zero coset (a = 0, s = 1) is nonzero, with
+    value b.
     """
     q1 = ctx.order - 1
     a = np.asarray(reps, dtype=np.int64)
     b = np.asarray(values, dtype=np.int64)
     s = np.asarray(sizes, dtype=np.int64)
-    logs = ctx.log_np[b][:, None] + (a * (q1 // n) % q1)[:, None] * np.arange(n)
-    logs %= q1
-    acc = np.zeros_like(logs)
-    for i in range(int(s.max())):
-        term = ctx.exp_np[logs]
-        term[i >= s] = 0  # rows whose orbit has fewer than i + 1 terms
+    distinct, power_of = np.unique(a, return_inverse=True)
+    powers = np.multiply.outer(distinct * (q1 // n) % q1, np.arange(n))
+    powers -= powers // q1 * q1  # mod Q-1; numpy's % is several times slower
+    logs = powers[power_of]
+    logs += ctx.log_np[b][:, None]
+    frobenius = frobenius_lookup(ctx, q)
+    term = ctx.exp_np.take(logs).astype(frobenius.dtype)
+    acc = term
+    for i in range(1, int(s.max())):
+        term = frobenius.take(term)
+        term[s == i] = 0  # rows whose orbit has i terms
         acc = ctx.add(acc, term)
-        logs *= q
-        logs %= q1
     return np.column_stack([np.where(a == 0, b, 0), acc])
 
 
@@ -221,7 +235,7 @@ def truncated_family(table: CosetTable, r: int) -> CosetFamily:
     """
     if not 1 <= r <= table.n - 1:
         raise ValueError(f"r must be in 1..{table.n - 1}")
-    members = tuple(i for i, c in enumerate(table.cosets) if c.max_elem <= r)
+    members = tuple(i for i, d in enumerate(table.degrees) if d <= r)
     return CosetFamily(table, members)
 
 

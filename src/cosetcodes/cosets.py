@@ -3,7 +3,10 @@
 The coset of a residue a is its orbit {a*q^i mod n} under multiplication
 by q.  Cosets partition Z_n; a :class:`CosetTable` holds the full
 partition with cosets ordered (and identified) by minimum representative,
-which keeps every downstream output deterministic.
+which keeps every downstream output deterministic.  Its ``degrees`` and
+``sizes`` give each coset's largest element and size by id, derived from
+the cosets on first read; family dimensions, degree bounds and the
+frontier walk read them.
 
 A :class:`CosetFamily` is a selected subset of a table's cosets.  The
 family-level operations implemented here are purely combinatorial:
@@ -18,7 +21,9 @@ is the one check of the rule q = ell^2.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 
 from .galois import prime_power_base
@@ -78,6 +83,16 @@ class CosetTable:
 
     def __len__(self) -> int:
         return len(self.cosets)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Coset id -> largest element, the degree of the coset's orbit sums."""
+        return tuple(c.max_elem for c in self.cosets)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Coset id -> size, the number of rows the coset contributes."""
+        return tuple(c.size for c in self.cosets)
 
     def coset_of(self, residue: int) -> int:
         """Id of the coset containing residue mod n (``scaled_coset`` relies on the mod)."""
@@ -173,7 +188,8 @@ class CosetFamily:
         return len(self.members)
 
     def __contains__(self, coset_id: int) -> bool:
-        return coset_id in set(self.members)
+        i = bisect_left(self.members, coset_id)
+        return i < len(self.members) and self.members[i] == coset_id
 
     def cosets(self) -> list[Coset]:
         return [self.table.cosets[i] for i in self.members]
@@ -187,13 +203,13 @@ class CosetFamily:
 
     def dim(self) -> int:
         """Sum of member coset sizes (the dimension of the attached code)."""
-        return sum(self.table.cosets[i].size for i in self.members)
+        return sum(map(self.table.sizes.__getitem__, self.members))
 
     def max_degree(self) -> int:
         """Largest element over all member cosets."""
         if not self.members:
             raise ValueError("empty family has no degree")
-        return max(self.table.cosets[i].max_elem for i in self.members)
+        return max(map(self.table.degrees.__getitem__, self.members))
 
     def scale(self, factor: int) -> CosetFamily:
         """Replace each member coset by the coset of factor times its elements."""

@@ -33,8 +33,12 @@ Subfields GF(q^s) of GF(q^m) are never separate contexts: they live
 inside the big field as the fixed points of x -> x^(q^s), with a
 deterministic power basis, a plain tuple of elements (see
 :func:`subfield_power_basis`), and an integer "symbol" relabeling (see
-:meth:`Field.subfield_view`).  This module imports no other module of the
-package.
+:meth:`Field.subfield_view`).  The q-Frobenius map v -> v^q of a
+subfield F_q is a lookup vector over the whole field, built on first use
+by :func:`frobenius_lookup` and cached in this module per (field, q), as
+:func:`make_field` caches its contexts; the field holds no copy, and
+unlike the dense q x q tables it is built at any field size.  This module
+imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -500,6 +504,28 @@ def nth_root_of_unity(ctx: Field, n: int) -> int:
     if n < 1 or q1 % n != 0:
         raise ValueError(f"{n} does not divide the multiplicative group order {q1}")
     return ctx.pow(ctx.generator, q1 // n)
+
+
+@lru_cache(maxsize=None)
+def frobenius_lookup(ctx: Field, q: int) -> np.ndarray:
+    """Entry v holds v^q, for every element v of ctx and a subfield F_q:
+    a read-only vector in the narrowest dtype that holds an element, built
+    on first use at any field size and cached per (ctx, q), as
+    :func:`make_field` caches its contexts.
+
+    With Q = q^m elements, (gamma^k)^q = gamma^(k q mod Q-1), and for
+    k < Q-1 that product rotates the m base-q digits of k: k = hi
+    q^(m-1) + lo goes to lo q + hi, entry [hi, lo] of the transpose of
+    arange(Q).reshape(Q/q, q).  So the lookup is the exp table read
+    through that transposed view and scattered to the exp table's order,
+    with no integer product or field-sized int64 copy.
+    """
+    ctx._subfield_degree(q)  # F_q must be a subfield
+    exp = ctx.exp_np[:ctx.order].astype(np.min_scalar_type(ctx.order - 1))
+    lookup = np.zeros(ctx.order, dtype=exp.dtype)
+    lookup[ctx.exp_np[:ctx.order - 1]] = exp.reshape(-1, q).T.ravel()[:-1]
+    lookup.flags.writeable = False
+    return lookup
 
 
 def subfield_power_basis(ctx: Field, q: int, s: int) -> tuple[int, ...]:

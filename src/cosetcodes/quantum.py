@@ -285,7 +285,7 @@ def search(table: CosetTable, ell: int | None = None, min_quantum_k: int = 0,
     graph = build_compatibility_graph(table, ell)
     n = table.n
     zero_id = table.coset_of(0)
-    deg = [c.max_elem for c in table.cosets]
+    deg = table.degrees
     # each matched pair once, as (lower end, higher end)
     pairs = sorted(((v, graph.image[v]) for v in graph.vertices
                     if deg[v] < deg[graph.image[v]]), key=lambda pair: -deg[pair[1]])
@@ -302,7 +302,7 @@ def search(table: CosetTable, ell: int | None = None, min_quantum_k: int = 0,
         if deg[high] <= kept:
             break
         chosen.append(low)
-        k += table.cosets[low].size
+        k += table.sizes[low]
         kept = max(kept, deg[low])
     walked = len(chain)
     # d rises along the chain, so the min_d floor drops its head

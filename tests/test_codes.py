@@ -12,7 +12,8 @@ from cosetcodes import (classical_params, compute_cosets, generator_matrix,
 from cosetcodes import codes
 from cosetcodes.codes import field_for_table
 from cosetcodes.cosets import Coset
-from cosetcodes.galois import Field, nth_root_of_unity, subfield_power_basis
+from cosetcodes.galois import (MAX_TABLE_FIELD_SIZE, Field, frobenius_lookup,
+                               nth_root_of_unity, subfield_power_basis)
 from cosetcodes.linalg import GFMatrix, rank, row_space_equal
 from conftest import coset_families, random_subfield_basis
 
@@ -100,6 +101,8 @@ def test_weight_sum_identity_over_the_domain(f256):
 @pytest.mark.parametrize("q,n,reps", [
     (4, 21, [0, 1, 3, 7]), (16, 51, [0, 4, 17]), (3, 8, [0, 1, 2, 4]),
     (3, 26, [0, 1, 2, 13]), (5, 24, [0, 1, 2, 12]), (9, 10, [0, 1, 5]), (7, 6, [0, 1, 3]),
+    # the frontier's large parent fields: GF(2^16) with size-4 cosets, and GF(2^12)
+    (16, 257, [0, 2, 12, 42]), (64, 585, [0, 1, 2]),
 ])
 def test_domain_evaluation_matches_scalar_oracle(q, n, reps):
     table = compute_cosets(q, n)
@@ -113,6 +116,35 @@ def test_domain_evaluation_matches_scalar_oracle(q, n, reps):
         bases = {cid: random_subfield_basis(ctx, q, table.cosets[cid].size, rng)
                  for cid in fam.members}
         assert row_space_equal(g, projected_oracle(ctx, fam, bases))
+
+
+def test_a_family_without_the_zero_coset_is_zero_at_zero(t21):
+    # only the zero coset's rows are nonzero at the point 0
+    fam = t21.family([1, 3])
+    g = generator_matrix(fam).mat
+    assert np.array_equal(g.entries, projected_oracle(field_for_table(t21), fam).entries)
+    assert g.entries.any() and not g.entries[:, 0].any()
+
+
+@pytest.mark.parametrize("p,e,q", [(2, 16, 16), (2, 12, 64), (3, 6, 9), (5, 4, 25)])
+def test_frobenius_lookup_is_the_qth_power(p, e, q):
+    ctx = make_field(p, e)
+    lookup = frobenius_lookup(ctx, q)
+    assert lookup.shape == (ctx.order,)  # a vector, at any field size
+    assert lookup.dtype == np.min_scalar_type(ctx.order - 1)
+    assert lookup.tolist() == [ctx.pow(v, q) for v in range(ctx.order)]
+    assert frobenius_lookup(ctx, q) is lookup
+    assert not lookup.flags.writeable
+
+
+def test_frobenius_lookup_is_built_past_the_dense_table_cap():
+    ctx = make_field(2, 16)
+    assert ctx.order > MAX_TABLE_FIELD_SIZE
+    with pytest.raises(ValueError, match="not supported"):
+        ctx.mul_table
+    assert frobenius_lookup(ctx, 16).size == ctx.order
+    with pytest.raises(ValueError, match="not a subfield"):
+        frobenius_lookup(ctx, 8)
 
 
 def test_generator_matrix_zero_family_is_all_ones(t51):

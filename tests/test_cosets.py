@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from math import gcd
 
 import pytest
 
 from cosetcodes import compute_cosets, euclidean_dual_family, galois, hermitian_dual_family
-from cosetcodes.cosets import CosetFamily, order_mod
+from cosetcodes.cosets import Coset, CosetFamily, order_mod
 from conftest import COSET_TABLES
 
 
@@ -204,6 +205,44 @@ def test_family_duals_need_the_characteristic_to_divide_n_plus_1(q, ell, n):
     assert family.table.ell == ell
     with pytest.raises(ValueError, match="does not divide n\\+1"):
         hermitian_dual_family(family)
+
+
+CONFTEST_TABLES = ["t21", "t51", "t63", "t51q16", "t585", "t26q3", "t24q5", "t80q9", "t8q9",
+                   "t24q25"]
+
+
+@pytest.mark.parametrize("name", CONFTEST_TABLES)
+def test_degree_and_size_vectors_follow_the_cosets(request, name):
+    table = request.getfixturevalue(name)
+    assert table.degrees == tuple(c.max_elem for c in table.cosets)
+    assert table.sizes == tuple(c.size for c in table.cosets)
+    assert table.degrees is table.degrees and table.sizes is table.sizes
+    fam = CosetFamily(table, tuple(range(0, len(table), 2)))
+    assert fam.dim() == sum(c.size for c in fam.cosets())
+    assert fam.max_degree() == max(c.max_elem for c in fam.cosets())
+
+
+def test_degree_and_size_vectors_are_read_from_each_copy(t21):
+    # a copy with other cosets derives its own vectors, not the source's
+    assert t21.degrees[t21.coset_of(1)] == 16
+    cosets = list(t21.cosets)
+    cosets[t21.coset_of(1)] = Coset((1, 4, 17))
+    cosets[t21.coset_of(7)] = Coset((7, 8))
+    copy = dataclasses.replace(t21, cosets=tuple(cosets))
+    assert copy.degrees == tuple(c.max_elem for c in cosets)
+    assert copy.sizes == tuple(c.size for c in cosets)
+    assert copy.degrees[t21.coset_of(1)] == 17 and copy.sizes[t21.coset_of(7)] == 2
+    assert t21.degrees[t21.coset_of(1)] == 16 and t21.sizes[t21.coset_of(7)] == 1
+
+
+@pytest.mark.parametrize("name", CONFTEST_TABLES)
+def test_family_membership_matches_members(request, name):
+    table = request.getfixturevalue(name)
+    for fam in (CosetFamily(table, ()), CosetFamily(table, (0,)),
+                CosetFamily(table, tuple(range(1, len(table), 3))),
+                CosetFamily(table, tuple(range(len(table))))):
+        for cid in range(-1, len(table) + 1):
+            assert (cid in fam) == (cid in fam.members), (fam, cid)
 
 
 def test_max_degree_trivial_and_empty(t51):

@@ -1,7 +1,8 @@
 """Guards against stale imports, unread constants, import cycles, a stale
 ``__all__``, costly import paths, a second place that catches budget
-refusals, a second packed slot count and base-p digits formed outside
-``galois`` (no linter is required)."""
+refusals, a second packed slot count, base-p digits formed outside
+``galois`` and the field's exp/log tables read outside ``galois`` and
+``codes`` (no linter is required)."""
 
 import ast
 import os
@@ -178,6 +179,31 @@ def test_the_guard_sees_a_second_digit_former():
                     "        return [t // self.q**i % self.q for i in range(3)]\n\n"
                     "def split(t, q):\n    return np.divmod(t, q), t % q // 2, t // q\n"}
     assert digit_formers(sources) == ["a._int_to_digits", "b.digits", "b.split"]
+
+
+def log_table_readers(sources: dict[str, str]) -> list[str]:
+    """module.function for each read of an ``exp_np`` or ``log_np`` attribute."""
+
+    def reads_log_tables(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in ("exp_np", "log_np"))
+
+    return holders(sources, reads_log_tables)
+
+
+def test_exp_and_log_tables_are_read_in_two_modules():
+    # galois builds the tables and its lookups; codes evaluates the trace rows on them
+    sources = {p.stem: p.read_text() for p in Path(cosetcodes.__file__).parent.glob("*.py")}
+    found = log_table_readers(sources)
+    assert {name.split(".")[0] for name in found} == {"codes", "galois"}, found
+
+
+def test_the_guard_sees_a_second_log_table_reader():
+    sources = {"a": "class Field:\n    def __init__(self, t):\n        self.exp_np = t\n\n"
+                    "    def mul(self, x, y):\n        return self.exp_np[self.log_np[x] + y]\n",
+               "b": "def rows(ctx, b):\n    return ctx.log_np[b]\n\n"
+                    "def table(ctx):\n    exp_np = ctx.exp\n    return exp_np\n"}
+    assert log_table_readers(sources) == ["a.mul", "a.mul", "b.rows"]
 
 
 def package_imports(source: str, modules: set[str]) -> set[str]:
