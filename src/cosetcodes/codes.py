@@ -174,9 +174,9 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None) -> Generator
         # the orbit of a is the exponent support, so the degree is max(coset)
         if sorted(a * q**i % n for i in range(s)) != list(coset.elements):
             raise AssertionError(f"orbit of {a} under x -> {q}x is not the coset {coset}")
-        reps += [a] * s
+        reps.append(a)
         values += subfield_power_basis(ctx, q, s)
-        sizes += [s] * s
+        sizes.append(s)
 
     symbols = view.project[_trace_rows(ctx, q, n, reps, values, sizes)]
     if (symbols < 0).any():
@@ -192,36 +192,40 @@ def generator_matrix(family: CosetFamily, ctx: Field | None = None) -> Generator
 
 
 def _trace_rows(ctx: Field, q: int, n: int, reps, values, sizes) -> np.ndarray:
-    """Parent values at (0, alpha^0, ..., alpha^(n-1)) of the rows (a, b, s).
+    """Parent values at (0, alpha^0, ..., alpha^(n-1)) of each coset's rows.
 
-    Row r is sum_(i<s) (b * x^a)^(q^i) for a, b, s = reps[r], values[r],
-    sizes[r].  With alpha = gamma^L, L = (Q-1)/n, each distinct a gets one
-    power row of logs, (L*a mod Q-1) * t mod Q-1 for t < n.  The first term
-    at alpha^t is exp[log b + that row's entry t]: both addends are below
-    Q-1, so the sum is below 2(Q-1), the length of the doubled exp table,
-    and needs no reduction.  Term i+1 is the q-th power of term i, read from
-    :func:`~cosetcodes.galois.frobenius_lookup` in its narrow dtype; a row
-    whose orbit has i terms is zeroed at term i, and the lookup keeps zero
-    at zero.  At 0 only the zero coset (a = 0, s = 1) is nonzero, with
-    value b.
+    Coset c, with representative a = reps[c] and size s = sizes[c], has s
+    consecutive rows, one per value b of ``values`` in order: the row is
+    sum_(i<s) (b * x^a)^(q^i).  With alpha = gamma^L, L = (Q-1)/n, each
+    coset gets one power row of logs, (L*a mod Q-1) * t mod Q-1 for t < n.
+    The first term at alpha^t is exp[log b + that row's entry t]: both
+    addends are below Q-1, so the sum is below 2(Q-1), the length of the
+    doubled exp table, and needs no reduction.  Term i+1 is the q-th power
+    of term i, read from :func:`~cosetcodes.galois.frobenius_lookup` in its
+    narrow dtype; a row whose orbit has i terms is zeroed at term i, and
+    the lookup keeps zero at zero.  At 0 only the zero coset (a = 0, s = 1)
+    is nonzero, with value b.
     """
     q1 = ctx.order - 1
     a = np.asarray(reps, dtype=np.int64)
-    b = np.asarray(values, dtype=np.int64)
     s = np.asarray(sizes, dtype=np.int64)
-    distinct, power_of = np.unique(a, return_inverse=True)
-    powers = np.multiply.outer(distinct * (q1 // n) % q1, np.arange(n))
+    b = np.asarray(values, dtype=np.int64)
+    powers = (a * (q1 // n) % q1)[:, None] * np.arange(n)
     powers -= powers // q1 * q1  # mod Q-1; numpy's % is several times slower
-    logs = powers[power_of]
+    # each int64 grid is dropped once read: the live ones set the heap's high-water mark
+    logs = np.repeat(powers, s, axis=0)
+    del powers
     logs += ctx.log_np[b][:, None]
     frobenius = frobenius_lookup(ctx, q)
     term = ctx.exp_np.take(logs).astype(frobenius.dtype)
+    del logs
     acc = term
+    orbit = np.repeat(s, s)  # each row's orbit length
     for i in range(1, int(s.max())):
         term = frobenius.take(term)
-        term[s == i] = 0  # rows whose orbit has i terms
+        term[orbit == i] = 0
         acc = ctx.add(acc, term)
-    return np.column_stack([np.where(a == 0, b, 0), acc])
+    return np.column_stack([np.where(np.repeat(a, s) == 0, b, 0), acc])
 
 
 def truncated_family(table: CosetTable, r: int) -> CosetFamily:
