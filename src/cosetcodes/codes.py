@@ -211,7 +211,7 @@ def _trace_rows(ctx: Field, q: int, n: int, reps, values, sizes) -> np.ndarray:
     s = np.asarray(sizes, dtype=np.int64)
     b = np.asarray(values, dtype=np.int64)
     powers = (a * (q1 // n) % q1)[:, None] * np.arange(n)
-    powers -= powers // q1 * q1  # mod Q-1; numpy's % is several times slower
+    powers -= powers // q1 * q1  # mod Q-1, in about half the time of numpy's int64 %
     # each int64 grid is dropped once read: the live ones set the heap's high-water mark
     logs = np.repeat(powers, s, axis=0)
     del powers
