@@ -18,8 +18,10 @@ The Euclidean and Hermitian duals share one verification body.
 B -> dual(ell*B); the code-level check that it is the Euclidean dual
 family of the ell-scaled family raises the primal matrix to the ell-th
 power entry-wise and verifies that the result spans the code of the
-ell-scaled family.  ell is a power of p, so the power carries the
-primal's reduction (``linalg.pow_entrywise``) and is not reduced again.
+ell-scaled family.  ell is a power of p, so x -> x^ell is a Frobenius
+automorphism, read from the field's cached ``galois.frobenius_lookup``,
+and the power carries the primal's reduction (``linalg.pow_entrywise``)
+and is not reduced again.
 
 The table rules live in ``cosets``: ``compute_cosets`` needs q = p^f
 for a prime p, ``check_hermitian`` needs q = ell^2 with ell >= 2 (the

@@ -33,12 +33,15 @@ Subfields GF(q^s) of GF(q^m) are never separate contexts: they live
 inside the big field as the fixed points of x -> x^(q^s), with a
 deterministic power basis, a plain tuple of elements (see
 :func:`subfield_power_basis`), and an integer "symbol" relabeling (see
-:meth:`Field.subfield_view`).  The q-Frobenius map v -> v^q of a
-subfield F_q is a lookup vector over the whole field, built on first use
-by :func:`frobenius_lookup` and cached in this module per (field, q), as
-:func:`make_field` caches its contexts; the field holds no copy, and
-unlike the dense q x q tables it is built at any field size.  This module
-imports no other module of the package.
+:meth:`Field.subfield_view`), each cached per (field, q) by
+``functools.lru_cache``, as :func:`make_field` caches its contexts.
+Every Frobenius power v -> v^(p^j), 1 <= j <= e, is one lookup vector
+over the whole field, built on first use by :func:`frobenius_lookup` and
+cached the same way, per (field, p^j): the trace rows of ``codes`` read
+the q-th power of a subfield F_q, and the Hermitian Gram reads the
+ell-th power of F_(ell^2).  The field holds no copy, and unlike the dense
+q x q tables the lookup is built at any field size.  This module imports
+no other module of the package.
 """
 
 from __future__ import annotations
@@ -278,8 +281,6 @@ class Field:
         self.modulus = modulus
         self._powers = [p**i for i in range(e)]  # place values of the digits
         self._build_tables()
-        self._views: dict[int, SubfieldView] = {}
-        self._bases: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -388,12 +389,6 @@ class Field:
         self._symbols("digit")  # the size check
         return _digit_table(self.p, self.e)
 
-    def pow_table(self, k: int) -> np.ndarray:
-        """Entry-wise x -> x^k lookup vector."""
-        r = self._symbols("power")
-        tab = np.where(r > 0, self.exp_np[self.log_np[r] * k % (self.order - 1)], 0 ** k)
-        return tab.astype(np.uint16)
-
     # -- subfields -------------------------------------------------------
 
     def _subfield_degree(self, q: int) -> int:
@@ -403,6 +398,7 @@ class Field:
             raise ValueError(f"F_{q} is not a subfield of F_{self.order}")
         return f
 
+    @lru_cache(maxsize=None)
     def subfield_view(self, q: int) -> SubfieldView:
         """Relabel the embedded subfield F_q of this field as 0..q-1 symbols.
 
@@ -411,11 +407,8 @@ class Field:
         where w = gamma^((p^e-1)/(q-1)).  The returned view bundles a
         :class:`Field` for symbol arithmetic (modulus = minimal polynomial
         of w, read from the symbol of w^f), plus lookup tables between
-        parent values and symbols.
+        parent values and symbols.  Cached per (field, q).
         """
-        view = self._views.get(q)
-        if view is not None:
-            return view
         f = self._subfield_degree(q)
         w = nth_root_of_unity(self, q - 1)
         # symbol sum_j c_j p^j is sum_j c_j w^j; c_j w^j has log log(c_j) + j log(w)
@@ -431,9 +424,7 @@ class Field:
         # w^f = sum_j c_j w^j, so the modulus is x^f - sum_j c_j x^j
         tail = _int_to_digits(int(project[self.pow(w, f)]), self.p, f)
         symbol_field = make_field(self.p, f, [-c % self.p for c in tail] + [1])
-        view = SubfieldView(field=symbol_field, embed=embed, project=project)
-        self._views[q] = view
-        return view
+        return SubfieldView(field=symbol_field, embed=embed, project=project)
 
     # -- serialization -----------------------------------------------------
 
@@ -507,40 +498,38 @@ def nth_root_of_unity(ctx: Field, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def frobenius_lookup(ctx: Field, q: int) -> np.ndarray:
-    """Entry v holds v^q, for every element v of ctx and a subfield F_q:
-    a read-only vector in the narrowest dtype that holds an element, built
-    on first use at any field size and cached per (ctx, q), as
-    :func:`make_field` caches its contexts.
+def frobenius_lookup(ctx: Field, k: int) -> np.ndarray:
+    """Entry v holds v^k, for every element v of ctx and k = p^j with
+    1 <= j <= e (any other k raises ValueError): a read-only vector in the
+    narrowest dtype that holds an element, built on first use at any field
+    size and cached per (ctx, k), as :func:`make_field` caches its contexts.
 
-    With Q = q^m elements, (gamma^k)^q = gamma^(k q mod Q-1), and for
-    k < Q-1 that product rotates the m base-q digits of k: k = hi
-    q^(m-1) + lo goes to lo q + hi, entry [hi, lo] of the transpose of
-    arange(Q).reshape(Q/q, q).  So the lookup is the exp table read
-    through that transposed view and scattered to the exp table's order,
-    with no integer product or field-sized int64 copy.
+    With Q = p^e elements, (gamma^t)^k = gamma^(t k mod Q-1), and for
+    t < Q-1 with t = hi (Q/k) + lo, lo < Q/k, that product is lo k + hi:
+    entry [hi, lo] of the transpose of arange(Q).reshape(Q/k, k).  So the
+    lookup is the exp table read through that transposed view and
+    scattered to the exp table's order, with no integer product or
+    field-sized int64 copy.
     """
-    ctx._subfield_degree(q)  # F_q must be a subfield
+    if degree_over_prime(k, ctx.p) > ctx.e:
+        raise ValueError(f"the Frobenius power {k} exceeds the field order {ctx.order}")
     exp = ctx.exp_np[:ctx.order].astype(np.min_scalar_type(ctx.order - 1))
     lookup = np.zeros(ctx.order, dtype=exp.dtype)
-    lookup[ctx.exp_np[:ctx.order - 1]] = exp.reshape(-1, q).T.ravel()[:-1]
+    lookup[ctx.exp_np[:ctx.order - 1]] = exp.reshape(-1, k).T.ravel()[:-1]
     lookup.flags.writeable = False
     return lookup
 
 
+@lru_cache(maxsize=None)
 def subfield_power_basis(ctx: Field, q: int, s: int) -> tuple[int, ...]:
     """The power basis (1, w, ..., w^(s-1)) of F_(q^s) over F_q inside ctx.
 
     w = gamma^((p^e-1)/(q^s-1)) generates the multiplicative group of
-    F_(q^s), so its first s powers are independent over F_q.  The tuple
-    is cached on ctx per (q, s).
+    F_(q^s), so its first s powers are independent over F_q.  Cached per
+    (ctx, q, s).
     """
-    basis = ctx._bases.get((q, s))
-    if basis is not None:
-        return basis
     m = ctx.e // ctx._subfield_degree(q)
     if s < 1 or m % s != 0:
         raise ValueError(f"F_{q}^{s} is not a subfield of F_{q}^{m}")
     w = nth_root_of_unity(ctx, q**s - 1)
-    basis = ctx._bases[(q, s)] = tuple(ctx.pow(w, i) for i in range(s))
-    return basis
+    return tuple(ctx.pow(w, i) for i in range(s))

@@ -4,8 +4,8 @@ Matrices carry their symbol :class:`~cosetcodes.galois.Field` and a
 read-only numpy uint16 entry array, so a matrix is row-reduced at most
 once: :attr:`GFMatrix.reduction` keeps the result of the first
 :func:`rank_and_rref`, and :func:`rank`, :func:`nullspace` and
-:func:`row_space_equal` read it; :func:`pow_entrywise` by a power of p
-hands its result that reduction, raised entry-wise.  Row reduction and
+:func:`row_space_equal` read it; :func:`pow_entrywise`, a Frobenius
+power, hands its result that reduction, raised entry-wise.  Row reduction and
 nullspaces run on the field's dense lookup tables: each pivot tabulates
 the q multiples of its row once, and clearing its column is a row gather
 from that table.  Rows are added by XOR in characteristic 2, and in odd
@@ -55,7 +55,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .galois import Field, _add_mod, _fold_digits, _int_to_digits, _sub_mod
+from .galois import Field, _add_mod, _fold_digits, _int_to_digits, _sub_mod, frobenius_lookup
 
 DEFAULT_BUDGET = 1 << 26
 TABLE_ROWS = 1 << 16  # span-table rows, and packed words per tile, of the enumeration kernel
@@ -191,20 +191,17 @@ def nullspace(m: GFMatrix) -> GFMatrix:
 
 
 def pow_entrywise(m: GFMatrix, k: int) -> GFMatrix:
-    """The matrix of k-th powers of m's entries.
+    """The matrix of k-th powers of m's entries, for k = p^j with 1 <= j <= e,
+    read from :func:`~cosetcodes.galois.frobenius_lookup` (any other k
+    raises ValueError).
 
-    When k is a power of p, x -> x^k is a field automorphism that fixes
-    0 and 1, so it commutes with row reduction: if m has its reduction,
-    the result carries that reduction's entry-wise power and is not
-    reduced again.  Otherwise, as for any other k, the result is reduced
-    afresh when its reduction is first read.
+    x -> x^k is a field automorphism that fixes 0 and 1, so it commutes
+    with row reduction: if m has its reduction, the result carries that
+    reduction's entry-wise power and is not reduced again.
     """
-    power = m.field.pow_table(k)
+    power = frobenius_lookup(m.field, k)
     out = GFMatrix(m.field, power[m.entries])
-    p, j = m.field.p, k
-    while j > 1 and j % p == 0:
-        j //= p
-    if j == 1 and "reduction" in m.__dict__:  # the cached_property's slot
+    if "reduction" in m.__dict__:  # the cached_property's slot
         r, rref = m.reduction
         out.__dict__["reduction"] = (r, GFMatrix(m.field, power[rref.entries]))
     return out

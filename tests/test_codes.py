@@ -143,8 +143,11 @@ def test_frobenius_lookup_is_built_past_the_dense_table_cap():
     with pytest.raises(ValueError, match="not supported"):
         ctx.mul_table
     assert frobenius_lookup(ctx, 16).size == ctx.order
-    with pytest.raises(ValueError, match="not a subfield"):
-        frobenius_lookup(ctx, 8)
+    assert frobenius_lookup(ctx, 8).size == ctx.order  # 3 does not divide 16
+    with pytest.raises(ValueError, match="not a positive power"):
+        frobenius_lookup(ctx, 6)
+    with pytest.raises(ValueError, match="exceeds the field order"):
+        frobenius_lookup(ctx, 1 << 17)
 
 
 def test_generator_matrix_zero_family_is_all_ones(t51):
@@ -270,11 +273,13 @@ def test_generator_matrix_validates_each_subfield_basis_once(t51):
     family = t51.family([0, 1, 3, 17])
     sizes = sorted({t51.cosets[cid].size for cid in family.members})
     assert len(sizes) > 1
+    built = subfield_power_basis.cache_info().misses
     first = generator_matrix(family, ctx)
-    assert sorted(ctx._bases) == [(4, s) for s in sizes]
+    assert subfield_power_basis.cache_info().misses == built + len(sizes)
     bases = {s: subfield_power_basis(ctx, 4, s) for s in sizes}
     assert all(type(bases[s]) is tuple and len(bases[s]) == s for s in sizes)
     second = generator_matrix(family, ctx)
+    assert subfield_power_basis.cache_info().misses == built + len(sizes)
     assert all(subfield_power_basis(ctx, 4, s) is bases[s] for s in sizes)
     assert np.array_equal(first.mat.entries, second.mat.entries)
     assert np.array_equal(first.mat.entries, generator_matrix(family).mat.entries)

@@ -1,8 +1,8 @@
 """Guards against stale imports, unread constants, import cycles, a stale
 ``__all__``, costly import paths, a second place that catches budget
 refusals, a second packed slot count, base-p digits formed outside
-``galois`` and the field's exp/log tables read outside ``galois`` and
-``codes`` (no linter is required)."""
+``galois``, the field's exp/log tables read outside ``galois`` and
+``codes``, and caches kept in instance dicts (no linter is required)."""
 
 import ast
 import os
@@ -204,6 +204,45 @@ def test_the_guard_sees_a_second_log_table_reader():
                "b": "def rows(ctx, b):\n    return ctx.log_np[b]\n\n"
                     "def table(ctx):\n    exp_np = ctx.exp\n    return exp_np\n"}
     assert log_table_readers(sources) == ["a.mul", "a.mul", "b.rows"]
+
+
+def instance_dict_caches(sources: dict[str, str]) -> list[str]:
+    """module.Class.name for each ``self.name = {}`` or ``self.name = dict()``,
+    annotated or not, in a method of a class of the module."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    target, value = node.target, node.value
+                else:
+                    continue
+                empty = isinstance(value, ast.Dict) and not value.keys or (
+                    isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict")
+                if (empty and isinstance(target, ast.Attribute)
+                        and getattr(target.value, "id", None) == "self"):
+                    found.append(f"{module}.{cls.name}.{target.attr}")
+    return found
+
+
+def test_no_instance_dict_caches():
+    # per-field lookups are cached by functools (make_field, frobenius_lookup,
+    # subfield_view, subfield_power_basis), not in a dict on the instance
+    sources = {p.stem: p.read_text() for p in Path(cosetcodes.__file__).parent.glob("*.py")}
+    assert instance_dict_caches(sources) == []
+
+
+def test_the_guard_sees_an_instance_dict_cache():
+    sources = {"a": "class Field:\n    def __init__(self, p):\n        self.p = p\n"
+                    "        self._views: dict[int, tuple] = {}\n"
+                    "        self._bases = dict()\n        self._args = {'p': p}\n",
+               "b": "_cache = {}\n\nclass Table:\n    def fill(self, other):\n"
+                    "        other.seen = {}\n        self.rows = {}\n"}
+    assert instance_dict_caches(sources) == ["a.Field._views", "a.Field._bases", "b.Table.rows"]
 
 
 def package_imports(source: str, modules: set[str]) -> set[str]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cosetcodes import (BudgetExceededError, generator_matrix, linalg, make_field,
                         min_distance_exhaustive)
 from cosetcodes.codes import field_for_table
-from cosetcodes.galois import _add_mod, _digit_table, _int_to_digits, _sub_mod
+from cosetcodes.galois import _add_mod, _digit_table, _int_to_digits, _sub_mod, frobenius_lookup
 from cosetcodes.linalg import (TABLE_ROWS, GFMatrix, _codeword_for_message, _digit_fields,
                                _pack_rows, _SpanKernel, _walk, check_budget, gram, gram_is_zero,
                                nullspace, pow_entrywise, rank, rank_and_rref, row_space_equal,
@@ -130,7 +130,7 @@ def test_a_frobenius_power_carries_its_reduction(request, reductions, name):
     deficient = GFMatrix(field, np.vstack([rows, rows[:1], g.entries[:2]]))
     for m in (g, deficient):
         rank(m)
-        for j in range(field.e + 1):
+        for j in range(1, field.e + 1):
             powered = pow_entrywise(m, field.p**j)
             reductions.clear()
             r, carried = powered.reduction
@@ -138,9 +138,8 @@ def test_a_frobenius_power_carries_its_reduction(request, reductions, name):
             fresh = rank_and_rref(GFMatrix(field, powered.entries))
             assert r == fresh[0]
             assert np.array_equal(carried.entries, fresh[1].entries)
-    reductions.clear()
-    rank(pow_entrywise(g, field.p + 1))  # not a power of p: reduced afresh
-    assert len(reductions) == 1
+    with pytest.raises(ValueError, match="not a positive power"):
+        pow_entrywise(g, field.p + 1)  # not a power of p: no automorphism
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 2)])
@@ -389,6 +388,22 @@ def test_mul_table_row_p_minus_1_is_the_digit_negation(p, e):
     field = make_field(p, e)
     digits = np.asarray([_int_to_digits(x, p, e) for x in range(field.order)])
     assert np.array_equal(field.mul_table[p - 1], -digits % p @ p ** np.arange(e))
+
+
+@pytest.mark.parametrize("p,e", sorted(set(PROPERTY_FIELDS) | {f.values for f in ODD_FIELDS}))
+def test_every_frobenius_power_is_one_lookup(p, e):
+    # j need not divide e: x -> x^16 on GF(64) is an automorphism too
+    field = make_field(p, e)
+    m = GFMatrix(field, np.random.default_rng(p**e).integers(0, field.order, size=(3, 5)))
+    for j in range(1, e + 1):
+        lookup = frobenius_lookup(field, p**j)
+        assert lookup.tolist() == [field.pow(x, p**j) for x in range(field.order)], j
+        assert frobenius_lookup(field, p**j) is lookup
+        assert np.array_equal(pow_entrywise(m, p**j).entries, lookup[m.entries])
+    with pytest.raises(ValueError, match="not a positive power"):
+        pow_entrywise(m, p + 1)
+    with pytest.raises(ValueError, match="exceeds the field order"):
+        pow_entrywise(m, p ** (e + 1))
 
 
 @pytest.mark.parametrize("p,e", ODD_FIELDS)
