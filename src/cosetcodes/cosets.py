@@ -109,7 +109,7 @@ class CosetTable:
             if not 0 <= r < self.n:
                 raise ValueError(f"residue {r} is outside 0..{self.n - 1}")
             ids.add(self._id_of[r])
-        return CosetFamily(self, tuple(sorted(ids)))
+        return CosetFamily(self, ids)
 
     def to_json_obj(self) -> dict:
         return {
@@ -164,15 +164,14 @@ def compute_cosets(q: int, n: int) -> CosetTable:
 
 @dataclass(frozen=True, eq=False)
 class CosetFamily:
-    """A set of cosets from one table, stored as sorted coset ids."""
+    """A set of cosets from one table, given as any iterable of coset ids
+    and stored as their sorted tuple: the one place ids are ordered."""
 
     table: CosetTable
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ids = self.members
-        if list(ids) != sorted(set(ids)):
-            object.__setattr__(self, "members", tuple(sorted(set(ids))))
+        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
         if self.members and not (0 <= self.members[0] and self.members[-1] < len(self.table)):
             raise ValueError("coset id outside table")
 
@@ -213,8 +212,8 @@ class CosetFamily:
 
     def scale(self, factor: int) -> CosetFamily:
         """Replace each member coset by the coset of factor times its elements."""
-        return CosetFamily(self.table, tuple(sorted(
-            {self.table.scaled_coset(i, factor) for i in self.members})))
+        return CosetFamily(self.table, {self.table.scaled_coset(i, factor)
+                                        for i in self.members})
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(c.elements) for c in self.cosets()]
@@ -274,6 +273,7 @@ def _dual_family(family: CosetFamily, image: tuple[int, ...]) -> CosetFamily:
     check_dualizable(table)
     if not family.contains_zero:
         raise ValueError("family must contain the coset {0}")
-    keep = set(range(len(table))) - {image[i] for i in family.members}
-    keep.add(table.coset_of(0))
-    return CosetFamily(table, tuple(sorted(keep)))
+    dropped = {image[i] for i in family.members}
+    zero_id = table.coset_of(0)
+    return CosetFamily(table, [i for i in range(len(table))
+                               if i == zero_id or i not in dropped])

@@ -298,7 +298,7 @@ def search(table: CosetTable, ell: int | None = None, min_quantum_k: int = 0,
         qk = n + 1 - 2 * k
         if qk < floor:
             break
-        chain.append((qk, n + 1 - max(kept, deg[high]), tuple(sorted(chosen))))
+        chain.append((qk, n + 1 - max(kept, deg[high]), tuple(chosen)))
         if deg[high] <= kept:
             break
         chosen.append(low)
