@@ -407,7 +407,7 @@ class Field:
         where w = gamma^((p^e-1)/(q-1)).  The returned view bundles a
         :class:`Field` for symbol arithmetic (modulus = minimal polynomial
         of w, read from the symbol of w^f), plus lookup tables between
-        parent values and symbols.  Cached per (field, q).
+        parent values and symbols, both read-only.  Cached per (field, q).
         """
         f = self._subfield_degree(q)
         w = nth_root_of_unity(self, q - 1)
@@ -424,6 +424,7 @@ class Field:
         # w^f = sum_j c_j w^j, so the modulus is x^f - sum_j c_j x^j
         tail = _int_to_digits(int(project[self.pow(w, f)]), self.p, f)
         symbol_field = make_field(self.p, f, [-c % self.p for c in tail] + [1])
+        embed.flags.writeable = project.flags.writeable = False  # shared through the cache
         return SubfieldView(field=symbol_field, embed=embed, project=project)
 
     # -- serialization -----------------------------------------------------

@@ -240,6 +240,8 @@ def test_power_basis_spans_the_whole_subfield(f256, q, s):
 def test_subfield_view_is_a_field_isomorphism(f256):
     for q in (4, 16):
         view = f256.subfield_view(q)
+        assert f256.subfield_view(q) is view  # cached, so shared and read-only
+        assert not (view.embed.flags.writeable or view.project.flags.writeable)
         for s1, s2 in itertools.product(range(q), repeat=2):
             a, b = int(view.embed[s1]), int(view.embed[s2])
             assert view.project[f256.mul(a, b)] == view.field.mul(s1, s2)
